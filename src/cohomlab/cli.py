@@ -55,7 +55,7 @@ def load_group_spec(path: str, cap: int) -> MatGroup:
     if missing:
         raise ValueError(f"group spec is missing keys: {sorted(missing)}")
     p, n, gens = data["p"], data["n"], data["generators"]
-    if not isinstance(p, int) or not isinstance(n, int):
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in (p, n)):
         raise ValueError("p and n must be integers")
     ctx = ModulusContext(p, n)
     if not isinstance(gens, list):
@@ -154,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--p", type=int, default=None, help="prime parameter")
     pe.add_argument("--n", type=int, default=2, help="level parameter (diagonal experiment)")
     pe.add_argument("--m", type=int, default=None, help="override the nonsquare (example6)")
-    pe.add_argument("--cap", type=int, default=None, help="accepted for symmetry; closure caps are structural")
     pe.add_argument("--budget-ms", type=int, default=DEFAULT_BUDGET_MS, help="wall-clock budget in milliseconds")
     pe.add_argument("--seed", type=int, default=0, help="sampling seed")
     pe.add_argument("--out", default=None, help="write the verdict to this path instead of stdout")

@@ -1,18 +1,29 @@
 """First cohomology of matrix groups acting on finite modules over Z/p^nZ.
 
-A cocycle is stored as its full value table, one module element per group
-element in the group's canonical order. Cocycle and coboundary spaces are
-submodules of M^|G| (flattened), so quotients reduce to the invariant-factor
-machinery in zmod. The locally trivial subspace collects the cocycles whose
-value at every single element g already lies in the image of g - I; for the
-cyclic subgroup generated by g that membership is exactly coboundary-ness,
-which makes it the kernel-of-all-restrictions condition computed elementwise.
+A cocycle is fixed by its values on a generating set of k elements, so the
+engine works in generator coordinates M^k. Propagating the cocycle relation
+from the identity writes the value at every g as a matrix coeff[g] applied
+to the generator values, and every revisit of an element gives constraint
+rows. Z1 is the kernel of those rows; the locally trivial subspace L and
+the intersection of the restriction kernels are kernels of the same rows
+stacked with more; B1 is spanned by the generator values (s - I)e_j of the
+coboundaries. Quotients reduce to the invariant-factor machinery in zmod.
+
+Value tables, one module element per group element in canonical order, are
+built only for the public cocycle_space, coboundary_space and
+locally_trivial_subspace, and for the witnesses of a nonzero L/B1.
+
+L collects the cocycles whose value at every single element g already lies
+in the image of g - I; for the cyclic subgroup generated by g that
+membership is exactly coboundary-ness, which makes it the
+kernel-of-all-restrictions condition computed elementwise.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from .errors import HypothesisViolated, NotASubgroup, StabilizerMismatch
@@ -175,101 +186,129 @@ class CohomologyReport:
 
 
 # ---------------------------------------------------------------------------
-# the three linear spaces
+# the linear spaces, in generator coordinates
 # ---------------------------------------------------------------------------
 
 
-def _propagated_tables(group: MatGroup, action: ModuleAction):
-    """Value tables of a spanning set of the cocycle space.
+def _propagate(group: MatGroup, action: ModuleAction):
+    """Coefficient matrices coeff[g] and the constraint rows of the cocycle space.
 
-    A cocycle is determined by its values on a generating set S: starting
-    from value 0 at the identity, the relation at (s, h) propagates values
-    along products, and each revisit of an already-valued element yields a
-    linear constraint on the generator values. Every pair (s, h) with s in S
-    is visited, and those relations imply the full two-variable relation by
-    induction on word length.
+    A cocycle is determined by its values on the generating set S, stacked
+    into one vector x in M^k. Starting from value 0 at the identity, the
+    relation at (s, h) gives the value at s*h as x_s + s.Z_h, so the value at
+    every g is coeff[g] x for an r x rk matrix coeff[g]; each revisit of an
+    already-valued element yields constraint rows on x. Every pair (s, h)
+    with s in S is visited, and those relations imply the full two-variable
+    relation by induction on word length, so Z^1 is the kernel of the rows.
     """
     gens = group.generating_set
     r = action.rank
-    k = len(gens)
-    dim = r * k
+    dim = r * len(gens)
     N = action.ctx.modulus
-    if k == 0:
-        return []
-    acts = {s: action.act_rows(s) for s in gens}
-    # coeff[g] is an r x dim matrix: the value at g as a function of the
-    # flattened generator values
-    zero_block = [[0] * dim for _ in range(r)]
-    coeff = {group.identity: zero_block}
+    acts = [action.act_rows(s) for s in gens]
+    coeff = {group.identity: ((0,) * dim,) * r}
     frontier = [group.identity]
-    constraints = set()
+    rows = set()
     while frontier:
         h = frontier.pop()
-        ch = coeff[h]
-        for si, s in enumerate(gens):
-            g = s * h
-            rows = acts[s]
-            # value at s*h is (block of unknowns for s) + act(s) * value at h
+        cols = list(zip(*coeff[h]))
+        for si, (s, act) in enumerate(zip(gens, acts)):
             cand = []
-            for i in range(r):
-                base = si * r + i
-                cand.append(
-                    [
-                        ((1 if col == base else 0) + sum(rows[i][t] * ch[t][col] for t in range(r))) % N
-                        for col in range(dim)
-                    ]
-                )
-            if g not in coeff:
-                coeff[g] = cand
+            for i, arow in enumerate(act):
+                row = [sum(map(mul, arow, col)) % N for col in cols]
+                row[si * r + i] = (row[si * r + i] + 1) % N
+                cand.append(tuple(row))
+            g = s * h
+            have = coeff.get(g)
+            if have is None:
+                coeff[g] = tuple(cand)
                 frontier.append(g)
             else:
-                have = coeff[g]
-                for i in range(r):
-                    row = tuple((cand[i][c] - have[i][c]) % N for c in range(dim))
-                    if any(row):
-                        constraints.add(row)
+                for x, y in zip(cand, have):
+                    if x != y:
+                        rows.add(tuple((a - b) % N for a, b in zip(x, y)))
     if len(coeff) != len(group):
         raise AssertionError("generator propagation failed to reach the whole group")
-    if constraints:
-        cmat = ResidueMatrix(len(constraints), dim, tuple(itertools.chain.from_iterable(sorted(constraints))), action.ctx)
-        free = kernel(cmat)
-        zgens = [tuple(v) for v in (g.entries for g in free.generators)]
-    else:
-        zgens = [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
-    tables = []
-    order = group.elements
-    for z in zgens:
-        flat = []
-        for g in order:
-            cg = coeff[g]
-            for i in range(r):
-                flat.append(sum(cg[i][c] * z[c] for c in range(dim)) % N)
-        tables.append(flat)
-    return tables
+    return coeff, rows
 
 
-def cocycle_space(group: MatGroup, action: Optional[ModuleAction] = None) -> Submodule:
-    """Z^1(G, M) as a submodule of M^|G| in canonical element order."""
-    action = _action_for(group, action)
-    tables = _propagated_tables(group, action)
-    rank = action.rank * len(group)
-    return Submodule.span(tables, rank, action.ctx)
+def _cut_out(rows, dim: int, ctx: ModulusContext) -> Submodule:
+    """The vectors of M^k killed by every row: the kernel of the stacked rows."""
+    return kernel(ResidueMatrix(len(rows), dim, tuple(itertools.chain.from_iterable(rows)), ctx))
 
 
-def coboundary_space(group: MatGroup, action: Optional[ModuleAction] = None) -> Submodule:
-    """B^1(G, M): tables of g -> g.v - v as v runs over the module."""
-    action = _action_for(group, action)
+def _row(terms, dim: int, N: int) -> tuple:
+    """The sum of a . coeff[g] over the (a, coeff[g]) terms, a row on M^k."""
+    acc = [0] * dim
+    for a, m in terms:
+        for ai, mrow in zip(a, m):
+            if ai:
+                acc = [x + ai * y for x, y in zip(acc, mrow)]
+    return tuple(x % N for x in acc)
+
+
+def _coboundary_span(elements, action: ModuleAction) -> Submodule:
+    """Span of the tables g -> g.e_j - e_j over the listed elements."""
     r = action.rank
     N = action.ctx.modulus
     tables = []
     for j in range(r):
         basis = tuple(1 if i == j else 0 for i in range(r))
         flat = []
-        for g in group.elements:
+        for g in elements:
             moved = action.apply(g, basis)
             flat.extend((moved.entries[i] - basis[i]) % N for i in range(r))
         tables.append(flat)
-    return Submodule.span(tables, r * len(group), action.ctx)
+    return Submodule.span(tables, r * len(elements), action.ctx)
+
+
+def _engine(group: MatGroup, action: ModuleAction):
+    """(coeff, constraint rows, Z^1, B^1), the spaces in generator coordinates.
+
+    B^1 is spanned by the coboundaries of the basis vectors e_j, whose
+    values at the generators s are (s - I) e_j.
+    """
+    coeff, rows = _propagate(group, action)
+    dim = action.rank * len(group.generating_set)
+    return coeff, rows, _cut_out(rows, dim, action.ctx), _coboundary_span(group.generating_set, action)
+
+
+def _locally_trivial(group: MatGroup, action: ModuleAction, coeff, rows) -> Submodule:
+    """L in generator coordinates: Z^1 cut by a . coeff[g] for a in Ann(Im(g - I))."""
+    r = action.rank
+    dim = r * len(group.generating_set)
+    N = action.ctx.modulus
+    local = set()
+    for g in group.elements:
+        diff = action.act_minus_identity(g)
+        cols = [[diff.entries[i * r + j] for i in range(r)] for j in range(r)]
+        for a in annihilator(Submodule.span(cols, r, action.ctx)).generators:
+            row = _row([(a.entries, coeff[g])], dim, N)
+            if any(row):
+                local.add(row)
+    return _cut_out(rows | local, dim, action.ctx)
+
+
+def _tables(group: MatGroup, action: ModuleAction, coeff, sub: Submodule) -> Submodule:
+    """A submodule of M^k carried to value tables, a submodule of M^|G|."""
+    N = action.ctx.modulus
+    tables = [
+        [sum(map(mul, crow, z.entries)) % N for g in group.elements for crow in coeff[g]]
+        for z in sub.generators
+    ]
+    return Submodule.span(tables, action.rank * len(group), action.ctx)
+
+
+def cocycle_space(group: MatGroup, action: Optional[ModuleAction] = None) -> Submodule:
+    """Z^1(G, M) as a submodule of M^|G| in canonical element order."""
+    action = _action_for(group, action)
+    coeff, _, z1, _ = _engine(group, action)
+    return _tables(group, action, coeff, z1)
+
+
+def coboundary_space(group: MatGroup, action: Optional[ModuleAction] = None) -> Submodule:
+    """B^1(G, M): tables of g -> g.v - v as v runs over the module."""
+    return _coboundary_span(group.elements, _action_for(group, action))
 
 
 def coboundary_of(group: MatGroup, v, action: Optional[ModuleAction] = None) -> Cocycle:
@@ -283,129 +322,72 @@ def coboundary_of(group: MatGroup, v, action: Optional[ModuleAction] = None) -> 
     return Cocycle(group, action, tuple(vals))
 
 
-def _locally_trivial_from(group: MatGroup, action: ModuleAction, z1: Submodule) -> Submodule:
-    """Combinations of the cocycle generators whose value at each g lies in Im(g - I)."""
-    r = action.rank
-    k = len(z1.generators)
-    rank = r * len(group)
-    if k == 0:
-        return Submodule.zero(rank, action.ctx)
-    N = action.ctx.modulus
-    rows = set()
-    for gi, g in enumerate(group.elements):
-        diff = action.act_minus_identity(g)
-        cols = [[diff.entries[i * r + j] for i in range(r)] for j in range(r)]
-        img = Submodule.span(cols, r, action.ctx)
-        for a in annihilator(img).generators:
-            row = tuple(
-                sum(a.entries[i] * t.entries[gi * r + i] for i in range(r)) % N
-                for t in z1.generators
-            )
-            if any(row):
-                rows.add(row)
-    if not rows:
-        return z1
-    cmat = ResidueMatrix(len(rows), k, tuple(itertools.chain.from_iterable(sorted(rows))), action.ctx)
-    combos = kernel(cmat)
-    gens = []
-    for c in combos.generators:
-        flat = [0] * rank
-        for ci, t in zip(c.entries, z1.generators):
-            if ci:
-                for pos, e in enumerate(t.entries):
-                    flat[pos] = (flat[pos] + ci * e) % N
-        gens.append(flat)
-    return Submodule.span(gens, rank, action.ctx)
-
-
 def locally_trivial_subspace(group: MatGroup, action: Optional[ModuleAction] = None) -> Submodule:
     """L = { Z in Z^1 : Z_g in Im(g - I) for every g }; B^1 <= L <= Z^1."""
     action = _action_for(group, action)
-    return _locally_trivial_from(group, action, cocycle_space(group, action))
+    coeff, rows, _, _ = _engine(group, action)
+    return _tables(group, action, coeff, _locally_trivial(group, action, coeff, rows))
 
 
 def h1(group: MatGroup, action: Optional[ModuleAction] = None) -> list:
     """Invariant factors of Z^1 / B^1."""
-    action = _action_for(group, action)
-    z1 = cocycle_space(group, action)
-    b1 = coboundary_space(group, action)
+    _, _, z1, b1 = _engine(group, _action_for(group, action))
     return quotient_invariants(z1, b1)
 
 
 def h1_loc(group: MatGroup, action: Optional[ModuleAction] = None) -> CohomologyReport:
-    """Invariant factors of L / B^1 with explicit witness cocycles."""
+    """Invariant factors of L / B^1 with explicit witness cocycles.
+
+    The witnesses come from value tables: the quotient of the table form of
+    L by coboundary_space, each generator reduced modulo B^1.
+    """
     action = _action_for(group, action)
-    z1 = cocycle_space(group, action)
-    b1 = coboundary_space(group, action)
-    z1_inv = quotient_invariants(z1, Submodule.zero(z1.ambient_rank, action.ctx))
-    b1_inv = quotient_invariants(b1, Submodule.zero(b1.ambient_rank, action.ctx))
-    h1_inv = quotient_invariants(z1, b1)
-    if not h1_inv:
-        # B^1 <= L <= Z^1 collapses, no need to compute L
-        return CohomologyReport(tuple(z1_inv), tuple(b1_inv), (), (), ())
-    loc = _locally_trivial_from(group, action, z1)
-    loc_inv, raw_wits = quotient_decomposition(loc, b1)
+    coeff, rows, z1, b1 = _engine(group, action)
+    zero = Submodule.zero(z1.ambient_rank, action.ctx)
+    z1_inv = tuple(quotient_invariants(z1, zero))
+    b1_inv = tuple(quotient_invariants(b1, zero))
+    h1_inv = tuple(quotient_invariants(z1, b1))
+    # B^1 <= L <= Z^1 collapses when H^1 vanishes, no need to compute L
+    loc = _locally_trivial(group, action, coeff, rows) if h1_inv else None
+    if loc is None or not quotient_invariants(loc, b1):
+        return CohomologyReport(z1_inv, b1_inv, h1_inv, (), ())
+    b1_full = coboundary_space(group, action)
+    loc_inv, raw_wits = quotient_decomposition(_tables(group, action, coeff, loc), b1_full)
     witnesses = []
     for w in raw_wits:
-        reduced = b1.coset_reduce(w.entries)
+        reduced = b1_full.coset_reduce(w.entries)
         zc = Cocycle.from_flat(group, action, reduced.entries)
         if not is_locally_trivial(zc):
             raise AssertionError("witness lost local triviality under reduction")
         if is_coboundary(zc) is not None:
             raise AssertionError("witness reduced to a coboundary")
         witnesses.append(zc)
-    return CohomologyReport(
-        tuple(z1_inv), tuple(b1_inv), tuple(h1_inv), tuple(loc_inv), tuple(witnesses)
-    )
+    return CohomologyReport(z1_inv, b1_inv, h1_inv, tuple(loc_inv), tuple(witnesses))
 
 
 def h1_loc_via_restrictions(group: MatGroup, action: Optional[ModuleAction] = None) -> list:
     """H^1_loc computed literally as the intersection of restriction kernels.
 
     For each cyclic subgroup C, a cocycle restricts to a table on C; the
-    class dies in H^1(C) iff that table lies in B^1(C). The intersection of
-    those conditions over all C is cut out of the cocycle space and then
-    reduced modulo B^1(G). Independent of the elementwise membership path.
+    class dies in H^1(C) iff that table lies in B^1(C), i.e. iff every
+    annihilator vector of B^1(C) kills it. Those rows are cut out of the
+    cocycle space and the result is reduced modulo B^1(G). Independent of
+    the elementwise membership path.
     """
     action = _action_for(group, action)
-    z1 = cocycle_space(group, action)
-    b1 = coboundary_space(group, action)
+    coeff, rows, _, b1 = _engine(group, action)
     r = action.rank
+    dim = b1.ambient_rank
     N = action.ctx.modulus
-    k = len(z1.generators)
-    if k == 0:
-        return []
-    rows = set()
+    restricted = set()
     for cyc in cyclic_subgroups(group):
-        positions = [group._index[h] for h in cyc.elements]
-        b1c = coboundary_space(cyc, action)
-        for a in annihilator(b1c).generators:
-            row = []
-            for t in z1.generators:
-                acc = 0
-                for local_i, gi in enumerate(positions):
-                    for i in range(r):
-                        acc += a.entries[local_i * r + i] * t.entries[gi * r + i]
-                row.append(acc % N)
+        for a in annihilator(coboundary_space(cyc, action)).generators:
+            row = _row(
+                ((a.entries[i * r : (i + 1) * r], coeff[h]) for i, h in enumerate(cyc.elements)), dim, N
+            )
             if any(row):
-                rows.add(tuple(row))
-    if rows:
-        cmat = ResidueMatrix(len(rows), k, tuple(itertools.chain.from_iterable(sorted(rows))), action.ctx)
-        combos = kernel(cmat)
-    else:
-        combos = Submodule.span(
-            [[1 if i == j else 0 for i in range(k)] for j in range(k)], k, action.ctx
-        )
-    gens = []
-    for c in combos.generators:
-        flat = [0] * (r * len(group))
-        for ci, t in zip(c.entries, z1.generators):
-            if ci:
-                for pos, e in enumerate(t.entries):
-                    flat[pos] = (flat[pos] + ci * e) % N
-        gens.append(flat)
-    killed = Submodule.span(gens, r * len(group), action.ctx)
-    return quotient_invariants(killed, b1)
+                restricted.add(row)
+    return quotient_invariants(_cut_out(rows | restricted, dim, action.ctx), b1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from typing import Optional
 
 from .cohom import (
     Cocycle,
+    CohomologyReport,
     ModuleAction,
     action_image,
     coboundary_space,
@@ -47,7 +48,7 @@ from .matgrp import (
     smallest_nonsquare,
     special_subgroups,
 )
-from .zmod import ModulusContext, unit_inverse
+from .zmod import ModulusContext, _is_prime, unit_inverse
 
 DEFAULT_BUDGET_MS = 600000
 
@@ -385,17 +386,18 @@ def _minus_identity_in(group: MatGroup) -> bool:
     return Mat2(n - 1, 0, 0, n - 1, group.ctx) in group
 
 
-def _h1_with_shortcut(group: MatGroup) -> list:
-    """h1, using the central minus-identity shortcut only on large groups.
+def _h1_with_shortcut(group: MatGroup) -> Optional[CohomologyReport]:
+    """h1_loc, or None where the central minus-identity shortcut shows H^1 = 0.
 
     When -I belongs to the group and p is odd, conjugation by the central
     element acts trivially on classes while the module action negates them,
-    so every class is 2-torsion in a p-group: trivial. The shortcut is
-    verified against the honest computation on every small group.
+    so every class is 2-torsion in a p-group: trivial. The shortcut is taken
+    only on large groups and verified against the honest computation on
+    every small group.
     """
     if group.ctx.p != 2 and len(group) > 600 and _minus_identity_in(group):
-        return []
-    return h1(group)
+        return None
+    return h1_loc(group)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +411,7 @@ def run_example6(
     budget_ms: int = DEFAULT_BUDGET_MS,
 ) -> ExperimentVerdict:
     """Reproduce the order-2p^2 family and its nontrivial locally trivial class."""
-    if p < 3 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    if p < 3 or not _is_prime(p):
         raise ValueError(f"the family needs an odd prime, got {p}")
     if p > 13:
         raise BudgetExceeded(f"family reproduction is budgeted for p <= 13, got {p}")
@@ -514,13 +516,6 @@ def run_example6(
 # ---------------------------------------------------------------------------
 
 
-def _invariant_order(invs) -> int:
-    out = 1
-    for d in invs:
-        out *= d
-    return out
-
-
 def full_diagonal_group(ctx: ModulusContext) -> MatGroup:
     p = ctx.p
     n = ctx.modulus
@@ -565,10 +560,10 @@ def verify_diagonal_triviality(p: int, n: int, budget_ms: int = DEFAULT_BUDGET_M
             bad_restr += 1
             run.counterexample(sub, "the two locally trivial quotient definitions disagree")
         line_reps = [h1_loc(sub, line) for line in lines]
-        plane_h1 = _invariant_order(rep.h1_invariants)
-        lines_h1 = _invariant_order(line_reps[0].h1_invariants) * _invariant_order(line_reps[1].h1_invariants)
-        plane_loc = _invariant_order(rep.h1loc_invariants)
-        lines_loc = _invariant_order(line_reps[0].h1loc_invariants) * _invariant_order(line_reps[1].h1loc_invariants)
+        plane_h1 = math.prod(rep.h1_invariants)
+        lines_h1 = math.prod(line_reps[0].h1_invariants) * math.prod(line_reps[1].h1_invariants)
+        plane_loc = math.prod(rep.h1loc_invariants)
+        lines_loc = math.prod(line_reps[0].h1loc_invariants) * math.prod(line_reps[1].h1loc_invariants)
         if plane_h1 != lines_h1 or plane_loc != lines_loc:
             bad_product += 1
             run.counterexample(sub, "class count does not split over the coordinate lines")
@@ -783,14 +778,13 @@ def verify_structure_props(
         rhos = _qualifying_diagonals(grp)
         if not rhos:
             continue
-        classes = h1(grp)
-        if classes == []:
+        rep = h1_loc(grp)
+        if rep.h1_invariants == ():
             continue
         diag_part, upper_part, lower_part = special_subgroups(grp)
         part_elems = set(diag_part.elements) | set(upper_part.elements) | set(lower_part.elements)
         regenerated = close_group(sorted(part_elems), ctx, cap=DEFAULT_CAP)
         level1 = reduce_mod(grp, 1)
-        rep = h1_loc(grp)
         if regenerated == grp and not _is_cyclic(level1):
             local_vanishing_instances += 1
             if rep.h1loc_invariants != ():
@@ -854,16 +848,13 @@ def falsify_main_theorem(
     shortcut_mismatches = 0
     for grp in candidates:
         run.tick()
+        rep = _h1_with_shortcut(grp)
         if _minus_identity_in(grp) and len(grp) <= 120:
             shortcut_checked += 1
-            if h1(grp) != []:
+            if rep.h1_invariants != ():
                 shortcut_mismatches += 1
                 run.counterexample(grp, "central negation present but classes are nontrivial")
-        classes = _h1_with_shortcut(grp)
-        if classes == []:
-            continue
-        rep = h1_loc(grp)
-        if rep.h1loc_invariants == ():
+        if rep is None or rep.h1loc_invariants == ():
             continue
         nontrivial += 1
         cond = evaluate_main_theorem_conditions(grp)

@@ -17,7 +17,7 @@ from .errors import (
     NonInvertibleConjugator,
     NonInvertibleGenerator,
 )
-from .zmod import ModulusContext, ResidueVector, unit_inverse
+from .zmod import ModulusContext, ResidueVector, _is_prime, unit_inverse
 
 DEFAULT_CAP = 5000
 
@@ -276,7 +276,7 @@ def closed_form_triple(a: int, b: int, c: int, m: int, ctx: ModulusContext) -> M
 
 def make_example_group(p: int, m: Optional[int] = None) -> ExampleGroup:
     """Construct the counterexample group at an odd prime p (modulus p^2)."""
-    if p == 2 or any(p % q == 0 for q in range(2, min(p, int(p**0.5) + 2))) or p < 2:
+    if p == 2 or not _is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if m is None:
         m = smallest_nonsquare(p)

@@ -484,7 +484,8 @@ def quotient_decomposition(s: Submodule, t: Submodule):
     invariants = []
     witnesses = []
     for i, d in enumerate(diag):
-        assert d != 0 and N % d == 0, "relation lattice must have full rank dividing p^n"
+        if d == 0 or N % d:
+            raise AssertionError("relation lattice must have full rank dividing p^n")
         if d > 1:
             invariants.append(d)
             acc = [0] * s.ambient_rank

@@ -28,6 +28,31 @@ def example_family_spec(tmp_path):
     )
 
 
+# `compute --local --conditions` on the order-18 family spec. The witness is
+# the Howell-reduced generator of L/B1 in canonical element order, so any
+# change to how the spaces are spanned or reduced shows here.
+FAMILY_18_GOLDEN = {
+    "z1": [3, 3, 9],
+    "b1": [3, 9],
+    "h1": [3],
+    "h1loc": [3],
+    "witnesses": [
+        [[0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [3, 0], [3, 0], [3, 0], [3, 0], [3, 0], [3, 0], [6, 0], [6, 0], [6, 0], [6, 0], [6, 0], [6, 0]]
+    ],
+    "h1locViaRestrictions": [3],
+    "localAgreement": True,
+    "conditions": {
+        "hasFixedPointOfExactOrderP": True,
+        "detImageOrderMod_p": 2,
+        "detKernelTrivialMod_p": True,
+        "stableCyclicOrderP": [[[0, 3]], [[3, 0]]],
+        "stableCyclicOrderP2": [],
+        "isogenyConditionP3": False,
+        "zetaConditionHolds": False,
+    },
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -70,6 +95,7 @@ def test_compute_rejects_malformed_specs(tmp_path, capsys):
         {"p": 3, "n": 1, "generators": [[[0, 1], [1]]]},
         {"p": 3, "n": 1, "generators": [[[0, 1], [1, "x"]]]},
         {"p": 3, "n": 1, "generators": [[[0, 1], [1, 7]]]},
+        {"p": 3, "n": True, "generators": []},
         ["not", "an", "object"],
     ]
     for i, doc in enumerate(bad_docs):
@@ -110,6 +136,7 @@ def test_compute_byte_identical_reruns(tmp_path, capsys):
     _, out1, _ = run_cli(capsys, "compute", spec, "--local", "--conditions")
     _, out2, _ = run_cli(capsys, "compute", spec, "--local", "--conditions")
     assert out1 == out2
+    assert out1 == json.dumps(FAMILY_18_GOLDEN, indent=2) + "\n"
 
 
 def test_compute_out_file_and_csv(tmp_path, capsys):
@@ -142,6 +169,7 @@ def test_experiment_rejects_bad_inputs(capsys):
     assert run_cli(capsys, "experiment", "no-such-experiment", "--p", "3")[0] == 2
     assert run_cli(capsys, "experiment", "example6")[0] == 2
     assert run_cli(capsys, "experiment", "shape-lemma", "--p", "7")[0] == 2
+    assert run_cli(capsys, "experiment", "example6", "--p", "3", "--cap", "5")[0] == 2
 
 
 def test_experiment_budget_exhaustion(capsys):

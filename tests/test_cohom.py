@@ -37,6 +37,7 @@ from cohomlab.errors import (
     NotASubgroup,
     StabilizerMismatch,
 )
+from cohomlab.experiments import brute_quotient_invariants
 from cohomlab.matgrp import (
     Mat2,
     MatGroup,
@@ -215,7 +216,7 @@ def test_gl2f2_all_subgroups_match_brute():
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_random_small_groups_match_brute(data):
-    ctx = data.draw(st.sampled_from([Z3, Z9, ModulusContext(2, 2)]))
+    ctx = data.draw(st.sampled_from([Z3, Z9, ModulusContext(2, 2), ModulusContext(5, 1)]))
     n = ctx.modulus
     mats = []
     for _ in range(2):
@@ -230,13 +231,20 @@ def test_random_small_groups_match_brute(data):
         return
     action = ModuleAction.standard(ctx)
     tables = brute_tables(grp, action)
+    cobs = brute_coboundaries(grp, action)
+    loc_tables = brute_locally_trivial(grp, action, tables)
     z1 = cocycle_space(grp, action)
     b1 = coboundary_space(grp, action)
     loc = locally_trivial_subspace(grp, action)
     assert z1.cardinality() == len(tables)
-    assert b1.cardinality() == len(brute_coboundaries(grp, action))
-    assert loc.cardinality() == len(brute_locally_trivial(grp, action, tables))
+    assert b1.cardinality() == len(cobs)
+    assert loc.cardinality() == len(loc_tables)
     assert b1.le(loc) and loc.le(z1)
+    rep = h1_loc(grp, action)
+    assert list(rep.h1_invariants) == brute_quotient_invariants(tables, cobs, ctx)
+    assert list(rep.h1loc_invariants) == brute_quotient_invariants(loc_tables, cobs, ctx)
+    assert h1_loc_via_restrictions(grp, action) == list(rep.h1loc_invariants)
+    assert h1(grp, action) == list(rep.h1_invariants)
     # representative independence: locally trivial + coboundary stays locally trivial
     if loc.generators and b1.generators:
         zc = Cocycle.from_flat(grp, action, loc.generators[0].entries)
@@ -341,6 +349,31 @@ def test_h1loc_conjugation_invariant():
     assert t.is_invertible()
     conj = conjugate(ex.group, t)
     assert list(h1_loc(conj).h1loc_invariants) == list(h1_loc(ex.group).h1loc_invariants)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_invariants_ignore_generator_order_and_conjugation(data):
+    ctx = data.draw(st.sampled_from([Z3, Z9, ModulusContext(2, 2), ModulusContext(5, 1)]))
+    n = ctx.modulus
+
+    def invertible():
+        m = Mat2(*(data.draw(st.integers(0, n - 1)) for _ in range(4)), ctx)
+        return m if m.is_invertible() else Mat2.identity(ctx)
+
+    mats = [invertible() for _ in range(data.draw(st.integers(1, 3)))]
+    try:
+        grp = close_group(mats, ctx, cap=60)
+    except CapExceeded:
+        return
+
+    def invariants(g):
+        rep = h1_loc(g)
+        return (rep.z1_invariants, rep.b1_invariants, rep.h1_invariants, rep.h1loc_invariants, h1_loc_via_restrictions(g))
+
+    want = invariants(grp)
+    assert invariants(close_group(mats[::-1], ctx, cap=60)) == want
+    assert invariants(conjugate(grp, invertible())) == want
 
 
 def test_two_h1loc_paths_agree_on_samples():
