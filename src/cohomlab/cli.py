@@ -55,8 +55,6 @@ def load_group_spec(path: str, cap: int) -> MatGroup:
     if missing:
         raise ValueError(f"group spec is missing keys: {sorted(missing)}")
     p, n, gens = data["p"], data["n"], data["generators"]
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in (p, n)):
-        raise ValueError("p and n must be integers")
     ctx = ModulusContext(p, n)
     if not isinstance(gens, list):
         raise ValueError("generators must be a list of 2x2 integer arrays")

@@ -19,7 +19,6 @@ from typing import Optional
 
 from .cohom import (
     Cocycle,
-    CohomologyReport,
     ModuleAction,
     action_image,
     coboundary_space,
@@ -379,25 +378,6 @@ def sample_level2_groups(
         fingerprints[fp] = fingerprints.get(fp, 0) + 1
         out.append(grp)
     return out
-
-
-def _minus_identity_in(group: MatGroup) -> bool:
-    n = group.ctx.modulus
-    return Mat2(n - 1, 0, 0, n - 1, group.ctx) in group
-
-
-def _h1_with_shortcut(group: MatGroup) -> Optional[CohomologyReport]:
-    """h1_loc, or None where the central minus-identity shortcut shows H^1 = 0.
-
-    When -I belongs to the group and p is odd, conjugation by the central
-    element acts trivially on classes while the module action negates them,
-    so every class is 2-torsion in a p-group: trivial. The shortcut is taken
-    only on large groups and verified against the honest computation on
-    every small group.
-    """
-    if group.ctx.p != 2 and len(group) > 600 and _minus_identity_in(group):
-        return None
-    return h1_loc(group)
 
 
 # ---------------------------------------------------------------------------
@@ -844,17 +824,9 @@ def falsify_main_theorem(
 
     nontrivial = 0
     violations = 0
-    shortcut_checked = 0
-    shortcut_mismatches = 0
     for grp in candidates:
         run.tick()
-        rep = _h1_with_shortcut(grp)
-        if _minus_identity_in(grp) and len(grp) <= 120:
-            shortcut_checked += 1
-            if rep.h1_invariants != ():
-                shortcut_mismatches += 1
-                run.counterexample(grp, "central negation present but classes are nontrivial")
-        if rep is None or rep.h1loc_invariants == ():
+        if h1_loc(grp).h1loc_invariants == ():
             continue
         nontrivial += 1
         cond = evaluate_main_theorem_conditions(grp)
@@ -869,10 +841,8 @@ def falsify_main_theorem(
 
     run.parameters["candidates"] = len(candidates)
     run.parameters["nontrivial"] = nontrivial
-    run.parameters["shortcut_checked"] = shortcut_checked
     run.check("a group with nontrivial locally trivial quotient was examined", True, nontrivial >= 1)
     run.check("no candidate violates the main implication", 0, violations)
-    run.check("central-negation shortcut agrees with the honest computation", 0, shortcut_mismatches)
     return run.verdict()
 
 

@@ -8,12 +8,11 @@ values consumed by the falsification experiments.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import WrongLevel
-from .matgrp import MatGroup, reduce_mod
-from .zmod import ResidueMatrix, ResidueVector, Submodule, kernel
+from .matgrp import MatGroup, _projective_line_reps, reduce_mod
+from .zmod import ModulusContext, ResidueMatrix, Submodule, kernel
 
 
 @dataclass(frozen=True)
@@ -72,30 +71,36 @@ def det_kernel_trivial(group: MatGroup) -> bool:
 def stable_cyclic_submodules(group: MatGroup, order: int) -> list:
     """Cyclic submodules <v> of the given exact order with g.v in <v> for all g.
 
+    A cyclic submodule of order p^k is <p^(n-k) w> for a primitive w (one
+    with a unit coordinate), and only w mod p^k matters, since p^(n-k) maps
+    (Z/p^k)^2 isomorphically onto p^(n-k) (Z/p^n)^2. Two primitive vectors
+    span the same line iff they differ by a unit factor, so scaling the
+    first unit coordinate to 1 picks exactly one representative per line:
+    (1, y) for y mod p^k, or (p t, 1) for t mod p^(k-1) when the first
+    coordinate is not a unit. These are the p^(k-1)(p+1) points of the
+    projective line of Z/p^k, so each submodule is built and tested once.
     Stability under a generating set implies stability under the group,
-    since g(h v) lies in g<v> = <g v> <= <v>.
+    since g(h v) lies in g<v> = <g v> <= <v>. The result is sorted by Howell
+    generators, which are canonical per submodule.
     """
     ctx = group.ctx
-    p, n, modulus = ctx.p, ctx.n, ctx.modulus
+    p, n = ctx.p, ctx.n
     k = 0
     q = order
     while q > 1 and q % p == 0:
         q //= p
         k += 1
     if q != 1 or k < 1 or k > n:
-        raise ValueError(f"order must be a power of {p} between {p} and {modulus}")
+        raise ValueError(f"order must be a power of {p} between {p} and {ctx.modulus}")
     gens = group.generating_set
-    found = {}
-    for v in itertools.product(range(modulus), repeat=2):
-        if min(ctx.valuation(v[0]), ctx.valuation(v[1])) != n - k:
-            continue
+    scale = p ** (n - k)
+    found = []
+    for x, y in _projective_line_reps(ModulusContext(p, k)):
+        v = (scale * x, scale * y)
         span = Submodule.span([list(v)], 2, ctx)
-        key = tuple(tuple(g.entries) for g in span.generators)
-        if key in found:
-            continue
         if all(span.contains(g.apply(v)) for g in gens):
-            found[key] = span
-    return [found[key] for key in sorted(found)]
+            found.append(span)
+    return sorted(found, key=lambda s: tuple(tuple(g.entries) for g in s.generators))
 
 
 def isogeny_condition_p3(group: MatGroup) -> bool:

@@ -97,11 +97,12 @@ class Mat2:
         return out
 
     def order(self) -> int:
-        ident = Mat2.identity(self.ctx)
-        cur = self
+        N = self.ctx.modulus
+        a, b, c, d = self.a, self.b, self.c, self.d
+        x, y, z, w = a, b, c, d
         k = 1
-        while cur != ident:
-            cur = cur * self
+        while (x, y, z, w) != (1, 0, 0, 1):
+            x, y, z, w = (x * a + y * c) % N, (x * b + y * d) % N, (z * a + w * c) % N, (z * b + w * d) % N
             k += 1
         return k
 
@@ -158,7 +159,7 @@ def close_group(gens: Iterable[Mat2], ctx: ModulusContext, cap: int = DEFAULT_CA
                     raise CapExceeded(f"group closure exceeded cap of {cap} elements")
                 elements.add(w)
                 frontier.append(w)
-    return MatGroup(tuple(sorted(elements)), ctx, tuple(gens))
+    return MatGroup(elements, ctx, gens)
 
 
 class MatGroup:

@@ -43,9 +43,9 @@ class ModulusContext:
     modulus: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not _is_prime(self.p):
+        if not isinstance(self.p, int) or isinstance(self.p, bool) or not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "modulus", self.p**self.n)
 

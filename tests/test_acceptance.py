@@ -5,6 +5,7 @@ pytest -s; pytest -v shows one PASSED/FAILED line per criterion either way)
 and asserts both the mathematical content and the runtime bound.
 """
 
+import math
 import random
 import time
 
@@ -65,13 +66,6 @@ def _sampled_inflation_groups() -> list:
     return keep[:12]
 
 
-def _invariant_order(invs) -> int:
-    out = 1
-    for d in invs:
-        out *= d
-    return out
-
-
 def test_criterion_1_example_family_reproduction():
     t0 = time.monotonic()
     for p in (3, 5, 7):
@@ -128,9 +122,9 @@ def test_criterion_4_product_and_inflation_laws():
         rep = h1_loc(sub)
         lines = [ModuleAction.line_of(ctx, 0), ModuleAction.line_of(ctx, 1)]
         line_reps = [h1_loc(sub, line) for line in lines]
-        assert _invariant_order(rep.h1loc_invariants) == _invariant_order(
+        assert math.prod(rep.h1loc_invariants) == math.prod(
             line_reps[0].h1loc_invariants
-        ) * _invariant_order(line_reps[1].h1loc_invariants)
+        ) * math.prod(line_reps[1].h1loc_invariants)
         product_groups += 1
         for line, line_rep in zip(lines, line_reps):
             if len(pointwise_stabilizer(sub, line)) > 1:

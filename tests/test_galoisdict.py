@@ -39,7 +39,6 @@ def brute_stable_spans(group, exact_order):
     n = ctx.modulus
     out = set()
     for v in itertools.product(range(n), repeat=2):
-        mult = {tuple((k * v[0]) % n for k in range(1)) for _ in range(1)}
         span = {tuple(((k * v[0]) % n, (k * v[1]) % n)) for k in range(n)}
         if len(span) != exact_order:
             continue
@@ -139,14 +138,26 @@ def test_stable_submodules_trivial_group_all_lines():
 
 
 def test_stable_submodules_match_brute():
-    groups = [
-        make_example_group(3).group,
-        upper_triangular_mod9(),
-        close_group([Mat2(1, 1, 0, 1, Z9)], Z9),
+    Z8 = ModulusContext(2, 3)
+    Z27 = ModulusContext(3, 3)
+    upper_mod8 = MatGroup(
+        tuple(Mat2(a, b, 0, d, Z8) for a in (1, 3, 5, 7) for d in (1, 3, 5, 7) for b in range(8)), Z8
+    )
+    cases = [
+        (make_example_group(3).group, (3, 9)),
+        (make_example_group(5).group, (5, 25)),
+        (upper_triangular_mod9(), (3, 9)),
+        (close_group([Mat2(1, 1, 0, 1, Z9)], Z9), (3, 9)),
+        (upper_mod8, (2, 4, 8)),
+        (MatGroup((Mat2.identity(Z27),), Z27), (3, 9, 27)),
     ]
-    for g in groups:
-        for order in (3, 9):
-            got = {frozenset(tuple(v) for v in s.vectors()) for s in stable_cyclic_submodules(g, order)}
+    for g, orders in cases:
+        for order in orders:
+            stable = stable_cyclic_submodules(g, order)
+            keys = [tuple(tuple(v.entries) for v in s.generators) for s in stable]
+            assert keys == sorted(keys)
+            got = {frozenset(tuple(v) for v in s.vectors()) for s in stable}
+            assert len(got) == len(stable)
             assert got == brute_stable_spans(g, order)
 
 

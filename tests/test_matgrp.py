@@ -85,6 +85,11 @@ def test_mat2_order():
     assert Mat2.identity(Z9).order() == 1
     assert Mat2(1, 1, 0, 1, Z9).order() == 9
     assert Mat2.diagonal(1, -1, Z9).order() == 2
+    for grp in (full_gl2(ModulusContext(2, 2)), make_example_group(5).group):
+        ident = grp.identity
+        for g in grp:
+            least = next(k for k in itertools.count(1) if g.pow(k) == ident)
+            assert g.order() == least, g
 
 
 def test_mat2_shape_predicates():

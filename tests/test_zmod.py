@@ -110,6 +110,10 @@ def test_context_rejects_bad_parameters():
         ModulusContext(1, 2)
     with pytest.raises(ValueError):
         ModulusContext(3, 0)
+    with pytest.raises(ValueError):
+        ModulusContext(3, True)
+    with pytest.raises(ValueError):
+        ModulusContext(True, 1)
 
 
 def test_context_modulus():
