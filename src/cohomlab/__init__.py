@@ -8,11 +8,13 @@ modular arithmetic, and packages reproducible experiments around them.
 from .cohom import (
     Cocycle,
     CohomologyReport,
+    Engine,
     ModuleAction,
     action_image,
     coboundary_of,
     coboundary_space,
     cocycle_space,
+    cohomology_engine,
     h1,
     h1_loc,
     h1_loc_via_restrictions,

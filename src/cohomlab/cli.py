@@ -19,7 +19,7 @@ import os
 import sys
 from typing import Optional
 
-from .cohom import h1_loc, h1_loc_via_restrictions
+from .cohom import cohomology_engine, h1_loc, h1_loc_via_restrictions
 from .errors import BudgetExceeded, CapExceeded, CohomLabError, WrongLevel
 from .experiments import (
     DEFAULT_BUDGET_MS,
@@ -91,11 +91,12 @@ def _emit(doc: dict, csv_rows: list, out: Optional[str], fmt: str) -> None:
 
 def cmd_compute(args) -> int:
     group = load_group_spec(args.spec, resolve_cap(args.cap))
-    report = h1_loc(group)
+    engine = cohomology_engine(group)
+    report = h1_loc(group, engine=engine)
     doc = report.to_json_dict()
     violation = False
     if args.local:
-        via = h1_loc_via_restrictions(group)
+        via = h1_loc_via_restrictions(group, engine=engine)
         doc["h1locViaRestrictions"] = via
         doc["localAgreement"] = via == list(report.h1loc_invariants)
         if not doc["localAgreement"]:

@@ -4,19 +4,29 @@ A cocycle is fixed by its values on a generating set of k elements, so the
 engine works in generator coordinates M^k. Propagating the cocycle relation
 from the identity writes the value at every g as a matrix coeff[g] applied
 to the generator values, and every revisit of an element gives constraint
-rows. Z1 is the kernel of those rows; the locally trivial subspace L and
-the intersection of the restriction kernels are kernels of the same rows
-stacked with more; B1 is spanned by the generator values (s - I)e_j of the
-coboundaries. Quotients reduce to the invariant-factor machinery in zmod.
+rows. Z1 is the kernel of those rows; B1 is spanned by the generator values
+(s - I)e_j of the coboundaries. cohomology_engine builds these once per
+group and action, and h1_loc and h1_loc_via_restrictions accept it to share
+the work. Quotients reduce to the invariant-factor machinery in zmod.
+
+The locally trivial subspace is computed in two independent ways, each a
+kernel of the constraint rows stacked with more rows on M^k:
+
+- L (h1_loc) collects the cocycles whose value at every single element g
+  lies in the image of g - I, one annihilator row per element.
+- The restriction path (h1_loc_via_restrictions) takes, per cyclic
+  subgroup C, one kernel of the matrix with a block [coeff[h] | -(h - I)]
+  for each h in C: the pairs (x, v) whose restricted table is the
+  coboundary of v on all of C. The annihilator of its projection onto x
+  gives the rows. Its size is r|C| x (kr + r), linear in |C|.
+
+For a cyclic group, a value in the image of g - I at its generator g is
+exactly coboundary-ness on <g>, so the two agree; the cross-check is that
+they are computed independently.
 
 Value tables, one module element per group element in canonical order, are
 built only for the public cocycle_space, coboundary_space and
 locally_trivial_subspace, and for the witnesses of a nonzero L/B1.
-
-L collects the cocycles whose value at every single element g already lies
-in the image of g - I; for the cyclic subgroup generated by g that
-membership is exactly coboundary-ness, which makes it the
-kernel-of-all-restrictions condition computed elementwise.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import HypothesisViolated, NotASubgroup, StabilizerMismatch
 from .matgrp import Mat2, MatGroup, close_group, cyclic_subgroups, special_subgroups
@@ -237,14 +247,9 @@ def _cut_out(rows, dim: int, ctx: ModulusContext) -> Submodule:
     return kernel(ResidueMatrix(len(rows), dim, tuple(itertools.chain.from_iterable(rows)), ctx))
 
 
-def _row(terms, dim: int, N: int) -> tuple:
-    """The sum of a . coeff[g] over the (a, coeff[g]) terms, a row on M^k."""
-    acc = [0] * dim
-    for a, m in terms:
-        for ai, mrow in zip(a, m):
-            if ai:
-                acc = [x + ai * y for x, y in zip(acc, mrow)]
-    return tuple(x % N for x in acc)
+def _row(a, m, N: int) -> tuple:
+    """The row a . m on M^k, for a in M and an r x rk matrix m = coeff[g]."""
+    return tuple(sum(map(mul, a, col)) % N for col in zip(*m))
 
 
 def _coboundary_span(elements, action: ModuleAction) -> Submodule:
@@ -262,15 +267,42 @@ def _coboundary_span(elements, action: ModuleAction) -> Submodule:
     return Submodule.span(tables, r * len(elements), action.ctx)
 
 
-def _engine(group: MatGroup, action: ModuleAction):
-    """(coeff, constraint rows, Z^1, B^1), the spaces in generator coordinates.
+class Engine(NamedTuple):
+    """The spaces of one group and action in generator coordinates.
+
+    coeff and rows come from propagating the cocycle relation; z1 and b1
+    are Z^1 and B^1 as submodules of M^k. Build one with cohomology_engine
+    and pass it to h1_loc and h1_loc_via_restrictions to share the work.
+    """
+
+    group: MatGroup
+    action: ModuleAction
+    coeff: dict
+    rows: set
+    z1: Submodule
+    b1: Submodule
+
+
+def cohomology_engine(group: MatGroup, action: Optional[ModuleAction] = None) -> Engine:
+    """Propagate once and cut out Z^1 and B^1 in generator coordinates.
 
     B^1 is spanned by the coboundaries of the basis vectors e_j, whose
     values at the generators s are (s - I) e_j.
     """
+    action = _action_for(group, action)
     coeff, rows = _propagate(group, action)
     dim = action.rank * len(group.generating_set)
-    return coeff, rows, _cut_out(rows, dim, action.ctx), _coboundary_span(group.generating_set, action)
+    z1 = _cut_out(rows, dim, action.ctx)
+    return Engine(group, action, coeff, rows, z1, _coboundary_span(group.generating_set, action))
+
+
+def _engine(group: MatGroup, action: Optional[ModuleAction], engine: Optional[Engine]) -> Engine:
+    """The given engine, checked against the group and action, or a new one."""
+    if engine is None:
+        return cohomology_engine(group, action)
+    if engine.group != group or (action is not None and action != engine.action):
+        raise ValueError("engine was built for another group or action")
+    return engine
 
 
 def _locally_trivial(group: MatGroup, action: ModuleAction, coeff, rows) -> Submodule:
@@ -283,7 +315,7 @@ def _locally_trivial(group: MatGroup, action: ModuleAction, coeff, rows) -> Subm
         diff = action.act_minus_identity(g)
         cols = [[diff.entries[i * r + j] for i in range(r)] for j in range(r)]
         for a in annihilator(Submodule.span(cols, r, action.ctx)).generators:
-            row = _row([(a.entries, coeff[g])], dim, N)
+            row = _row(a.entries, coeff[g], N)
             if any(row):
                 local.add(row)
     return _cut_out(rows | local, dim, action.ctx)
@@ -301,9 +333,8 @@ def _tables(group: MatGroup, action: ModuleAction, coeff, sub: Submodule) -> Sub
 
 def cocycle_space(group: MatGroup, action: Optional[ModuleAction] = None) -> Submodule:
     """Z^1(G, M) as a submodule of M^|G| in canonical element order."""
-    action = _action_for(group, action)
-    coeff, _, z1, _ = _engine(group, action)
-    return _tables(group, action, coeff, z1)
+    eng = cohomology_engine(group, action)
+    return _tables(group, eng.action, eng.coeff, eng.z1)
 
 
 def coboundary_space(group: MatGroup, action: Optional[ModuleAction] = None) -> Submodule:
@@ -324,25 +355,26 @@ def coboundary_of(group: MatGroup, v, action: Optional[ModuleAction] = None) -> 
 
 def locally_trivial_subspace(group: MatGroup, action: Optional[ModuleAction] = None) -> Submodule:
     """L = { Z in Z^1 : Z_g in Im(g - I) for every g }; B^1 <= L <= Z^1."""
-    action = _action_for(group, action)
-    coeff, rows, _, _ = _engine(group, action)
-    return _tables(group, action, coeff, _locally_trivial(group, action, coeff, rows))
+    eng = cohomology_engine(group, action)
+    return _tables(group, eng.action, eng.coeff, _locally_trivial(group, eng.action, eng.coeff, eng.rows))
 
 
 def h1(group: MatGroup, action: Optional[ModuleAction] = None) -> list:
     """Invariant factors of Z^1 / B^1."""
-    _, _, z1, b1 = _engine(group, _action_for(group, action))
-    return quotient_invariants(z1, b1)
+    eng = cohomology_engine(group, action)
+    return quotient_invariants(eng.z1, eng.b1)
 
 
-def h1_loc(group: MatGroup, action: Optional[ModuleAction] = None) -> CohomologyReport:
+def h1_loc(
+    group: MatGroup, action: Optional[ModuleAction] = None, engine: Optional[Engine] = None
+) -> CohomologyReport:
     """Invariant factors of L / B^1 with explicit witness cocycles.
 
     The witnesses come from value tables: the quotient of the table form of
-    L by coboundary_space, each generator reduced modulo B^1.
+    L by coboundary_space, each generator reduced modulo B^1. An engine
+    from cohomology_engine(group, action) may be passed to reuse its work.
     """
-    action = _action_for(group, action)
-    coeff, rows, z1, b1 = _engine(group, action)
+    _, action, coeff, rows, z1, b1 = _engine(group, action, engine)
     zero = Submodule.zero(z1.ambient_rank, action.ctx)
     z1_inv = tuple(quotient_invariants(z1, zero))
     b1_inv = tuple(quotient_invariants(b1, zero))
@@ -365,29 +397,39 @@ def h1_loc(group: MatGroup, action: Optional[ModuleAction] = None) -> Cohomology
     return CohomologyReport(z1_inv, b1_inv, h1_inv, tuple(loc_inv), tuple(witnesses))
 
 
-def h1_loc_via_restrictions(group: MatGroup, action: Optional[ModuleAction] = None) -> list:
+def h1_loc_via_restrictions(
+    group: MatGroup, action: Optional[ModuleAction] = None, engine: Optional[Engine] = None
+) -> list:
     """H^1_loc computed literally as the intersection of restriction kernels.
 
-    For each cyclic subgroup C, a cocycle restricts to a table on C; the
-    class dies in H^1(C) iff that table lies in B^1(C), i.e. iff every
-    annihilator vector of B^1(C) kills it. Those rows are cut out of the
-    cocycle space and the result is reduced modulo B^1(G). Independent of
-    the elementwise membership path.
+    A cocycle with generator values x restricts to a coboundary on a cyclic
+    subgroup C iff coeff[h] x = (h - I) v for every h in C and one v in M.
+    The pairs (x, v) doing so form the kernel of the (r|C|) x (kr + r)
+    matrix with a block [coeff[h] | -(h - I)] per h; its projection P_C onto
+    x is cut out by the annihilator of P_C, since annihilators are
+    reflexive over Z/p^n. Those rows, stacked onto the cocycle constraints,
+    give the intersection of the restriction kernels, reduced modulo B^1(G).
+    The whole table on C is tested against the whole coboundary definition,
+    never one value at a time, so this path stays independent of the
+    elementwise membership test. An engine from cohomology_engine(group,
+    action) may be passed to reuse its work.
     """
-    action = _action_for(group, action)
-    coeff, rows, _, b1 = _engine(group, action)
+    _, action, coeff, rows, _, b1 = _engine(group, action, engine)
     r = action.rank
     dim = b1.ambient_rank
-    N = action.ctx.modulus
+    ctx = action.ctx
+    N = ctx.modulus
     restricted = set()
     for cyc in cyclic_subgroups(group):
-        for a in annihilator(coboundary_space(cyc, action)).generators:
-            row = _row(
-                ((a.entries[i * r : (i + 1) * r], coeff[h]) for i, h in enumerate(cyc.elements)), dim, N
-            )
-            if any(row):
-                restricted.add(row)
-    return quotient_invariants(_cut_out(rows | restricted, dim, action.ctx), b1)
+        block = []
+        for h in cyc.elements:
+            for i, (crow, arow) in enumerate(zip(coeff[h], action.act_rows(h))):
+                block.extend(crow)
+                block.extend(((i == j) - a) % N for j, a in enumerate(arow))
+        pairs = kernel(ResidueMatrix(r * len(cyc), dim + r, tuple(block), ctx))
+        coboundary_on_c = Submodule.span([z.entries[:dim] for z in pairs.generators], dim, ctx)
+        restricted.update(a.entries for a in annihilator(coboundary_on_c).generators)
+    return quotient_invariants(_cut_out(rows | restricted, dim, ctx), b1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .cohom import (
     action_image,
     coboundary_space,
     cocycle_space,
+    cohomology_engine,
     h1,
     h1_loc,
     h1_loc_via_restrictions,
@@ -467,12 +468,13 @@ def run_example6(
         len(sols_scale & sols_rot),
     )
 
-    rep = h1_loc(grp)
+    engine = cohomology_engine(grp)
+    rep = h1_loc(grp, engine=engine)
     run.check("locally trivial classes are nontrivial", True, rep.h1loc_invariants != ())
     run.check(
         "both definitions of the locally trivial quotient agree",
         list(rep.h1loc_invariants),
-        h1_loc_via_restrictions(grp),
+        h1_loc_via_restrictions(grp, engine=engine),
     )
     run.check(
         "class of the displayed cocycle has order p",
@@ -532,11 +534,12 @@ def verify_diagonal_triviality(p: int, n: int, budget_ms: int = DEFAULT_BUDGET_M
     bad_inflation = 0
     for sub in subs:
         run.tick()
-        rep = h1_loc(sub)
+        engine = cohomology_engine(sub)
+        rep = h1_loc(sub, engine=engine)
         if rep.h1loc_invariants != ():
             bad_loc += 1
             run.counterexample(sub, "diagonal subgroup with nontrivial locally trivial quotient")
-        if list(rep.h1loc_invariants) != h1_loc_via_restrictions(sub):
+        if list(rep.h1loc_invariants) != h1_loc_via_restrictions(sub, engine=engine):
             bad_restr += 1
             run.counterexample(sub, "the two locally trivial quotient definitions disagree")
         line_reps = [h1_loc(sub, line) for line in lines]

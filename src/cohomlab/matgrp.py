@@ -7,6 +7,7 @@ hashing, and iteration order are deterministic across runs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
@@ -307,9 +308,10 @@ def reduce_mod(group: MatGroup, m: int) -> MatGroup:
     """Image of the group under entrywise reduction Z/p^n -> Z/p^m."""
     if m > group.ctx.n or m < 1:
         raise ValueError(f"target exponent {m} out of range 1..{group.ctx.n}")
-    elems = {g.reduce_to(m) for g in group.elements}
-    gens = tuple(g.reduce_to(m) for g in group._gens)
-    return MatGroup(tuple(elems), ModulusContext(group.ctx.p, m), gens)
+    sub = ModulusContext(group.ctx.p, m)
+    elems = {Mat2(g.a, g.b, g.c, g.d, sub) for g in group.elements}
+    gens = tuple(Mat2(g.a, g.b, g.c, g.d, sub) for g in group._gens)
+    return MatGroup(tuple(elems), sub, gens)
 
 
 def special_subgroups(group: MatGroup):
@@ -326,21 +328,24 @@ def special_subgroups(group: MatGroup):
 
 
 def cyclic_subgroups(group: MatGroup) -> list:
-    """All distinct cyclic subgroups, sorted by (order, elements)."""
-    seen = set()
+    """All distinct cyclic subgroups, sorted by (order, elements).
+
+    Each subgroup is built once, from its least generator in canonical
+    order: the walk skips every element already marked, and a new <g> marks
+    each power g^u with u prime to the order of g, since <g^u> = <g>.
+    """
+    ident = group.identity
+    marked = set()
     out = []
     for g in group:
-        elems = []
-        cur = g
-        while True:
-            elems.append(cur)
-            if cur == group.identity:
-                break
-            cur = cur * g
-        key = tuple(sorted(elems))
-        if key not in seen:
-            seen.add(key)
-            out.append(MatGroup(key, group.ctx, (g,)))
+        if g in marked:
+            continue
+        powers = [g]
+        while powers[-1] != ident:
+            powers.append(powers[-1] * g)
+        m = len(powers)
+        marked.update(x for u, x in enumerate(powers, 1) if math.gcd(u, m) == 1)
+        out.append(MatGroup(tuple(powers), group.ctx, (g,)))
     out.sort(key=lambda h: (len(h), h.elements))
     return out
 

@@ -19,6 +19,7 @@ from cohomlab.cohom import (
     coboundary_of,
     coboundary_space,
     cocycle_space,
+    cohomology_engine,
     h1,
     h1_loc,
     h1_loc_via_restrictions,
@@ -37,7 +38,7 @@ from cohomlab.errors import (
     NotASubgroup,
     StabilizerMismatch,
 )
-from cohomlab.experiments import brute_quotient_invariants
+from cohomlab.experiments import brute_cocycle_tables, brute_coboundary_tables, brute_quotient_invariants
 from cohomlab.matgrp import (
     Mat2,
     MatGroup,
@@ -213,9 +214,8 @@ def test_gl2f2_all_subgroups_match_brute():
         assert locally_trivial_subspace(sub).cardinality() == len(loc_tables)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.data())
-def test_random_small_groups_match_brute(data):
+def draw_small_group(data):
+    """A random group of order <= 20 with at most two generators, or None."""
     ctx = data.draw(st.sampled_from([Z3, Z9, ModulusContext(2, 2), ModulusContext(5, 1)]))
     n = ctx.modulus
     mats = []
@@ -226,9 +226,19 @@ def test_random_small_groups_match_brute(data):
     try:
         grp = close_group(mats, ctx, cap=21)
     except CapExceeded:
-        return
+        return None
     if len(grp) > 20 or len(grp.generating_set) > 2:
+        return None
+    return grp
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_random_small_groups_match_brute(data):
+    grp = draw_small_group(data)
+    if grp is None:
         return
+    ctx = grp.ctx
     action = ModuleAction.standard(ctx)
     tables = brute_tables(grp, action)
     cobs = brute_coboundaries(grp, action)
@@ -250,6 +260,52 @@ def test_random_small_groups_match_brute(data):
         zc = Cocycle.from_flat(grp, action, loc.generators[0].entries)
         bc = Cocycle.from_flat(grp, action, b1.generators[0].entries)
         assert is_locally_trivial(zc.add(bc))
+
+
+def literal_restriction_quotient(grp, action):
+    """L/B^1 by definition: cocycle tables whose restriction to every <g> is a coboundary."""
+    cyclics = set()
+    for g in grp.elements:
+        powers = [g]
+        while powers[-1] != grp.identity:
+            powers.append(powers[-1] * g)
+        cyclics.add(MatGroup(tuple(powers), grp.ctx))
+    kept = {
+        t
+        for t in brute_cocycle_tables(grp, action)
+        if all(is_coboundary(restriction(Cocycle(grp, action, t), c)) is not None for c in cyclics)
+    }
+    return brute_quotient_invariants(kept, brute_coboundary_tables(grp, action), action.ctx)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_restriction_path_matches_literal_oracle(data):
+    grp = draw_small_group(data)
+    if grp is None:
+        return
+    action = ModuleAction.standard(grp.ctx)
+    assert h1_loc_via_restrictions(grp, action) == literal_restriction_quotient(grp, action)
+
+
+def test_restriction_path_matches_literal_oracle_on_a_line():
+    # diag(1, 2) acts trivially on the first line and diag(4, 1) fixes 3 there, so H^1 is nonzero
+    diag = close_group([Mat2.diagonal(4, 1, Z9), Mat2.diagonal(1, 2, Z9)], Z9)
+    line = ModuleAction.line_of(Z9, 0)
+    assert h1(diag, line) != []
+    assert h1_loc_via_restrictions(diag, line) == literal_restriction_quotient(diag, line) == []
+
+
+def test_shared_engine_gives_the_same_answers():
+    grp = make_example_group(3).group
+    engine = cohomology_engine(grp)
+    assert h1_loc(grp, engine=engine) == h1_loc(grp)
+    assert h1_loc_via_restrictions(grp, engine=engine) == h1_loc_via_restrictions(grp) == [3]
+    line = ModuleAction.line_of(Z9, 0)
+    with pytest.raises(ValueError, match="another group or action"):
+        h1_loc(grp, line, engine=engine)
+    with pytest.raises(ValueError, match="another group or action"):
+        h1_loc_via_restrictions(SIGMA3, engine=engine)
 
 
 # ---------------------------------------------------------------------------

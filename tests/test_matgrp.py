@@ -233,6 +233,36 @@ def test_cyclic_subgroups_gl2_f2():
     assert [len(h) for h in cyc] == [1, 2, 2, 2, 3]
 
 
+def brute_cyclic_subgroups(group):
+    """{sorted <g>: every g generating it, in canonical order}, from literal powers."""
+    out = {}
+    for g in group.elements:
+        powers = {group.identity}
+        cur = g
+        while cur not in powers:
+            powers.add(cur)
+            cur = cur * g
+        out.setdefault(tuple(sorted(powers)), []).append(g)
+    return out
+
+
+BOREL9 = close_group([Mat2(2, 0, 0, 1, Z9), Mat2(1, 0, 0, 2, Z9), Mat2(1, 1, 0, 1, Z9)], Z9)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [full_gl2(ModulusContext(2, 2)), make_example_group(5).group, BOREL9],
+    ids=["gl2-z4", "family-p5", "borel-z9"],
+)
+def test_cyclic_subgroups_match_brute(group):
+    brute = brute_cyclic_subgroups(group)
+    cyc = cyclic_subgroups(group)
+    assert [h.elements for h in cyc] == sorted(brute, key=lambda key: (len(key), key))
+    assert len({h.elements for h in cyc}) == len(cyc)
+    for h in cyc:
+        assert h._gens == (brute[h.elements][0],)
+
+
 def test_enumerate_subgroups_gl2_f2():
     g = full_gl2(Z2)
     subs = enumerate_subgroups(g)
