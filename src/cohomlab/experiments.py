@@ -575,7 +575,7 @@ def full_matrix_group_mod_p(p: int) -> MatGroup:
     for a, b, c, d in itertools.product(range(p), repeat=4):
         if (a * d - b * c) % p:
             elems.append(Mat2(a, b, c, d, ctx))
-    return close_group(elems, ctx, cap=len(elems) + 1) if len(elems) <= 48 else MatGroup(tuple(sorted(elems)), ctx, gens=tuple(elems))
+    return close_group(elems, ctx, cap=len(elems) + 1)
 
 
 def _shape_targets(p: int) -> set:

@@ -59,12 +59,11 @@ class Mat2:
     def mul(self, other: "Mat2") -> "Mat2":
         if other.ctx != self.ctx:
             raise ValueError("mixed moduli")
-        N = self.ctx.modulus
         return Mat2(
-            (self.a * other.a + self.b * other.c) % N,
-            (self.a * other.b + self.b * other.d) % N,
-            (self.c * other.a + self.d * other.c) % N,
-            (self.c * other.b + self.d * other.d) % N,
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
             self.ctx,
         )
 
@@ -82,8 +81,7 @@ class Mat2:
 
     def inv(self) -> "Mat2":
         di = unit_inverse(self.det(), self.ctx)
-        N = self.ctx.modulus
-        return Mat2(self.d * di % N, -self.b * di % N, -self.c * di % N, self.a * di % N, self.ctx)
+        return Mat2(self.d * di, -self.b * di, -self.c * di, self.a * di, self.ctx)
 
     def pow(self, k: int) -> "Mat2":
         if k < 0:
@@ -132,35 +130,49 @@ class Mat2:
     def apply(self, vec) -> ResidueVector:
         """Matrix-times-column-vector action on the rank-2 module."""
         x, y = vec
-        N = self.ctx.modulus
-        return ResidueVector(((self.a * x + self.b * y) % N, (self.c * x + self.d * y) % N), self.ctx)
+        return ResidueVector((self.a * x + self.b * y, self.c * x + self.d * y), self.ctx)
+
+
+def _grow_span(candidates: Iterable[Mat2], ident: Mat2, cap: float) -> tuple:
+    """Greedy generating set of the candidates and the group it generates.
+
+    A candidate outside the span so far is kept, and the span is closed
+    under right multiplication by the kept generators: old elements need
+    only the new generator, new elements need all of them. In a finite group
+    this right closure is the subgroup they generate.
+    """
+    chosen = []
+    span = {ident}
+    for g in candidates:
+        if g in span:
+            continue
+        chosen.append(g)
+        frontier = [(h, (g,)) for h in span]
+        while frontier:
+            h, right = frontier.pop()
+            for c in right:
+                w = h * c
+                if w not in span:
+                    if len(span) >= cap:
+                        raise CapExceeded(f"group closure exceeded cap of {cap} elements")
+                    span.add(w)
+                    frontier.append((w, chosen))
+    return tuple(chosen), span
 
 
 def close_group(gens: Iterable[Mat2], ctx: ModulusContext, cap: int = DEFAULT_CAP) -> "MatGroup":
-    """Closure of the generators under multiplication, capped at cap elements."""
+    """Closure of the generators, capped at cap elements; the generators
+    the walk keeps become the group's generating set."""
     gens = list(gens)
     for g in gens:
         if g.ctx != ctx:
             raise ValueError("generator modulus mismatch")
         if not g.is_invertible():
             raise NonInvertibleGenerator(f"generator {g.row_list()} has determinant divisible by {ctx.p}")
-    ident = Mat2.identity(ctx)
-    elements = {ident}
-    frontier = [ident]
-    for g in gens:
-        if g not in elements:
-            elements.add(g)
-            frontier.append(g)
-    while frontier:
-        h = frontier.pop()
-        for g in gens:
-            w = h * g
-            if w not in elements:
-                if len(elements) >= cap:
-                    raise CapExceeded(f"group closure exceeded cap of {cap} elements")
-                elements.add(w)
-                frontier.append(w)
-    return MatGroup(elements, ctx, gens)
+    chosen, elements = _grow_span(gens, Mat2.identity(ctx), cap)
+    grp = MatGroup(elements, ctx, chosen)
+    vars(grp)["generating_set"] = chosen
+    return grp
 
 
 class MatGroup:
@@ -200,25 +212,7 @@ class MatGroup:
     @cached_property
     def generating_set(self) -> tuple:
         """A small generating tuple: stored generators first, then greedy fill."""
-        chosen = []
-        span = {self.identity}
-        for g in itertools.chain(self._gens, self.elements):
-            if g in span:
-                continue
-            chosen.append(g)
-            frontier = list(span)
-            span.add(g)
-            frontier.append(g)
-            while frontier:
-                h = frontier.pop()
-                for c in chosen:
-                    for w in (h * c, c * h):
-                        if w not in span:
-                            span.add(w)
-                            frontier.append(w)
-            if len(span) == len(self.elements):
-                break
-        return tuple(chosen)
+        return _grow_span(itertools.chain(self._gens, self.elements), self.identity, math.inf)[0]
 
     def is_subgroup_of(self, other: "MatGroup") -> bool:
         return self.ctx == other.ctx and all(g in other for g in self.elements)

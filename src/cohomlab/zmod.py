@@ -23,6 +23,10 @@ from typing import Iterator, Optional, Sequence
 from .errors import DimensionMismatch, NotASubmodule, NotAUnit
 
 
+# Largest modulus p^n a context accepts.
+MAX_MODULUS = 2**32
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -43,11 +47,18 @@ class ModulusContext:
     modulus: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or isinstance(self.p, bool) or not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p!r}")
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "modulus", self.p**self.n)
+        p, n = self.p, self.n
+        if not isinstance(p, int) or isinstance(p, bool) or p < 2:
+            raise ValueError(f"p must be prime, got {p!r}")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        # p >= 2, so p^n > 2^32 whenever n > 32 or p > 2^32; both are checked
+        # before p^n is formed and before the trial-division primality test.
+        if n > 32 or p > MAX_MODULUS or p**n > MAX_MODULUS:
+            raise ValueError(f"p^n must be at most 2^32, got {p}^{n}")
+        if not _is_prime(p):
+            raise ValueError(f"p must be prime, got {p!r}")
+        object.__setattr__(self, "modulus", p**n)
 
     def valuation(self, a: int) -> int:
         """p-adic valuation of the canonical representative (n for 0)."""

@@ -96,6 +96,8 @@ def test_compute_rejects_malformed_specs(tmp_path, capsys):
         {"p": 3, "n": 1, "generators": [[[0, 1], [1, "x"]]]},
         {"p": 3, "n": 1, "generators": [[[0, 1], [1, 7]]]},
         {"p": 3, "n": True, "generators": []},
+        {"p": 2305843009213693951, "n": 1, "generators": []},
+        {"p": 3, "n": 10**9, "generators": []},
         ["not", "an", "object"],
     ]
     for i, doc in enumerate(bad_docs):

@@ -12,6 +12,7 @@ from cohomlab.experiments import (
     brute_cocycle_tables,
     brute_quotient_invariants,
     falsify_main_theorem,
+    full_matrix_group_mod_p,
     run_example6,
     sample_level2_groups,
     verify_diagonal_triviality,
@@ -27,6 +28,20 @@ def normalized(verdict) -> str:
     doc = verdict.to_json_dict()
     doc["elapsed_ms"] = 0
     return json.dumps(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "p, order, gens",
+    [
+        (2, 6, [[[0, 1], [1, 0]], [[0, 1], [1, 1]]]),
+        (3, 48, [[[0, 1], [1, 0]], [[0, 1], [1, 1]]]),
+        (5, 480, [[[0, 1], [1, 0]], [[0, 1], [1, 1]], [[0, 1], [2, 0]]]),
+    ],
+)
+def test_full_matrix_group_mod_p(p, order, gens):
+    full = full_matrix_group_mod_p(p)
+    assert len(full) == order
+    assert [g.row_list() for g in full.generating_set] == gens
 
 
 def test_example6_smallest_prime_passes():

@@ -136,8 +136,24 @@ def test_close_group_rejects_singular_generator():
 
 
 def test_close_group_cap():
+    sigma = Mat2(1, 1, 0, 1, Z9)
     with pytest.raises(CapExceeded):
-        close_group([Mat2(1, 1, 0, 1, Z9)], Z9, cap=4)
+        close_group([sigma], Z9, cap=4)
+    assert len(close_group([sigma], Z9, cap=9)) == 9
+    with pytest.raises(CapExceeded):
+        close_group([sigma], Z9, cap=8)
+
+
+def test_close_group_keeps_only_needed_generators():
+    ident = Mat2.identity(Z9)
+    a = Mat2(1, 1, 0, 1, Z9)
+    b = Mat2(2, 0, 0, 1, Z9)
+    gens = [ident, a, a, b, a * b, b * a, b]
+    g = close_group(gens, Z9)
+    assert len(g) == 54
+    assert g.generating_set == (a, b)
+    assert g.to_spec_dict()["generators"] == [a.row_list(), b.row_list()]
+    assert MatGroup(g.elements, Z9, gens).generating_set == g.generating_set
 
 
 def test_generating_set_regenerates():

@@ -114,6 +114,12 @@ def test_context_rejects_bad_parameters():
         ModulusContext(3, True)
     with pytest.raises(ValueError):
         ModulusContext(True, 1)
+    # p^n > 2^32; the first two would run for minutes if p^n were formed
+    # or p trial-divided before the bound is checked
+    for p, n in ((2305843009213693951, 1), (3, 10**9), (2, 33), (65537, 2)):
+        with pytest.raises(ValueError):
+            ModulusContext(p, n)
+    assert ModulusContext(2, 32).modulus == 2**32
 
 
 def test_context_modulus():
