@@ -2,12 +2,15 @@
 
 A cocycle is fixed by its values on a generating set of k elements, so the
 engine works in generator coordinates M^k. Propagating the cocycle relation
-from the identity writes the value at every g as a matrix coeff[g] applied
-to the generator values, and every revisit of an element gives constraint
-rows. Z1 is the kernel of those rows; B1 is spanned by the generator values
-(s - I)e_j of the coboundaries. cohomology_engine builds these once per
-group and action, and h1_loc and h1_loc_via_restrictions accept it to share
-the work. Quotients reduce to the invariant-factor machinery in zmod.
+in right-multiplication form, Z_{hs} = Z_h + h.Z_s, from the identity over
+the group's Cayley table writes the value at every g as a matrix coeff[g]
+applied to the generator values, with no matrix products, and every
+revisit of an element gives constraint rows. The relations at (h, s) with s
+a generator imply the full relation, so Z1 is the kernel of those rows; B1
+is spanned by the generator values (s - I)e_j of the coboundaries.
+cohomology_engine builds these once per group and action, and h1_loc and
+h1_loc_via_restrictions accept it to share the work. Quotients reduce to
+the invariant-factor machinery in zmod.
 
 The locally trivial subspace is computed in two independent ways, each a
 kernel of the constraint rows stacked with more rows on M^k:
@@ -32,12 +35,13 @@ locally_trivial_subspace, and for the witnesses of a nonzero L/B1.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple, Optional
 
 from .errors import HypothesisViolated, NotASubgroup, StabilizerMismatch
-from .matgrp import Mat2, MatGroup, close_group, cyclic_subgroups, special_subgroups
+from .matgrp import Mat2, MatGroup, _key, close_group, cyclic_subgroups, special_subgroups
 from .zmod import (
     ModulusContext,
     ResidueMatrix,
@@ -201,43 +205,52 @@ class CohomologyReport:
 
 
 def _propagate(group: MatGroup, action: ModuleAction):
-    """Coefficient matrices coeff[g] and the constraint rows of the cocycle space.
+    """Coefficient matrices coeff[h] and the constraint rows of the cocycle space.
 
     A cocycle is determined by its values on the generating set S, stacked
     into one vector x in M^k. Starting from value 0 at the identity, the
-    relation at (s, h) gives the value at s*h as x_s + s.Z_h, so the value at
-    every g is coeff[g] x for an r x rk matrix coeff[g]; each revisit of an
-    already-valued element yields constraint rows on x. Every pair (s, h)
-    with s in S is visited, and those relations imply the full two-variable
-    relation by induction on word length, so Z^1 is the kernel of the rows.
+    relation in right-multiplication form, Z_{hs} = Z_h + h.Z_s, gives the
+    value at h*s_i as coeff[h] x with act(h) added into block i, so the
+    value at every element is coeff[h] x for an r x rk matrix coeff[h],
+    listed in canonical element order. The products h*s_i come from the
+    group's Cayley table. Each revisit of an already-valued element yields
+    constraint rows on x. Every pair (h, s) with s in S is visited, and
+    those relations imply the full relation Z_{hg} = Z_h + h.Z_g by
+    induction on the length of g as a word in S: Z_{h(gs)} = Z_{hg} + hg.Z_s
+    = Z_h + h.(Z_g + g.Z_s) = Z_h + h.Z_{gs}. So Z^1 is the kernel of the
+    rows.
     """
-    gens = group.generating_set
+    k = len(group.generating_set)
+    table = group.cayley
     r = action.rank
-    dim = r * len(gens)
     N = action.ctx.modulus
-    acts = [action.act_rows(s) for s in gens]
-    coeff = {group.identity: ((0,) * dim,) * r}
-    frontier = [group.identity]
+    elements = group.elements
+    start = bisect_left(elements, (1, 0, 0, 1), key=_key)
+    coeff = [None] * len(elements)
+    coeff[start] = ((0,) * (r * k),) * r
+    frontier = [start]
     rows = set()
     while frontier:
         h = frontier.pop()
-        cols = list(zip(*coeff[h]))
-        for si, (s, act) in enumerate(zip(gens, acts)):
+        base = coeff[h]
+        act = action.act_rows(elements[h])
+        for i in range(k):
             cand = []
-            for i, arow in enumerate(act):
-                row = [sum(map(mul, arow, col)) % N for col in cols]
-                row[si * r + i] = (row[si * r + i] + 1) % N
+            for row, arow in zip(base, act):
+                row = list(row)
+                for j, a in enumerate(arow, i * r):
+                    row[j] = (row[j] + a) % N
                 cand.append(tuple(row))
-            g = s * h
-            have = coeff.get(g)
+            g = table[h * k + i]
+            have = coeff[g]
             if have is None:
                 coeff[g] = tuple(cand)
                 frontier.append(g)
             else:
                 for x, y in zip(cand, have):
                     if x != y:
-                        rows.add(tuple((a - b) % N for a, b in zip(x, y)))
-    if len(coeff) != len(group):
+                        rows.add(tuple([(a - b) % N for a, b in zip(x, y)]))
+    if None in coeff:
         raise AssertionError("generator propagation failed to reach the whole group")
     return coeff, rows
 
@@ -270,14 +283,15 @@ def _coboundary_span(elements, action: ModuleAction) -> Submodule:
 class Engine(NamedTuple):
     """The spaces of one group and action in generator coordinates.
 
-    coeff and rows come from propagating the cocycle relation; z1 and b1
-    are Z^1 and B^1 as submodules of M^k. Build one with cohomology_engine
-    and pass it to h1_loc and h1_loc_via_restrictions to share the work.
+    coeff and rows come from propagating the cocycle relation, with
+    coeff[i] the matrix of group.elements[i]; z1 and b1 are Z^1 and B^1 as
+    submodules of M^k. Build one with cohomology_engine and pass it to
+    h1_loc and h1_loc_via_restrictions to share the work.
     """
 
     group: MatGroup
     action: ModuleAction
-    coeff: dict
+    coeff: list
     rows: set
     z1: Submodule
     b1: Submodule
@@ -311,11 +325,11 @@ def _locally_trivial(group: MatGroup, action: ModuleAction, coeff, rows) -> Subm
     dim = r * len(group.generating_set)
     N = action.ctx.modulus
     local = set()
-    for g in group.elements:
+    for g, m in zip(group.elements, coeff):
         diff = action.act_minus_identity(g)
         cols = [[diff.entries[i * r + j] for i in range(r)] for j in range(r)]
         for a in annihilator(Submodule.span(cols, r, action.ctx)).generators:
-            row = _row(a.entries, coeff[g], N)
+            row = _row(a.entries, m, N)
             if any(row):
                 local.add(row)
     return _cut_out(rows | local, dim, action.ctx)
@@ -325,7 +339,7 @@ def _tables(group: MatGroup, action: ModuleAction, coeff, sub: Submodule) -> Sub
     """A submodule of M^k carried to value tables, a submodule of M^|G|."""
     N = action.ctx.modulus
     tables = [
-        [sum(map(mul, crow, z.entries)) % N for g in group.elements for crow in coeff[g]]
+        [sum(map(mul, crow, z.entries)) % N for m in coeff for crow in m]
         for z in sub.generators
     ]
     return Submodule.span(tables, action.rank * len(group), action.ctx)
@@ -419,11 +433,12 @@ def h1_loc_via_restrictions(
     dim = b1.ambient_rank
     ctx = action.ctx
     N = ctx.modulus
+    index = group._index
     restricted = set()
     for cyc in cyclic_subgroups(group):
         block = []
         for h in cyc.elements:
-            for i, (crow, arow) in enumerate(zip(coeff[h], action.act_rows(h))):
+            for i, (crow, arow) in enumerate(zip(coeff[index[h]], action.act_rows(h))):
                 block.extend(crow)
                 block.extend(((i == j) - a) % N for j, a in enumerate(arow))
         pairs = kernel(ResidueMatrix(r * len(cyc), dim + r, tuple(block), ctx))

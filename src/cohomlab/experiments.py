@@ -9,6 +9,7 @@ never silently truncate, so verdict content is reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -280,10 +281,16 @@ def _group_fingerprint(group: MatGroup) -> tuple:
     return (len(group), tuple(sorted(counts.items())))
 
 
+@functools.cache
+def _units(ctx: ModulusContext) -> tuple:
+    """The units of Z/p^n in increasing order."""
+    return tuple(u for u in range(1, ctx.modulus) if u % ctx.p)
+
+
 def _random_matrix(rng: random.Random, ctx: ModulusContext) -> Mat2:
     n = ctx.modulus
     p = ctx.p
-    units = [u for u in range(1, n) if u % p]
+    units = _units(ctx)
     kind = rng.randrange(6)
     if kind == 0:
         return Mat2.diagonal(rng.choice(units), rng.choice(units), ctx)
@@ -311,7 +318,7 @@ def _random_matrix(rng: random.Random, ctx: ModulusContext) -> Mat2:
 def _curated_level2_generators(ctx: ModulusContext) -> list:
     p = ctx.p
     n = ctx.modulus
-    units = [u for u in range(1, n) if u % p]
+    units = _units(ctx)
     m = smallest_nonsquare(p)
     sets = [
         [],
@@ -681,8 +688,7 @@ def _is_cyclic(group: MatGroup) -> bool:
 
 def _structured_level2_candidates(ctx: ModulusContext) -> list:
     p = ctx.p
-    n = ctx.modulus
-    units = [u for u in range(1, n) if u % p]
+    units = _units(ctx)
     diags = [Mat2.diagonal(a, b, ctx) for a in units for b in units]
     uppers = [Mat2(1, 1, 0, 1, ctx), Mat2(1, p, 0, 1, ctx)]
     lowers = [Mat2(1, 0, 1, 1, ctx), Mat2(1, 0, p, 1, ctx)]

@@ -2,14 +2,25 @@
 
 Groups are stored as explicit sorted element tuples so that equality,
 hashing, and iteration order are deterministic across runs.
+
+Mat2 is the public value type. Closure walks run on plain (a, b, c, d)
+tuples reduced mod p^n instead, numbering each element as it is found, and
+build one Mat2 per element at the end. The walk forms every product h * s_i
+of an element with a kept generator exactly once and records it as an
+integer, which gives each group its Cayley table: close_group stores the
+table of its own walk, and a group built from an element list gets it from
+the same lazy walk that picks its generating set. cohom propagates cocycles
+over that table, with no matrix products.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
@@ -52,6 +63,18 @@ class Mat2:
     def from_rows(cls, rows, ctx: ModulusContext) -> "Mat2":
         (a, b), (c, d) = rows
         return cls(a, b, c, d, ctx)
+
+    @classmethod
+    def _reduced(cls, a: int, b: int, c: int, d: int, ctx: ModulusContext) -> "Mat2":
+        """A Mat2 from entries already reduced mod N, skipping the reduction."""
+        m = object.__new__(cls)
+        put = object.__setattr__
+        put(m, "a", a)
+        put(m, "b", b)
+        put(m, "c", c)
+        put(m, "d", d)
+        put(m, "ctx", ctx)
+        return m
 
     def row_list(self):
         return [[self.a, self.b], [self.c, self.d]]
@@ -133,45 +156,97 @@ class Mat2:
         return ResidueVector((self.a * x + self.b * y, self.c * x + self.d * y), self.ctx)
 
 
-def _grow_span(candidates: Iterable[Mat2], ident: Mat2, cap: float) -> tuple:
+# The entries of a Mat2 as a plain tuple: its sort key, and the element
+# representation inside closure walks.
+_key = attrgetter("a", "b", "c", "d")
+
+
+def _grow_span(candidates: Iterable[tuple], N: int, cap: float) -> tuple:
     """Greedy generating set of the candidates and the group it generates.
 
-    A candidate outside the span so far is kept, and the span is closed
-    under right multiplication by the kept generators: old elements need
-    only the new generator, new elements need all of them. In a finite group
-    this right closure is the subgroup they generate.
+    Elements are plain (a, b, c, d) tuples reduced mod N, numbered in the
+    order they are found; the identity is 0. A candidate outside the span so
+    far is kept, and the span is closed under right multiplication by the
+    kept generators: old elements need only the new generator, new elements
+    need all of them. In a finite group this right closure is the subgroup
+    they generate. Every product h * s_i is formed exactly once, and its
+    number is recorded in products[h * k + i], with k the number kept.
+
+    Returns (numbers of the kept candidates, elements by number, products).
     """
-    chosen = []
-    span = {ident}
+    ident = (1, 0, 0, 1)
+    found = [ident]
+    number = {ident: 0}
+    gens = []
+    products = array("I")
+
+    def step(h, first):
+        """Form h * s_i for i >= first; queue each new element in fresh."""
+        x, y, z, w = found[h]
+        for i in range(first, k):
+            a, b, c, d = gens[i]
+            m = ((x * a + y * c) % N, (x * b + y * d) % N, (z * a + w * c) % N, (z * b + w * d) % N)
+            j = number.get(m)
+            if j is None:
+                if len(found) >= cap:
+                    raise CapExceeded(f"group closure exceeded cap of {cap} elements")
+                j = number[m] = len(found)
+                found.append(m)
+                products.extend(blank)
+                fresh.append(j)
+            products[h * k + i] = j
+
     for g in candidates:
-        if g in span:
+        if g in number:
             continue
-        chosen.append(g)
-        frontier = [(h, (g,)) for h in span]
-        while frontier:
-            h, right = frontier.pop()
-            for c in right:
-                w = h * c
-                if w not in span:
-                    if len(span) >= cap:
-                        raise CapExceeded(f"group closure exceeded cap of {cap} elements")
-                    span.add(w)
-                    frontier.append((w, chosen))
-    return tuple(chosen), span
+        gens.append(g)
+        k = len(gens)
+        # the table gains a column for g: restride it from k - 1 to k
+        blank = array("I", bytes(4 * k))
+        wider = blank * len(found)
+        for i in range(k - 1):
+            wider[i::k] = products[i :: k - 1]
+        products = wider
+        fresh = []
+        for h in range(len(found)):
+            step(h, k - 1)
+        while fresh:
+            step(fresh.pop(), 0)
+    return [number[g] for g in gens], found, products
+
+
+def _tabulate(found: list, products: array, k: int) -> tuple:
+    """Sort the found elements and renumber the products by sorted position.
+
+    Returns (the element numbers in sorted order, the sorted position of
+    each number, the Cayley table with cayley[h * k + i] the position of
+    elements[h] * s_i).
+    """
+    order = sorted(range(len(found)), key=found.__getitem__)
+    position = array("I", bytes(4 * len(found)))
+    for pos, h in enumerate(order):
+        position[h] = pos
+    cayley = array("I", (position[products[h * k + i]] for h in order for i in range(k)))
+    return order, position, cayley
 
 
 def close_group(gens: Iterable[Mat2], ctx: ModulusContext, cap: int = DEFAULT_CAP) -> "MatGroup":
     """Closure of the generators, capped at cap elements; the generators
-    the walk keeps become the group's generating set."""
+    the walk keeps become the group's generating set, and the products it
+    forms become the group's Cayley table."""
     gens = list(gens)
     for g in gens:
         if g.ctx != ctx:
             raise ValueError("generator modulus mismatch")
         if not g.is_invertible():
             raise NonInvertibleGenerator(f"generator {g.row_list()} has determinant divisible by {ctx.p}")
-    chosen, elements = _grow_span(gens, Mat2.identity(ctx), cap)
-    grp = MatGroup(elements, ctx, chosen)
-    vars(grp)["generating_set"] = chosen
+    chosen, found, products = _grow_span([_key(g) for g in gens], ctx.modulus, cap)
+    order, position, cayley = _tabulate(found, products, len(chosen))
+    # the elements arrive sorted, so MatGroup.__init__ is skipped
+    elements = tuple(Mat2._reduced(*found[h], ctx) for h in order)
+    kept = tuple(elements[position[i]] for i in chosen)
+    grp = object.__new__(MatGroup)
+    vars(grp).update(elements=elements, ctx=ctx, _gens=kept, generating_set=kept, cayley=cayley)
     return grp
 
 
@@ -179,7 +254,7 @@ class MatGroup:
     """A finite subgroup of GL2(Z/p^nZ), held as its sorted element tuple."""
 
     def __init__(self, elements: tuple, ctx: ModulusContext, gens: tuple = ()):
-        self.elements = tuple(sorted(set(elements)))
+        self.elements = tuple(sorted(set(elements), key=_key))
         self.ctx = ctx
         self._gens = tuple(gens)
 
@@ -212,7 +287,28 @@ class MatGroup:
     @cached_property
     def generating_set(self) -> tuple:
         """A small generating tuple: stored generators first, then greedy fill."""
-        return _grow_span(itertools.chain(self._gens, self.elements), self.identity, math.inf)[0]
+        return self._walk[0]
+
+    @cached_property
+    def cayley(self) -> array:
+        """Right multiplication by the generators, as a flat table of positions.
+
+        cayley[h * k + i] is the position of elements[h] * generating_set[i]
+        in elements, with k = len(generating_set).
+        """
+        return self._walk[1]
+
+    @cached_property
+    def _walk(self) -> tuple:
+        """(generating_set, cayley) from one closure walk over the elements."""
+        keys = [_key(g) for g in self.elements]
+        chosen, found, products = _grow_span(
+            itertools.chain(map(_key, self._gens), keys), self.ctx.modulus, math.inf
+        )
+        if len(found) != len(keys):
+            raise ValueError("the elements are not closed under multiplication")
+        _, position, cayley = _tabulate(found, products, len(chosen))
+        return tuple(self.elements[position[i]] for i in chosen), cayley
 
     def is_subgroup_of(self, other: "MatGroup") -> bool:
         return self.ctx == other.ctx and all(g in other for g in self.elements)

@@ -48,7 +48,7 @@ from cohomlab.matgrp import (
     make_example_group,
     special_subgroups,
 )
-from cohomlab.zmod import ModulusContext
+from cohomlab.zmod import ModulusContext, Submodule, quotient_invariants
 
 Z2 = ModulusContext(2, 1)
 Z3 = ModulusContext(3, 1)
@@ -306,6 +306,31 @@ def test_shared_engine_gives_the_same_answers():
         h1_loc(grp, line, engine=engine)
     with pytest.raises(ValueError, match="another group or action"):
         h1_loc_via_restrictions(SIGMA3, engine=engine)
+
+
+def test_engine_forms_no_matrix_products(monkeypatch):
+    def spaces(grp):
+        eng = cohomology_engine(grp)
+        zero = Submodule.zero(eng.z1.ambient_rank, Z9)
+        return quotient_invariants(eng.z1, zero), quotient_invariants(eng.z1, eng.b1)
+
+    gens = [Mat2(1, 1, 0, 1, Z9), Mat2(1, 0, 1, 1, Z9), Mat2(2, 0, 0, 1, Z9)]
+    gl2 = close_group(gens, Z9)
+    borel = close_group([gens[0], gens[2], Mat2(1, 0, 0, 2, Z9)], Z9)
+    conj = conjugate(borel, Mat2(1, 2, 4, 1, Z9))
+    assert "cayley" not in vars(conj)
+    want = [spaces(gl2), spaces(borel)]
+
+    def no_products(self, other):
+        raise AssertionError("Mat2.mul called")
+
+    monkeypatch.setattr(Mat2, "mul", no_products)
+    with pytest.raises(AssertionError, match="Mat2.mul called"):
+        gens[0] * gens[1]
+    got = [spaces(gl2), spaces(conj)]
+    assert "cayley" in vars(conj)
+    assert got == want
+    assert want[0] == ([9, 9], [])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Verdict-level tests for the named experiments."""
 
+import hashlib
 import json
 
 import pytest
@@ -191,6 +192,29 @@ def test_sampling_seed_changes_output():
     c = [g.elements for g in sample_level2_groups(3, seed=2, count=25)]
     assert a == b
     assert a != c
+
+
+# sha256 of the JSON element row lists of sample_level2_groups(p, seed, 80),
+# with the group count and total order, recorded before the closure walk
+# moved to integer-coded elements and the unit list was cached.
+SAMPLE_DIGESTS = {
+    (3, 0): (80, 16625, "adac866e5c7e133100c87f3d57af8fefd6b66d6cc81b7d1f93e3388e5c14db94"),
+    (3, 1): (80, 16662, "3da8eee9f2d15b0a5a65b9c40b72ac5cd13da4e64abd3f97ef5276048146d6c6"),
+    (3, 2): (80, 15471, "651ce8ce8bb989d451822826934e3e2462162ff7dddaa5715c31618420a16d51"),
+    (3, 3): (80, 15042, "c85fa637d7fd23a14790e0ec2803f377d8ae02b038d1370b44a425d46352f1e4"),
+    (5, 0): (80, 51878, "df52a271d305dcb92313356233681e211593383b83a6d929a66375dba370168c"),
+    (5, 1): (80, 38090, "a07a61c2202ff97346bad3b50e8d686f53fe2bdc6abd306668b1588ef10abb6c"),
+    (5, 2): (80, 46675, "558b5d97c022c6d718e59c5cdc28482f9116c5c9281274dbe4b1d778a252206f"),
+    (5, 3): (80, 51020, "81ada2a714cc6be6ebcd641ca62a1f263da782e7e1122b7a291209b2354d0bc6"),
+}
+
+
+@pytest.mark.parametrize("p, seed", sorted(SAMPLE_DIGESTS))
+def test_sampling_is_pinned(p, seed):
+    groups = sample_level2_groups(p, seed, 80)
+    rows = [[g.row_list() for g in grp.elements] for grp in groups]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert (len(groups), sum(map(len, groups)), digest) == SAMPLE_DIGESTS[p, seed]
 
 
 def test_brute_helpers_match_known_cyclic_case():

@@ -165,6 +165,52 @@ def test_generating_set_regenerates():
     assert trivial.to_spec_dict()["generators"] == [[[1, 0], [0, 1]]]
 
 
+def _gl2_z9():
+    return close_group([Mat2(1, 1, 0, 1, Z9), Mat2(1, 0, 1, 1, Z9), Mat2(2, 0, 0, 1, Z9)], Z9)
+
+
+def _table_groups():
+    """(name, group) pairs: closed groups, then groups built from element lists."""
+    gl2 = _gl2_z9()
+    family = make_example_group(5).group
+    borel = close_group([Mat2(1, 1, 0, 1, Z9), Mat2(2, 0, 0, 1, Z9), Mat2(1, 0, 0, 4, Z9)], Z9)
+    biggest = max(cyclic_subgroups(family), key=len)
+    return [
+        ("gl2-z9", gl2),
+        ("family-p5", family),
+        ("trivial", close_group([], Z9)),
+        ("conjugate", conjugate(borel, Mat2(1, 2, 4, 1, Z9))),
+        ("reduce-mod", reduce_mod(gl2, 1)),
+        *((f"special-{i}", h) for i, h in enumerate(special_subgroups(borel))),
+        ("cyclic", biggest),
+        ("bare", MatGroup(tuple(reversed(family.elements)), family.ctx)),
+    ]
+
+
+def test_cayley_table_matches_literal_products():
+    for name, grp in _table_groups():
+        elements, gens = grp.elements, grp.generating_set
+        k = len(gens)
+        assert len(grp.cayley) == len(elements) * k, name
+        for h, x in enumerate(elements):
+            for i, s in enumerate(gens):
+                assert elements[grp.cayley[h * k + i]] == x * s, (name, x, s)
+        assert close_group(gens, grp.ctx) == grp, name
+        # elements built by the walk equal, hash and sort like constructed ones
+        fresh = [Mat2(g.a, g.b, g.c, g.d, grp.ctx) for g in elements]
+        assert list(elements) == fresh and set(elements) == set(fresh), name
+        assert [hash(g) for g in elements] == [hash(g) for g in fresh], name
+        assert list(elements) == sorted(fresh), name
+        assert sorted(elements, reverse=True) == sorted(fresh, reverse=True), name
+        N = grp.ctx.modulus
+        assert all(g.ctx == grp.ctx and 0 <= min(g.a, g.b, g.c, g.d) <= max(g.a, g.b, g.c, g.d) < N for g in elements), name
+
+
+def test_generating_set_rejects_elements_that_are_not_a_group():
+    with pytest.raises(ValueError, match="not closed"):
+        MatGroup((Mat2.identity(Z9), Mat2(1, 1, 0, 1, Z9)), Z9).generating_set
+
+
 # ---------------------------------------------------------------------------
 # the counterexample family
 # ---------------------------------------------------------------------------
