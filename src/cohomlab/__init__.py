@@ -70,6 +70,7 @@ from .matgrp import (
     enumerate_subgroups,
     find_triangularizing_conjugator,
     make_example_group,
+    maximal_cyclic_subgroups,
     reduce_mod,
     smallest_nonsquare,
     special_subgroups,

@@ -13,15 +13,23 @@ h1_loc_via_restrictions accept it to share the work. Quotients reduce to
 the invariant-factor machinery in zmod.
 
 The locally trivial subspace is computed in two independent ways, each a
-kernel of the constraint rows stacked with more rows on M^k:
+kernel of more rows on M^k stacked onto the annihilator of Z1. Both visit
+only the maximal cyclic subgroups, which lose nothing by two exact facts:
+
+- if Z_g = (g - I)v, then Z_{g^u} = (g^u - I)v for every u;
+- the restriction of a coboundary to a subgroup is a coboundary.
+
+Every element lies in some maximal cyclic subgroup, so
 
 - L (h1_loc) collects the cocycles whose value at every single element g
-  lies in the image of g - I, one annihilator row per element.
-- The restriction path (h1_loc_via_restrictions) takes, per cyclic
-  subgroup C, one kernel of the matrix with a block [coeff[h] | -(h - I)]
+  lies in the image of g - I, one annihilator of Im(g - I) per maximal
+  cyclic subgroup, at its least generator g;
+- the restriction path (h1_loc_via_restrictions) takes, per maximal cyclic
+  subgroup C, the kernel of the matrix with a block [coeff[h] | -(h - I)]
   for each h in C: the pairs (x, v) whose restricted table is the
   coboundary of v on all of C. The annihilator of its projection onto x
-  gives the rows. Its size is r|C| x (kr + r), linear in |C|.
+  gives the rows. Its size is r|C| x (kr + r), linear in |C|, and each C
+  costs two eliminations.
 
 For a cyclic group, a value in the image of g - I at its generator g is
 exactly coboundary-ness on <g>, so the two agree; the cross-check is that
@@ -41,12 +49,13 @@ from operator import mul
 from typing import NamedTuple, Optional
 
 from .errors import HypothesisViolated, NotASubgroup, StabilizerMismatch
-from .matgrp import Mat2, MatGroup, _key, close_group, cyclic_subgroups, special_subgroups
+from .matgrp import Mat2, MatGroup, _key, close_group, special_subgroups
 from .zmod import (
     ModulusContext,
     ResidueMatrix,
     ResidueVector,
     Submodule,
+    _left_kernel,
     annihilator,
     image_contains,
     kernel,
@@ -283,16 +292,19 @@ def _coboundary_span(elements, action: ModuleAction) -> Submodule:
 class Engine(NamedTuple):
     """The spaces of one group and action in generator coordinates.
 
-    coeff and rows come from propagating the cocycle relation, with
-    coeff[i] the matrix of group.elements[i]; z1 and b1 are Z^1 and B^1 as
-    submodules of M^k. Build one with cohomology_engine and pass it to
-    h1_loc and h1_loc_via_restrictions to share the work.
+    coeff comes from propagating the cocycle relation, with coeff[i] the
+    matrix of group.elements[i]; z1 and b1 are Z^1 and B^1 as submodules
+    of M^k. rows generate the annihilator of Z^1, at most kr of them: since
+    annihilators are reflexive, their kernel is Z^1, so a subspace of Z^1
+    is cut out by stacking further rows onto these. Build one with
+    cohomology_engine and pass it to h1_loc and h1_loc_via_restrictions to
+    share the work.
     """
 
     group: MatGroup
     action: ModuleAction
     coeff: list
-    rows: set
+    rows: tuple
     z1: Submodule
     b1: Submodule
 
@@ -307,7 +319,8 @@ def cohomology_engine(group: MatGroup, action: Optional[ModuleAction] = None) ->
     coeff, rows = _propagate(group, action)
     dim = action.rank * len(group.generating_set)
     z1 = _cut_out(rows, dim, action.ctx)
-    return Engine(group, action, coeff, rows, z1, _coboundary_span(group.generating_set, action))
+    ann = tuple(a.entries for a in annihilator(z1).generators)
+    return Engine(group, action, coeff, ann, z1, _coboundary_span(group.generating_set, action))
 
 
 def _engine(group: MatGroup, action: Optional[ModuleAction], engine: Optional[Engine]) -> Engine:
@@ -320,19 +333,25 @@ def _engine(group: MatGroup, action: Optional[ModuleAction], engine: Optional[En
 
 
 def _locally_trivial(group: MatGroup, action: ModuleAction, coeff, rows) -> Submodule:
-    """L in generator coordinates: Z^1 cut by a . coeff[g] for a in Ann(Im(g - I))."""
+    """L in generator coordinates: the cocycles with Z_g in Im(g - I) for all g.
+
+    One element g per maximal cyclic subgroup, its least generator, is
+    enough. If Z_g = (g - I)v, then Z_{g^u} = (g^u - I)v for every u, by the
+    cocycle relation on <g>; and every element is a power of the generator
+    of a maximal cyclic subgroup. The rows a . coeff[g], for a in the
+    annihilator of Im(g - I), cut L out of Z^1, whose annihilator is rows.
+    """
     r = action.rank
-    dim = r * len(group.generating_set)
     N = action.ctx.modulus
     local = set()
-    for g, m in zip(group.elements, coeff):
-        diff = action.act_minus_identity(g)
-        cols = [[diff.entries[i * r + j] for i in range(r)] for j in range(r)]
-        for a in annihilator(Submodule.span(cols, r, action.ctx)).generators:
-            row = _row(a.entries, m, N)
+    for powers in group._power_walk.maximal:
+        g = powers[0]
+        # Ann(Im(g - I)) is the left kernel of g - I
+        for a in _left_kernel(action.act_minus_identity(group.elements[g]).row_list(), r, action.ctx):
+            row = _row(a, coeff[g], N)
             if any(row):
                 local.add(row)
-    return _cut_out(rows | local, dim, action.ctx)
+    return _cut_out([*rows, *local], r * len(group.generating_set), action.ctx)
 
 
 def _tables(group: MatGroup, action: ModuleAction, coeff, sub: Submodule) -> Submodule:
@@ -418,33 +437,39 @@ def h1_loc_via_restrictions(
 
     A cocycle with generator values x restricts to a coboundary on a cyclic
     subgroup C iff coeff[h] x = (h - I) v for every h in C and one v in M.
-    The pairs (x, v) doing so form the kernel of the (r|C|) x (kr + r)
-    matrix with a block [coeff[h] | -(h - I)] per h; its projection P_C onto
-    x is cut out by the annihilator of P_C, since annihilators are
-    reflexive over Z/p^n. Those rows, stacked onto the cocycle constraints,
-    give the intersection of the restriction kernels, reduced modulo B^1(G).
-    The whole table on C is tested against the whole coboundary definition,
-    never one value at a time, so this path stays independent of the
-    elementwise membership test. An engine from cohomology_engine(group,
-    action) may be passed to reuse its work.
+    The restriction of a coboundary to a subgroup is a coboundary, and every
+    cyclic subgroup lies in a maximal one, so the maximal C suffice. Per C
+    the pairs (x, v) doing so form the kernel of the (r|C|) x (kr + r)
+    matrix B with a block [coeff[h] | -(h - I)] per h, found as the left
+    kernel of B^T, which is built by columns; its projection P_C onto x is
+    cut out by the annihilator of P_C, the left kernel of P_C^T, since
+    annihilators are reflexive over Z/p^n. That is two eliminations per C.
+    Those rows, stacked onto the annihilator of Z^1, give the intersection
+    of the restriction kernels, reduced modulo B^1(G). The whole table on C
+    is tested against the whole coboundary definition, never one value at a
+    time, so this path stays independent of the elementwise membership
+    test. An engine from cohomology_engine(group, action) may be passed to
+    reuse its work.
     """
     _, action, coeff, rows, _, b1 = _engine(group, action, engine)
     r = action.rank
     dim = b1.ambient_rank
     ctx = action.ctx
     N = ctx.modulus
-    index = group._index
+    elements = group.elements
     restricted = set()
-    for cyc in cyclic_subgroups(group):
-        block = []
-        for h in cyc.elements:
-            for i, (crow, arow) in enumerate(zip(coeff[index[h]], action.act_rows(h))):
-                block.extend(crow)
-                block.extend(((i == j) - a) % N for j, a in enumerate(arow))
-        pairs = kernel(ResidueMatrix(r * len(cyc), dim + r, tuple(block), ctx))
-        coboundary_on_c = Submodule.span([z.entries[:dim] for z in pairs.generators], dim, ctx)
-        restricted.update(a.entries for a in annihilator(coboundary_on_c).generators)
-    return quotient_invariants(_cut_out(rows | restricted, dim, ctx), b1)
+    for powers in group._power_walk.maximal:
+        xs = [crow for h in powers for crow in coeff[h]]
+        vs = [
+            [((i == j) - a) % N for j, a in enumerate(arow)]
+            for h in powers
+            for i, arow in enumerate(action.act_rows(elements[h]))
+        ]
+        pairs = _left_kernel([*zip(*xs), *zip(*vs)], len(xs), ctx)
+        projection = [y[:dim] for y in pairs]
+        ann = _left_kernel(list(zip(*projection)), len(projection), ctx)
+        restricted.update(tuple(a) for a in ann if any(a))
+    return quotient_invariants(_cut_out([*rows, *restricted], dim, ctx), b1)
 
 
 # ---------------------------------------------------------------------------

@@ -275,8 +275,8 @@ def brute_quotient_invariants(s_set: set, t_set: set, ctx: ModulusContext) -> li
 def _group_fingerprint(group: MatGroup) -> tuple:
     """Conjugation-invariant signature used to spread search effort."""
     counts = {}
-    for g in group.elements:
-        key = (g.trace(), g.det(), g.order())
+    for g, order in zip(group.elements, group._power_walk.orders):
+        key = (g.trace(), g.det(), order)
         counts[key] = counts.get(key, 0) + 1
     return (len(group), tuple(sorted(counts.items())))
 

@@ -11,6 +11,10 @@ integer, which gives each group its Cayley table: close_group stores the
 table of its own walk, and a group built from an element list gets it from
 the same lazy walk that picks its generating set. cohom propagates cocycles
 over that table, with no matrix products.
+
+A second lazy walk on the same tuples, the power walk, visits every cyclic
+subgroup once from its least generator. It gives cyclic_subgroups,
+maximal_cyclic_subgroups and the order of every element.
 """
 
 from __future__ import annotations
@@ -250,6 +254,29 @@ def close_group(gens: Iterable[Mat2], ctx: ModulusContext, cap: int = DEFAULT_CA
     return grp
 
 
+class _PowerWalk(NamedTuple):
+    """The cyclic subgroups of a group sorted by (order, elements), flat:
+    subgroup i is <g> with g its least generator, held as the positions in
+    the group's elements of g, g^2, ..., g^m = 1 at powers[ends[i - 1] :
+    ends[i]], and is_maximal[i] is 1 when it lies in no larger cyclic
+    subgroup. orders holds the order of each element by position."""
+
+    powers: array
+    ends: array
+    is_maximal: bytearray
+    orders: array
+
+    @property
+    def cyclic(self) -> list:
+        """The powers of every cyclic subgroup, in order."""
+        return [self.powers[i:j] for i, j in zip((0, *self.ends), self.ends)]
+
+    @property
+    def maximal(self) -> list:
+        """The powers of every maximal cyclic subgroup, in order."""
+        return [self.powers[i:j] for i, j, top in zip((0, *self.ends), self.ends, self.is_maximal) if top]
+
+
 class MatGroup:
     """A finite subgroup of GL2(Z/p^nZ), held as its sorted element tuple."""
 
@@ -309,6 +336,56 @@ class MatGroup:
             raise ValueError("the elements are not closed under multiplication")
         _, position, cayley = _tabulate(found, products, len(chosen))
         return tuple(self.elements[position[i]] for i in chosen), cayley
+
+    @cached_property
+    def _power_walk(self) -> "_PowerWalk":
+        """Every cyclic subgroup and every element order, from one power walk.
+
+        The walk runs on plain (a, b, c, d) tuples in canonical order and
+        skips every element already reached as a generator, so each <g> is
+        walked once, from its least generator g. Of its powers g^u, those
+        with u prime to m = |<g>| generate <g> and have order m; the others
+        generate smaller subgroups, which are therefore not maximal. Every
+        element x lies in <x>, so the maximal subgroups cover the group.
+        """
+        N = self.ctx.modulus
+        keys = list(map(_key, self.elements))
+        position = {x: i for i, x in enumerate(keys)}
+        orders = array("I", bytes(4 * len(keys)))
+        inside = bytearray(len(keys))
+        walks = []
+        for i, (a, b, c, d) in enumerate(keys):
+            if orders[i]:
+                continue
+            powers = [i]
+            x, y, z, w = a, b, c, d
+            while (x, y, z, w) != (1, 0, 0, 1):
+                x, y, z, w = (x * a + y * c) % N, (x * b + y * d) % N, (z * a + w * c) % N, (z * b + w * d) % N
+                j = position.get((x, y, z, w))
+                if j is None:
+                    raise ValueError("the elements are not closed under multiplication")
+                powers.append(j)
+            m = len(powers)
+            for u, j in enumerate(powers, 1):
+                if math.gcd(u, m) == 1:
+                    orders[j] = m
+                else:
+                    inside[j] = 1
+            walks.append(powers)
+        walks.sort(key=lambda powers: (len(powers), sorted(powers)))
+        flat, ends, is_maximal = array("I"), array("I"), bytearray()
+        covered = bytearray(len(keys))
+        for powers in walks:
+            flat.extend(powers)
+            ends.append(len(flat))
+            top = not inside[powers[0]]
+            is_maximal.append(top)
+            if top:
+                for j in powers:
+                    covered[j] = 1
+        if not all(covered):
+            raise RuntimeError("the maximal cyclic subgroups do not cover the group")
+        return _PowerWalk(flat, ends, is_maximal, orders)
 
     def is_subgroup_of(self, other: "MatGroup") -> bool:
         return self.ctx == other.ctx and all(g in other for g in self.elements)
@@ -417,27 +494,24 @@ def special_subgroups(group: MatGroup):
     )
 
 
-def cyclic_subgroups(group: MatGroup) -> list:
-    """All distinct cyclic subgroups, sorted by (order, elements).
+def _cyclic_group(group: MatGroup, powers: array) -> MatGroup:
+    """The subgroup at the given positions, generated by the first of them."""
+    elements = group.elements
+    return MatGroup(tuple(elements[j] for j in powers), group.ctx, (elements[powers[0]],))
 
-    Each subgroup is built once, from its least generator in canonical
-    order: the walk skips every element already marked, and a new <g> marks
-    each power g^u with u prime to the order of g, since <g^u> = <g>.
-    """
-    ident = group.identity
-    marked = set()
-    out = []
-    for g in group:
-        if g in marked:
-            continue
-        powers = [g]
-        while powers[-1] != ident:
-            powers.append(powers[-1] * g)
-        m = len(powers)
-        marked.update(x for u, x in enumerate(powers, 1) if math.gcd(u, m) == 1)
-        out.append(MatGroup(tuple(powers), group.ctx, (g,)))
-    out.sort(key=lambda h: (len(h), h.elements))
-    return out
+
+def cyclic_subgroups(group: MatGroup) -> list:
+    """All distinct cyclic subgroups, sorted by (order, elements), each
+    generated by its least generator in canonical order; read off the
+    group's power walk (MatGroup._power_walk)."""
+    return [_cyclic_group(group, powers) for powers in group._power_walk.cyclic]
+
+
+def maximal_cyclic_subgroups(group: MatGroup) -> list:
+    """The cyclic subgroups contained in no larger cyclic subgroup, in the
+    order and with the generators of cyclic_subgroups. Every element lies
+    in one of them."""
+    return [_cyclic_group(group, powers) for powers in group._power_walk.maximal]
 
 
 def enumerate_subgroups(group: MatGroup, cap: int = 200000) -> list:

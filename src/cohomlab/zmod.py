@@ -353,10 +353,15 @@ def canonical_row_form(m: ResidueMatrix) -> ResidueMatrix:
     return ResidueMatrix.from_rows(H, m.ctx, cols=m.cols)
 
 
+def _left_kernel(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext) -> list[list[int]]:
+    """Rows generating {y : y * rows = 0}, raw from one elimination: not in
+    normal form, and possibly with zero or repeated rows."""
+    return _howell(rows, ncols, ctx, transform=True)[2]
+
+
 def kernel(m: ResidueMatrix) -> Submodule:
     """{x : m*x = 0}, via the left kernel of the transpose."""
-    _, _, K = _howell(m.transpose_rows(), m.rows, m.ctx, transform=True)
-    return Submodule.span(K, m.cols, m.ctx)
+    return Submodule.span(_left_kernel(m.transpose_rows(), m.rows, m.ctx), m.cols, m.ctx)
 
 
 def solve_linear(m: ResidueMatrix, b: ResidueVector) -> Optional[ResidueVector]:

@@ -46,8 +46,10 @@ from cohomlab.matgrp import (
     conjugate,
     cyclic_subgroups,
     make_example_group,
+    maximal_cyclic_subgroups,
     special_subgroups,
 )
+from cohomlab import zmod
 from cohomlab.zmod import ModulusContext, Submodule, quotient_invariants
 
 Z2 = ModulusContext(2, 1)
@@ -306,6 +308,26 @@ def test_shared_engine_gives_the_same_answers():
         h1_loc(grp, line, engine=engine)
     with pytest.raises(ValueError, match="another group or action"):
         h1_loc_via_restrictions(SIGMA3, engine=engine)
+
+
+def test_restriction_path_eliminates_twice_per_maximal_subgroup(monkeypatch):
+    calls = []
+    howell = zmod._howell
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return howell(*args, **kwargs)
+
+    monkeypatch.setattr(zmod, "_howell", counted)
+    gens = [Mat2(1, 1, 0, 1, Z9), Mat2(1, 0, 1, 1, Z9), Mat2(2, 0, 0, 1, Z9)]
+    for grp in (make_example_group(5).group, close_group(gens, Z9)):
+        engine = cohomology_engine(grp)
+        maximal = maximal_cyclic_subgroups(grp)
+        assert len(maximal) < len(cyclic_subgroups(grp))
+        calls.clear()
+        h1_loc_via_restrictions(grp, engine=engine)
+        # two per maximal subgroup, then the cut-out (two) and the quotient (one)
+        assert len(calls) == 2 * len(maximal) + 3
 
 
 def test_engine_forms_no_matrix_products(monkeypatch):

@@ -24,6 +24,7 @@ from cohomlab.matgrp import (
     enumerate_subgroups,
     find_triangularizing_conjugator,
     make_example_group,
+    maximal_cyclic_subgroups,
     reduce_mod,
     smallest_nonsquare,
     special_subgroups,
@@ -323,6 +324,39 @@ def test_cyclic_subgroups_match_brute(group):
     assert len({h.elements for h in cyc}) == len(cyc)
     for h in cyc:
         assert h._gens == (brute[h.elements][0],)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [full_gl2(ModulusContext(2, 2)), make_example_group(5).group, BOREL9, close_group([], Z9)],
+    ids=["gl2-z4", "family-p5", "borel-z9", "trivial"],
+)
+def test_maximal_cyclic_subgroups_match_brute(group):
+    brute = brute_cyclic_subgroups(group)
+    literal = {key: gens for key, gens in brute.items() if not any(set(key) < set(other) for other in brute)}
+    maximal = maximal_cyclic_subgroups(group)
+    assert [h.elements for h in maximal] == sorted(literal, key=lambda key: (len(key), key))
+    for h in maximal:
+        assert h._gens == (literal[h.elements][0],)
+    assert set().union(*(h.elements for h in maximal)) == set(group.elements)
+    assert list(group._power_walk.orders) == [g.order() for g in group.elements]
+
+
+def test_power_walk_forms_no_matrix_products(monkeypatch):
+    groups = [make_example_group(5).group, BOREL9]
+    want = [
+        ([h.elements for h in cyclic_subgroups(g)], [h.elements for h in maximal_cyclic_subgroups(g)])
+        for g in groups
+    ]
+
+    def no_products(self, other):
+        raise AssertionError("Mat2.mul called")
+
+    monkeypatch.setattr(Mat2, "mul", no_products)
+    for g, (cyclic, maximal) in zip(groups, want):
+        fresh = MatGroup(g.elements, g.ctx)
+        assert [h.elements for h in cyclic_subgroups(fresh)] == cyclic
+        assert [h.elements for h in maximal_cyclic_subgroups(fresh)] == maximal
 
 
 def test_enumerate_subgroups_gl2_f2():
