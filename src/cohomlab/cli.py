@@ -37,12 +37,17 @@ from .zmod import ModulusContext
 
 
 def resolve_cap(explicit: Optional[int]) -> int:
+    """The closure cap: the flag, else env COHOMLAB_CAP, else DEFAULT_CAP.
+
+    A cap below 1 is an input error, not a budget that ran out."""
     if explicit is not None:
-        return explicit
-    env = os.environ.get("COHOMLAB_CAP")
-    if env is not None:
-        return int(env)
-    return DEFAULT_CAP
+        cap = explicit
+    else:
+        env = os.environ.get("COHOMLAB_CAP")
+        cap = DEFAULT_CAP if env is None else int(env)
+    if cap < 1:
+        raise ValueError(f"closure cap must be at least 1, got {cap}")
+    return cap
 
 
 def load_group_spec(path: str, cap: int) -> MatGroup:

@@ -14,22 +14,29 @@ the invariant-factor machinery in zmod.
 
 The locally trivial subspace is computed in two independent ways, each a
 kernel of more rows on M^k stacked onto the annihilator of Z1. Both visit
-only the maximal cyclic subgroups, which lose nothing by two exact facts:
+one maximal cyclic subgroup per conjugacy class of G, which loses nothing
+by three exact facts:
 
 - if Z_g = (g - I)v, then Z_{g^u} = (g^u - I)v for every u;
-- the restriction of a coboundary to a subgroup is a coboundary.
+- the restriction of a coboundary to a subgroup is a coboundary;
+- with w = t^-1 Z_t, the cocycle relation gives
+  Z_{tct^-1} = t (Z_c - (c - I) w), so Z restricted to C is a coboundary
+  iff it is on tCt^-1, and Z_g lies in Im(g - I) iff Z_{tgt^-1} lies in
+  Im(tgt^-1 - I).
 
-Every element lies in some maximal cyclic subgroup, so
+Every element lies in some maximal cyclic subgroup, and every maximal
+cyclic subgroup is conjugate to a representative
+(MatGroup._class_representatives), so
 
 - L (h1_loc) collects the cocycles whose value at every single element g
-  lies in the image of g - I, one annihilator of Im(g - I) per maximal
-  cyclic subgroup, at its least generator g;
-- the restriction path (h1_loc_via_restrictions) takes, per maximal cyclic
-  subgroup C, the kernel of the matrix with a block [coeff[h] | -(h - I)]
-  for each h in C: the pairs (x, v) whose restricted table is the
-  coboundary of v on all of C. The annihilator of its projection onto x
-  gives the rows. Its size is r|C| x (kr + r), linear in |C|, and each C
-  costs two eliminations.
+  lies in the image of g - I, one annihilator of Im(g - I) per
+  representative, at its least generator g;
+- the restriction path (h1_loc_via_restrictions) takes, per representative
+  C, the kernel of the matrix with a block [coeff[h] | -(h - I)] for each
+  h in C: the pairs (x, v) whose restricted table is the coboundary of v
+  on all of C. The annihilator of its projection onto x gives the rows.
+  Its size is r|C| x (kr + r), linear in |C|, and each C costs two
+  eliminations.
 
 For a cyclic group, a value in the image of g - I at its generator g is
 exactly coboundary-ness on <g>, so the two agree; the cross-check is that
@@ -335,16 +342,19 @@ def _engine(group: MatGroup, action: Optional[ModuleAction], engine: Optional[En
 def _locally_trivial(group: MatGroup, action: ModuleAction, coeff, rows) -> Submodule:
     """L in generator coordinates: the cocycles with Z_g in Im(g - I) for all g.
 
-    One element g per maximal cyclic subgroup, its least generator, is
-    enough. If Z_g = (g - I)v, then Z_{g^u} = (g^u - I)v for every u, by the
-    cocycle relation on <g>; and every element is a power of the generator
-    of a maximal cyclic subgroup. The rows a . coeff[g], for a in the
-    annihilator of Im(g - I), cut L out of Z^1, whose annihilator is rows.
+    One element g per conjugacy class of maximal cyclic subgroups, the
+    least generator of the class representative, is enough. If
+    Z_g = (g - I)v, then Z_{g^u} = (g^u - I)v for every u, by the cocycle
+    relation on <g>; every element is a power of the generator of a maximal
+    cyclic subgroup; and since Z_{tgt^-1} = t (Z_g - (g - I) t^-1 Z_t), Z_g
+    lies in Im(g - I) iff Z_{tgt^-1} lies in Im(tgt^-1 - I). The rows
+    a . coeff[g], for a in the annihilator of Im(g - I), cut L out of Z^1,
+    whose annihilator is rows.
     """
     r = action.rank
     N = action.ctx.modulus
     local = set()
-    for powers in group._power_walk.maximal:
+    for powers in group._class_representatives:
         g = powers[0]
         # Ann(Im(g - I)) is the left kernel of g - I
         for a in _left_kernel(action.act_minus_identity(group.elements[g]).row_list(), r, action.ctx):
@@ -438,7 +448,10 @@ def h1_loc_via_restrictions(
     A cocycle with generator values x restricts to a coboundary on a cyclic
     subgroup C iff coeff[h] x = (h - I) v for every h in C and one v in M.
     The restriction of a coboundary to a subgroup is a coboundary, and every
-    cyclic subgroup lies in a maximal one, so the maximal C suffice. Per C
+    cyclic subgroup lies in a maximal one, so the maximal C suffice. With
+    w = t^-1 Z_t, Z_{tct^-1} = t (Z_c - (c - I) w), so Z restricts to a
+    coboundary on C iff it does on tCt^-1, and one C per conjugacy class
+    of G suffices (MatGroup._class_representatives). Per C
     the pairs (x, v) doing so form the kernel of the (r|C|) x (kr + r)
     matrix B with a block [coeff[h] | -(h - I)] per h, found as the left
     kernel of B^T, which is built by columns; its projection P_C onto x is
@@ -458,7 +471,7 @@ def h1_loc_via_restrictions(
     N = ctx.modulus
     elements = group.elements
     restricted = set()
-    for powers in group._power_walk.maximal:
+    for powers in group._class_representatives:
         xs = [crow for h in powers for crow in coeff[h]]
         vs = [
             [((i == j) - a) % N for j, a in enumerate(arow)]

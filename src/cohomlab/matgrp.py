@@ -14,7 +14,11 @@ over that table, with no matrix products.
 
 A second lazy walk on the same tuples, the power walk, visits every cyclic
 subgroup once from its least generator. It gives cyclic_subgroups,
-maximal_cyclic_subgroups and the order of every element.
+maximal_cyclic_subgroups and the order of every element. Conjugating the
+least generator of each maximal cyclic subgroup by the generating set, on
+the same tuples, groups the maximal subgroups into conjugacy classes, and
+one representative per class is all that the local conditions in cohom
+need.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -163,6 +168,13 @@ class Mat2:
 # The entries of a Mat2 as a plain tuple: its sort key, and the element
 # representation inside closure walks.
 _key = attrgetter("a", "b", "c", "d")
+
+
+def _product(x: tuple, y: tuple, N: int) -> tuple:
+    """The product of two (a, b, c, d) tuples, reduced mod N."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % N, (a * f + b * h) % N, (c * e + d * g) % N, (c * f + d * h) % N)
 
 
 def _grow_span(candidates: Iterable[tuple], N: int, cap: float) -> tuple:
@@ -386,6 +398,50 @@ class MatGroup:
         if not all(covered):
             raise RuntimeError("the maximal cyclic subgroups do not cover the group")
         return _PowerWalk(flat, ends, is_maximal, orders)
+
+    @cached_property
+    def _class_representatives(self) -> list:
+        """The powers of one maximal cyclic subgroup per conjugacy class of G.
+
+        Conjugation by t carries <g> onto <tgt^-1>, maximal when <g> is, so
+        the classes are the orbits of the maximal subgroups under
+        conjugation by the generating set: each least generator is
+        conjugated by every generator on plain (a, b, c, d) tuples, found
+        by binary search in the sorted elements, mapped through the power
+        walk's positions to the maximal subgroup it generates, and the two
+        subgroups are joined by union-find. Each class is represented by
+        its first member in the order of the power walk.
+        """
+        N = self.ctx.modulus
+        elements = self.elements
+        maximal = self._power_walk.maximal
+        # owner[j] is the maximal subgroup that elements[j] generates, if any
+        missing = len(maximal)
+        owner = array("I", [missing]) * len(elements)
+        for i, powers in enumerate(maximal):
+            m = len(powers)
+            for u, j in enumerate(powers, 1):
+                if math.gcd(u, m) == 1:
+                    owner[j] = i
+        conjugators = [(_key(t), _key(t.inv())) for t in self.generating_set]
+        root = list(range(len(maximal)))
+
+        def find(i):
+            while root[i] != i:
+                root[i] = i = root[root[i]]
+            return i
+
+        for i, powers in enumerate(maximal):
+            g = _key(elements[powers[0]])
+            for t, t_inv in conjugators:
+                x = _product(_product(t, g, N), t_inv, N)
+                j = bisect_left(elements, x, key=_key)
+                if j == len(elements) or _key(elements[j]) != x or owner[j] == missing:
+                    raise RuntimeError("a conjugate of a maximal cyclic subgroup is not maximal")
+                # the smaller index becomes the root, so roots come first in their class
+                a, b = sorted((find(i), find(owner[j])))
+                root[b] = a
+        return [powers for i, powers in enumerate(maximal) if find(i) == i]
 
     def is_subgroup_of(self, other: "MatGroup") -> bool:
         return self.ctx == other.ctx and all(g in other for g in self.elements)

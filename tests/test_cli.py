@@ -87,7 +87,7 @@ def test_compute_rejects_singular_generator(tmp_path, capsys):
     assert "error" in err
 
 
-def test_compute_rejects_malformed_specs(tmp_path, capsys):
+def test_compute_rejects_malformed_specs(tmp_path, capsys, monkeypatch):
     bad_docs = [
         {"p": 3, "n": 2},
         {"p": 4, "n": 1, "generators": []},
@@ -109,6 +109,14 @@ def test_compute_rejects_malformed_specs(tmp_path, capsys):
     broken.write_text("{not json")
     assert run_cli(capsys, "compute", str(broken))[0] == 2
     assert run_cli(capsys, "compute", str(tmp_path / "missing.json"))[0] == 2
+    # a closure cap below 1 is malformed input, not an exhausted budget
+    spec = example_family_spec(tmp_path)
+    for cap in ("0", "-1"):
+        code, _, err = run_cli(capsys, "compute", spec, "--cap", cap)
+        assert code == 2 and "at least 1" in err, cap
+    monkeypatch.setenv("COHOMLAB_CAP", "-3")
+    code, _, err = run_cli(capsys, "compute", spec)
+    assert code == 2 and "at least 1" in err
 
 
 def test_compute_conditions_need_level_two(tmp_path, capsys):

@@ -310,7 +310,7 @@ def test_shared_engine_gives_the_same_answers():
         h1_loc_via_restrictions(SIGMA3, engine=engine)
 
 
-def test_restriction_path_eliminates_twice_per_maximal_subgroup(monkeypatch):
+def test_restriction_path_eliminates_twice_per_conjugacy_class(monkeypatch):
     calls = []
     howell = zmod._howell
 
@@ -320,14 +320,16 @@ def test_restriction_path_eliminates_twice_per_maximal_subgroup(monkeypatch):
 
     monkeypatch.setattr(zmod, "_howell", counted)
     gens = [Mat2(1, 1, 0, 1, Z9), Mat2(1, 0, 1, 1, Z9), Mat2(2, 0, 0, 1, Z9)]
-    for grp in (make_example_group(5).group, close_group(gens, Z9)):
+    for grp, want in ((make_example_group(5).group, 11), (close_group(gens, Z9), 35)):
         engine = cohomology_engine(grp)
         maximal = maximal_cyclic_subgroups(grp)
         assert len(maximal) < len(cyclic_subgroups(grp))
+        reps = grp._class_representatives
+        assert len(reps) < len(maximal)
         calls.clear()
         h1_loc_via_restrictions(grp, engine=engine)
-        # two per maximal subgroup, then the cut-out (two) and the quotient (one)
-        assert len(calls) == 2 * len(maximal) + 3
+        # two per class representative, then the cut-out (two) and the quotient (one)
+        assert len(calls) == 2 * len(reps) + 3 == want
 
 
 def test_engine_forms_no_matrix_products(monkeypatch):

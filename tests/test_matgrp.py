@@ -340,12 +340,34 @@ def test_maximal_cyclic_subgroups_match_brute(group):
         assert h._gens == (literal[h.elements][0],)
     assert set().union(*(h.elements for h in maximal)) == set(group.elements)
     assert list(group._power_walk.orders) == [g.order() for g in group.elements]
+    # conjugacy oracle: each literal maximal subgroup conjugated by every element
+    classes = {}
+    for key in sorted(literal, key=lambda key: (len(key), key)):
+        if key not in classes:
+            orbit = set()
+            for t in group.elements:
+                t_inv = t.inv()
+                orbit.add(tuple(sorted(t * h * t_inv for h in key)))
+            assert orbit <= set(literal)
+            for other in orbit:
+                classes[other] = key
+    firsts = list(dict.fromkeys(classes.values()))
+    assert _representatives(group) == firsts
+
+
+def _representatives(group):
+    """The class representatives of a group, as sorted element tuples."""
+    return [tuple(sorted(group.elements[j] for j in powers)) for powers in group._class_representatives]
 
 
 def test_power_walk_forms_no_matrix_products(monkeypatch):
     groups = [make_example_group(5).group, BOREL9]
     want = [
-        ([h.elements for h in cyclic_subgroups(g)], [h.elements for h in maximal_cyclic_subgroups(g)])
+        (
+            [h.elements for h in cyclic_subgroups(g)],
+            [h.elements for h in maximal_cyclic_subgroups(g)],
+            _representatives(g),
+        )
         for g in groups
     ]
 
@@ -353,10 +375,11 @@ def test_power_walk_forms_no_matrix_products(monkeypatch):
         raise AssertionError("Mat2.mul called")
 
     monkeypatch.setattr(Mat2, "mul", no_products)
-    for g, (cyclic, maximal) in zip(groups, want):
+    for g, (cyclic, maximal, reps) in zip(groups, want):
         fresh = MatGroup(g.elements, g.ctx)
         assert [h.elements for h in cyclic_subgroups(fresh)] == cyclic
         assert [h.elements for h in maximal_cyclic_subgroups(fresh)] == maximal
+        assert _representatives(fresh) == reps
 
 
 def test_enumerate_subgroups_gl2_f2():
