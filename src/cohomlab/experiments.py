@@ -351,11 +351,11 @@ def sample_level2_groups(
     p: int,
     seed: int,
     count: int,
-    cap: int = DEFAULT_CAP,
     tick=None,
 ) -> list:
     """Deterministic candidate subgroups of GL2(Z/p^2): curated then random.
 
+    Generator sets whose closure passes DEFAULT_CAP elements are skipped.
     Exact duplicates are dropped; a conjugation-invariant fingerprint limits
     how many lookalikes are kept so the budget spreads over genuinely
     different groups.
@@ -374,7 +374,7 @@ def sample_level2_groups(
         if tick is not None:
             tick()
         try:
-            grp = close_group(gens, ctx, cap=cap)
+            grp = close_group(gens, ctx, cap=DEFAULT_CAP)
         except CapExceeded:
             continue
         if grp.elements in seen:

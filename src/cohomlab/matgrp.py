@@ -19,6 +19,13 @@ least generator of each maximal cyclic subgroup by the generating set, on
 the same tuples, groups the maximal subgroups into conjugacy classes, and
 one representative per class is all that the local conditions in cohom
 need.
+
+enumerate_subgroups lists the subgroups of a solvable group by cyclic
+extension of prime index: from the trivial group, each subgroup H found is
+extended by every g outside it that normalizes H and has a prime least m
+with g^m in H. Both tests and the cosets of H that make up the extension
+are formed on the same tuples. A group that is not solvable raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -443,9 +450,6 @@ class MatGroup:
                 root[b] = a
         return [powers for i, powers in enumerate(maximal) if find(i) == i]
 
-    def is_subgroup_of(self, other: "MatGroup") -> bool:
-        return self.ctx == other.ctx and all(g in other for g in self.elements)
-
     def to_spec_dict(self) -> dict:
         gens = self.generating_set or (self.identity,)
         return {
@@ -570,32 +574,52 @@ def maximal_cyclic_subgroups(group: MatGroup) -> list:
     return [_cyclic_group(group, powers) for powers in group._power_walk.maximal]
 
 
-def enumerate_subgroups(group: MatGroup, cap: int = 200000) -> list:
-    """All subgroups, built by closing unions of previously found subgroups.
+def enumerate_subgroups(group: MatGroup) -> list:
+    """All subgroups of a solvable group, sorted by (order, elements).
 
-    Starts from the cyclic subgroups and repeatedly closes pairwise unions
-    until no new subgroup appears. Complete because every subgroup is
-    generated by finitely many cyclic pieces.
+    Cyclic extension by prime index (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005), from the trivial group: for each
+    subgroup H found and each g outside it, <H, g> is taken when g
+    normalizes H and the least m with g^m in H is prime, for then H is
+    normal of prime index m in <H, g>, whose elements are the cosets H g^i,
+    and close_group builds it when that element set is new. That index is
+    prime, so <H, g> = K for every g in K \\ H, and the elements of each
+    extension K of H already found are skipped. Every nontrivial subgroup
+    of a solvable group has a normal subgroup of prime index, so the walk
+    reaches every subgroup; a group reached by such a chain is solvable, so
+    the group itself is reached exactly when it is solvable. Products are
+    formed on plain (a, b, c, d) tuples.
     """
-    found = {h.elements: h for h in cyclic_subgroups(group)}
-    work = 0
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(found.values(), key=lambda h: (len(h), h.elements))
-        for h1, h2 in itertools.combinations(current, 2):
-            if h1.is_subgroup_of(h2) or h2.is_subgroup_of(h1):
+    N = group.ctx.modulus
+    # each element with its tuple and the tuple of its inverse
+    elements = [(g, _key(g), _key(g.inv())) for g in group.elements]
+    # subgroups by the set of their element tuples
+    found = {frozenset([(1, 0, 0, 1)]): close_group((), group.ctx)}
+    queue = list(found.items())
+    for inside, sub in queue:
+        gens = list(map(_key, sub.generating_set))
+        covered = set(inside)
+        for g, x, x_inv in elements:
+            if x in covered:
                 continue
-            work += 1
-            if work > cap:
-                raise BudgetExceeded(f"subgroup enumeration exceeded {cap} closure attempts")
-            joined = close_group(
-                list(h1.generating_set) + list(h2.generating_set), group.ctx, cap=len(group) + 1
-            )
-            if joined.elements not in found:
-                found[joined.elements] = joined
-                changed = True
-    return sorted(found.values(), key=lambda h: (len(h), h.elements))
+            if any(_product(_product(x, h, N), x_inv, N) not in inside for h in gens):
+                continue
+            powers = [x]
+            while powers[-1] not in inside:
+                powers.append(_product(powers[-1], x, N))
+            if not _is_prime(len(powers)):
+                continue
+            ext = frozenset(_product(h, y, N) for h in inside for y in powers)
+            covered |= ext
+            if ext not in found:
+                found[ext] = close_group((*sub.generating_set, g), group.ctx, cap=len(group) + 1)
+                if len(found[ext]) != len(ext):
+                    raise RuntimeError("a cyclic extension is not the union of its cosets")
+                queue.append((ext, found[ext]))
+    subgroups = sorted(found.values(), key=lambda h: (len(h), h.elements))
+    if len(subgroups[-1]) != len(group):
+        raise ValueError("subgroup enumeration needs a solvable group")
+    return subgroups
 
 
 def conjugate(group: MatGroup, t: Mat2) -> MatGroup:
@@ -617,15 +641,16 @@ def _projective_line_reps(ctx: ModulusContext):
         yield (ctx.p * k, 1)
 
 
-def find_triangularizing_conjugator(group: MatGroup, budget: int = 25):
+def find_triangularizing_conjugator(group: MatGroup):
     """A matrix t with t*G*t^{-1} all upper (or all lower) triangular, or None.
 
     Searches for a free line stabilized by every element; the first basis
     vector of t^{-1} spans that line. Identity-first ordering makes already
-    upper-triangular groups return (identity, "upper").
+    upper-triangular groups return (identity, "upper"). Moduli above 25
+    raise BudgetExceeded.
     """
-    if group.ctx.modulus > budget:
-        raise BudgetExceeded(f"stable-line search over modulus {group.ctx.modulus} exceeds budget {budget}")
+    if group.ctx.modulus > 25:
+        raise BudgetExceeded(f"stable-line search over modulus {group.ctx.modulus} exceeds budget 25")
     ident = Mat2.identity(group.ctx)
     if all(g.is_upper() for g in group):
         return ident, "upper"

@@ -5,12 +5,14 @@ import json
 
 import pytest
 
+from cohomlab.cohom import ModuleAction
 from cohomlab.errors import BudgetExceeded
 from cohomlab.experiments import (
     ExperimentVerdict,
     Check,
     brute_coboundary_tables,
     brute_cocycle_tables,
+    brute_locally_trivial_tables,
     brute_quotient_invariants,
     falsify_main_theorem,
     full_matrix_group_mod_p,
@@ -112,6 +114,24 @@ def test_diagonal_levels_pass():
         v = verify_diagonal_triviality(p, n)
         assert v.passed, (p, n)
         assert v.parameters["subgroups"] >= 2
+
+
+def test_diagonal_at_two_fails_only_triviality():
+    # (Z/8)^* acting on Z/8 is the Grunwald-Wang case: 42 of the 67 diagonal
+    # subgroups mod 8 have L/B1 != 0, so the triviality claim is for odd p
+    v = verify_diagonal_triviality(2, 3)
+    assert not v.passed and v.parameters["subgroups"] == 67
+    assert [(c.ok, c.actual) for c in v.checks] == [(True, True), (False, 42), (True, 0), (True, 0), (True, 0)]
+    assert len(v.counterexamples) == 42
+    # the brute-force oracle agrees on <diag(1,3), diag(1,5)>: L/B1 = Z/2
+    ctx = ModulusContext(2, 3)
+    grp = close_group([Mat2.diagonal(1, 3, ctx), Mat2.diagonal(1, 5, ctx)], ctx)
+    assert {"p": 2, "n": 3, "generators": [[[1, 0], [0, 3]], [[1, 0], [0, 5]]]} in [
+        {k: c[k] for k in ("p", "n", "generators")} for c in v.counterexamples
+    ]
+    z = brute_cocycle_tables(grp)
+    loc = brute_locally_trivial_tables(grp, ModuleAction.standard(ctx), z)
+    assert brute_quotient_invariants(loc, brute_coboundary_tables(grp), ctx) == [2]
 
 
 def test_diagonal_rejects_large_modulus():

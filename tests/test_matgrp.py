@@ -5,12 +5,14 @@ checked against literal enumeration over the full ambient group where
 that is feasible.
 """
 
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohomlab.errors import CapExceeded, NonInvertibleConjugator, NonInvertibleGenerator
+from cohomlab.experiments import full_diagonal_group
 from cohomlab.matgrp import (
     DEFAULT_CAP,
     ExampleGroup,
@@ -33,6 +35,8 @@ from cohomlab.zmod import ModulusContext
 
 Z2 = ModulusContext(2, 1)
 Z3 = ModulusContext(3, 1)
+Z4 = ModulusContext(2, 2)
+Z8 = ModulusContext(2, 3)
 Z9 = ModulusContext(3, 2)
 
 
@@ -44,6 +48,11 @@ def full_gl2(ctx):
         if (a * d - b * c) % ctx.p != 0
     ]
     return MatGroup(tuple(elems), ctx)
+
+
+@functools.cache
+def gl2_elements(ctx):
+    return full_gl2(ctx).elements
 
 
 def brute_subgroup_sets(group):
@@ -59,6 +68,26 @@ def brute_subgroup_sets(group):
             if all(a * b in s for a in s for b in s):
                 out.add(tuple(sorted(s)))
     return out
+
+
+def pairwise_union_subgroups(group):
+    """Element tuples of all subgroups, sorted by (order, elements), found by
+    closing pairwise unions of the subgroups found so far, starting from the
+    cyclic ones, until nothing new appears. Complete because every subgroup
+    is generated by finitely many cyclic pieces."""
+    found = {h.elements: h for h in cyclic_subgroups(group)}
+    changed = True
+    while changed:
+        changed = False
+        current = sorted(found.values(), key=lambda h: (len(h), h.elements))
+        for h1, h2 in itertools.combinations(current, 2):
+            if set(h1.elements) <= set(h2.elements) or set(h2.elements) <= set(h1.elements):
+                continue
+            joined = close_group(h1.generating_set + h2.generating_set, group.ctx, cap=len(group) + 1)
+            if joined.elements not in found:
+                found[joined.elements] = joined
+                changed = True
+    return sorted(found, key=lambda elements: (len(elements), elements))
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +418,12 @@ def test_enumerate_subgroups_gl2_f2():
     assert {h.elements for h in subs} == brute_subgroup_sets(g)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_enumerate_subgroups_matches_brute_on_small_groups(data):
-    # random small subgroups of GL2(F3), order <= 8, checked against subsets
-    ctx = Z3
-    g1 = Mat2(*(data.draw(st.integers(0, 2)) for _ in range(4)), ctx)
-    g2 = Mat2(*(data.draw(st.integers(0, 2)) for _ in range(4)), ctx)
-    gens = [g for g in (g1, g2) if g.is_invertible()]
+    # random small subgroups mod 3, 4 and 9, order <= 8, checked against subsets
+    ctx = data.draw(st.sampled_from([Z3, Z4, Z9]))
+    gens = data.draw(st.lists(st.sampled_from(gl2_elements(ctx)), min_size=1, max_size=2))
     try:
         grp = close_group(gens, ctx, cap=9)
     except CapExceeded:
@@ -405,6 +432,31 @@ def test_enumerate_subgroups_matches_brute_on_small_groups(data):
         return
     subs = enumerate_subgroups(grp)
     assert {h.elements for h in subs} == brute_subgroup_sets(grp)
+
+
+@pytest.mark.parametrize(
+    "group, count",
+    [(full_gl2(Z3), 55), (full_diagonal_group(Z8), 67), (full_diagonal_group(Z9), 30)],
+    ids=["gl2-f3", "diagonal-mod-8", "diagonal-mod-9"],
+)
+def test_enumerate_subgroups_matches_pairwise_union(group, count):
+    subs = enumerate_subgroups(group)
+    assert [h.elements for h in subs] == pairwise_union_subgroups(group)
+    assert len(subs) == count
+
+
+def test_enumerate_subgroups_sylow_three_of_gl2_z9():
+    gens = [Mat2(1, 1, 0, 1, Z9), Mat2(1, 0, 3, 1, Z9), Mat2.diagonal(4, 1, Z9), Mat2.diagonal(1, 4, Z9)]
+    sylow = close_group(gens, Z9)
+    assert len(sylow) == 243
+    subs = enumerate_subgroups(sylow)
+    assert len(subs) == 342
+    assert subs[0].elements == (Mat2.identity(Z9),) and subs[-1] == sylow
+
+
+def test_enumerate_subgroups_rejects_non_solvable_group():
+    with pytest.raises(ValueError, match="solvable"):
+        enumerate_subgroups(full_gl2(ModulusContext(5, 1)))
 
 
 # ---------------------------------------------------------------------------
