@@ -7,7 +7,13 @@ the group's Cayley table writes the value at every g as a matrix coeff[g]
 applied to the generator values, with no matrix products, and every
 revisit of an element gives constraint rows. The relations at (h, s) with s
 a generator imply the full relation, so Z1 is the kernel of those rows; B1
-is spanned by the generator values (s - I)e_j of the coboundaries.
+is spanned by the generator values (s - I)e_j of the coboundaries. The walk
+is breadth first, and it holds each coeff[g] as one int of fixed-width
+slots, SIMD within a register (Lamport, "Multiple byte processing with
+full-word instructions", CACM 1975): an edge adds one shifted int and
+reduces every entry mod p^n at once with a carry mask. The constraint rows
+stay packed until Z1 is cut out, and are read back as strided columns of
+one memoryview (_propagate).
 cohomology_engine builds these once per group and action, and h1_loc and
 h1_loc_via_restrictions accept it to share the work. Quotients reduce to
 the invariant-factor machinery in zmod.
@@ -50,9 +56,12 @@ locally_trivial_subspace, and for the witnesses of a nonzero L/B1.
 from __future__ import annotations
 
 import itertools
+import struct
+import sys
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from operator import mul
+from operator import lshift, mul
 from typing import NamedTuple, Optional
 
 from .errors import HypothesisViolated, NotASubgroup, StabilizerMismatch
@@ -220,8 +229,37 @@ class CohomologyReport:
 # ---------------------------------------------------------------------------
 
 
+# memoryview format codes of the slot widths, by width in bits
+_SLOT_CODES = {8 * struct.calcsize(code): code for code in "BHIQ"}
+
+
+def _slot_width(N: int) -> int:
+    """The narrowest slot that holds N.bit_length() + 2 bits: 8, 16, 32 or 64.
+
+    ModulusContext caps N at 2^32, so 64 bits always suffice.
+    """
+    need = N.bit_length() + 2
+    return min(width for width in _SLOT_CODES if width >= need)
+
+
+def _slots(packed: list, count: int, width: int) -> memoryview:
+    """The slots of the packed ints, flat in slot order, as one memoryview.
+
+    Each int holds count slots of width bits, slot t at bit width * t. The
+    ints are joined as bytes in the machine's order and read as width-bit
+    words. On a big-endian machine that lists each int's slots from the
+    top, so there the ints are joined in reverse and the view runs
+    backwards.
+    """
+    size = count * width // 8
+    code = _SLOT_CODES[width]
+    if sys.byteorder == "little":
+        return memoryview(b"".join(x.to_bytes(size, "little") for x in packed)).cast(code)
+    return memoryview(b"".join(x.to_bytes(size, "big") for x in reversed(packed))).cast(code)[::-1]
+
+
 def _propagate(group: MatGroup, action: ModuleAction):
-    """Coefficient matrices coeff[h] and the constraint rows of the cocycle space.
+    """Coefficient matrices coeff[h] and the constraint columns of the cocycle space.
 
     A cocycle is determined by its values on the generating set S, stacked
     into one vector x in M^k. Starting from value 0 at the identity, the
@@ -229,46 +267,78 @@ def _propagate(group: MatGroup, action: ModuleAction):
     value at h*s_i as coeff[h] x with act(h) added into block i, so the
     value at every element is coeff[h] x for an r x rk matrix coeff[h],
     listed in canonical element order. The products h*s_i come from the
-    group's Cayley table. Each revisit of an already-valued element yields
-    constraint rows on x. Every pair (h, s) with s in S is visited, and
-    those relations imply the full relation Z_{hg} = Z_h + h.Z_g by
-    induction on the length of g as a word in S: Z_{h(gs)} = Z_{hg} + hg.Z_s
-    = Z_h + h.(Z_g + g.Z_s) = Z_h + h.Z_{gs}. So Z^1 is the kernel of the
-    rows.
+    group's Cayley table, walked breadth first from the identity, which
+    keeps the tree shallow and its revisits few. Each revisit of an
+    already-valued element g yields the constraint coeff[h] x + act(h) x_i
+    = coeff[g] x, one row per row of the difference. Every pair (h, s)
+    with s in S is visited, and those relations imply the full relation
+    Z_{hg} = Z_h + h.Z_g by induction on the length of g as a word in S:
+    Z_{h(gs)} = Z_{hg} + hg.Z_s = Z_h + h.(Z_g + g.Z_s) = Z_h + h.Z_{gs}.
+    So Z^1 is the kernel of the rows.
+
+    Each matrix is packed into one int, entry (a, j) in slot a * rk + j of
+    a width-bit slot (_slot_width), so an edge costs one add of act(h),
+    packed the same way, shifted to block i. Every slot then holds less
+    than 2N, and one carry mask reduces all of them at once: adding
+    2^(width-1) - N sets the top bit of a slot exactly when it holds at
+    least N, and since N < 2^(width-2) the sum stays below 2^width and
+    never carries into the next slot, so subtracting N times those top
+    bits shifted to the slot bottoms leaves every slot in [0, N). A
+    difference is formed as x + N*ones - have, whose slots lie in
+    (0, 2N) with no borrow between them, and reduced the same way. The
+    distinct differences are cut into their r rows, each an int of rk
+    slots, and the distinct nonzero rows are the constraints.
+
+    Returns (coeff, columns, count): coeff[h] unpacked to a tuple of r
+    tuples, and the rk columns of the matrix stacking the count constraint
+    rows, read as strided slices of one memoryview over the packed rows.
+    Column j lists entry j of every row, so the left kernel of the columns
+    is the kernel of the rows, as kernel() would find it from the
+    transpose.
     """
     k = len(group.generating_set)
     table = group.cayley
     r = action.rank
     N = action.ctx.modulus
+    rk = r * k
+    width = _slot_width(N)
+    top = width - 1
+    ones = ((1 << width * r * rk) - 1) // ((1 << width) - 1)
+    bias = ones * ((1 << top) - N)
+    lift = ones * N
+    row_mask = (1 << width * rk) - 1
+    row_shifts = [width * rk * a for a in range(r)]
+    place = [width * (a * rk + b) for a in range(r) for b in range(r)]
+    shifts = [width * r * i for i in range(k)]
     elements = group.elements
     start = bisect_left(elements, (1, 0, 0, 1), key=_key)
     coeff = [None] * len(elements)
-    coeff[start] = ((0,) * (r * k),) * r
-    frontier = [start]
-    rows = set()
-    while frontier:
-        h = frontier.pop()
+    coeff[start] = 0
+    queue = deque([start])
+    differences = set()
+    while queue:
+        h = queue.popleft()
         base = coeff[h]
-        act = action.act_rows(elements[h])
-        for i in range(k):
-            cand = []
-            for row, arow in zip(base, act):
-                row = list(row)
-                for j, a in enumerate(arow, i * r):
-                    row[j] = (row[j] + a) % N
-                cand.append(tuple(row))
-            g = table[h * k + i]
+        act = sum(map(lshift, itertools.chain.from_iterable(action.act_rows(elements[h])), place))
+        for g, shift in zip(table[h * k : h * k + k], shifts):
+            x = base + (act << shift)
+            x -= (((x + bias) >> top) & ones) * N
             have = coeff[g]
             if have is None:
-                coeff[g] = tuple(cand)
-                frontier.append(g)
-            else:
-                for x, y in zip(cand, have):
-                    if x != y:
-                        rows.add(tuple([(a - b) % N for a, b in zip(x, y)]))
+                coeff[g] = x
+                queue.append(g)
+            elif x != have:
+                x += lift - have
+                differences.add(x - (((x + bias) >> top) & ones) * N)
     if None in coeff:
         raise AssertionError("generator propagation failed to reach the whole group")
-    return coeff, rows
+    constraints = {(d >> shift) & row_mask for d in differences for shift in row_shifts}
+    constraints.discard(0)
+    view = _slots(list(constraints), rk, width)
+    columns = [view[j::rk] for j in range(rk)]
+    flat = _slots(coeff, r * rk, width).tolist()
+    rows = [tuple(flat[i * rk : i * rk + rk]) for i in range(len(coeff) * r)]
+    return list(zip(*[iter(rows)] * r)), columns, len(constraints)
 
 
 def _cut_out(rows, dim: int, ctx: ModulusContext) -> Submodule:
@@ -323,9 +393,9 @@ def cohomology_engine(group: MatGroup, action: Optional[ModuleAction] = None) ->
     values at the generators s are (s - I) e_j.
     """
     action = _action_for(group, action)
-    coeff, rows = _propagate(group, action)
+    coeff, columns, count = _propagate(group, action)
     dim = action.rank * len(group.generating_set)
-    z1 = _cut_out(rows, dim, action.ctx)
+    z1 = Submodule.span(_left_kernel(columns, count, action.ctx), dim, action.ctx)
     ann = tuple(a.entries for a in annihilator(z1).generators)
     return Engine(group, action, coeff, ann, z1, _coboundary_span(group.generating_set, action))
 

@@ -39,6 +39,9 @@ from .matgrp import (
     DEFAULT_CAP,
     Mat2,
     MatGroup,
+    _build,
+    _close_walk,
+    _key,
     close_group,
     conjugate,
     cyclic_subgroups,
@@ -140,6 +143,17 @@ class _Run:
     def verdict(self) -> ExperimentVerdict:
         elapsed = int((time.monotonic() - self.t0) * 1000)
         return ExperimentVerdict(self.name, self.parameters, self.checks, self.counterexamples, elapsed)
+
+
+def _tick_at(tick, where) -> None:
+    """Call tick; when it finds the budget spent, say where the work stopped.
+
+    where is called only then, and names the item about to be started.
+    """
+    try:
+        tick()
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"{exc}; stopped at {where()}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -356,30 +370,39 @@ def sample_level2_groups(
     """Deterministic candidate subgroups of GL2(Z/p^2): curated then random.
 
     Generator sets whose closure passes DEFAULT_CAP elements are skipped.
-    Exact duplicates are dropped; a conjugation-invariant fingerprint limits
-    how many lookalikes are kept so the budget spreads over genuinely
-    different groups.
+    Exact duplicates are dropped as soon as the closure walk ends, before
+    their group is built: a match on the order and the hash of the element
+    set is confirmed element by element. A conjugation-invariant
+    fingerprint limits how many lookalikes are kept so the budget spreads
+    over genuinely different groups. When tick finds the budget spent, the
+    error names the generator set reached.
     """
     ctx = ModulusContext(p, 2)
     rng = random.Random(seed)
-    seen = set()
+    # the element tuples of the groups built so far, by order and hash of the element set
+    seen = {}
     fingerprints = {}
     out = []
     gen_sets = list(_curated_level2_generators(ctx))
     while len(gen_sets) < count * 4:
         gen_sets.append([_random_matrix(rng, ctx) for _ in range(rng.randrange(1, 4))])
-    for gens in gen_sets:
+    for index, gens in enumerate(gen_sets):
         if len(out) >= count:
             break
         if tick is not None:
-            tick()
+            _tick_at(tick, lambda: f"generator set {index} of the sampling")
         try:
-            grp = close_group(gens, ctx, cap=DEFAULT_CAP)
+            walk = _close_walk(gens, ctx, DEFAULT_CAP)
         except CapExceeded:
             continue
-        if grp.elements in seen:
-            continue
-        seen.add(grp.elements)
+        found = walk[1]
+        twins = seen.setdefault((len(found), hash(frozenset(found))), [])
+        if twins:
+            keys = sorted(found)
+            if any(keys == list(map(_key, elements)) for elements in twins):
+                continue
+        grp = _build(walk, ctx)
+        twins.append(grp.elements)
         fp = _group_fingerprint(grp)
         if fingerprints.get(fp, 0) >= 4:
             continue
@@ -833,8 +856,11 @@ def falsify_main_theorem(
 
     nontrivial = 0
     violations = 0
-    for grp in candidates:
-        run.tick()
+    for index, grp in enumerate(candidates):
+        _tick_at(
+            run.tick,
+            lambda: f"candidate {index} of {len(candidates)}: {json.dumps(grp.to_spec_dict())}",
+        )
         if h1_loc(grp).h1loc_invariants == ():
             continue
         nontrivial += 1

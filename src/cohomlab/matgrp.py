@@ -253,17 +253,22 @@ def _tabulate(found: list, products: array, k: int) -> tuple:
     return order, position, cayley
 
 
-def close_group(gens: Iterable[Mat2], ctx: ModulusContext, cap: int = DEFAULT_CAP) -> "MatGroup":
-    """Closure of the generators, capped at cap elements; the generators
-    the walk keeps become the group's generating set, and the products it
-    forms become the group's Cayley table."""
+def _close_walk(gens: Iterable[Mat2], ctx: ModulusContext, cap: float) -> tuple:
+    """Check the generators and run the closure walk on them; returns what
+    _grow_span returns."""
     gens = list(gens)
     for g in gens:
         if g.ctx != ctx:
             raise ValueError("generator modulus mismatch")
         if not g.is_invertible():
             raise NonInvertibleGenerator(f"generator {g.row_list()} has determinant divisible by {ctx.p}")
-    chosen, found, products = _grow_span([_key(g) for g in gens], ctx.modulus, cap)
+    return _grow_span([_key(g) for g in gens], ctx.modulus, cap)
+
+
+def _build(walk: tuple, ctx: ModulusContext) -> "MatGroup":
+    """The group a closure walk found: its elements sorted, the kept
+    generators as its generating set, its products as its Cayley table."""
+    chosen, found, products = walk
     order, position, cayley = _tabulate(found, products, len(chosen))
     # the elements arrive sorted, so MatGroup.__init__ is skipped
     elements = tuple(Mat2._reduced(*found[h], ctx) for h in order)
@@ -271,6 +276,13 @@ def close_group(gens: Iterable[Mat2], ctx: ModulusContext, cap: int = DEFAULT_CA
     grp = object.__new__(MatGroup)
     vars(grp).update(elements=elements, ctx=ctx, _gens=kept, generating_set=kept, cayley=cayley)
     return grp
+
+
+def close_group(gens: Iterable[Mat2], ctx: ModulusContext, cap: int = DEFAULT_CAP) -> "MatGroup":
+    """Closure of the generators, capped at cap elements; the generators
+    the walk keeps become the group's generating set, and the products it
+    forms become the group's Cayley table."""
+    return _build(_close_walk(gens, ctx, cap), ctx)
 
 
 class _PowerWalk(NamedTuple):

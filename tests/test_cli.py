@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -186,6 +187,26 @@ def test_experiment_budget_exhaustion(capsys):
     code, _, err = run_cli(capsys, "experiment", "main-theorem", "--p", "3", "--budget-ms", "0")
     assert code == 3
     assert err
+
+
+def test_budget_message_names_the_generator_set_in_progress(capsys):
+    code, out, err = run_cli(capsys, "experiment", "main-theorem", "--p", "3", "--budget-ms", "1")
+    assert code == 3
+    assert out == ""
+    assert re.search(r"budget of 1 ms; stopped at generator set \d+ of the sampling$", err.strip())
+
+
+def test_budget_message_names_the_candidate_in_progress(capsys, monkeypatch):
+    from cohomlab import experiments
+    from cohomlab.matgrp import make_example_group
+
+    # with no sampled groups the budget runs out at the first candidate
+    monkeypatch.setattr(experiments, "sample_level2_groups", lambda *args, **kwargs: [])
+    code, out, err = run_cli(capsys, "experiment", "main-theorem", "--p", "3", "--budget-ms", "0")
+    assert code == 3
+    assert out == ""
+    spec = json.dumps(make_example_group(3).group.to_spec_dict())
+    assert err.strip().endswith(f"budget of 0 ms; stopped at candidate 0 of 1: {spec}")
 
 
 def test_experiment_reruns_identical_modulo_elapsed(capsys):

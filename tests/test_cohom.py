@@ -32,6 +32,7 @@ from cohomlab.cohom import (
     pointwise_stabilizer,
     restriction,
 )
+from cohomlab.cohom import _slot_width, _tables
 from cohomlab.errors import (
     CapExceeded,
     HypothesisViolated,
@@ -355,6 +356,107 @@ def test_engine_forms_no_matrix_products(monkeypatch):
     assert "cayley" in vars(conj)
     assert got == want
     assert want[0] == ([9, 9], [])
+
+
+def tuple_row_propagate(group, action):
+    """Reference propagation: the depth-first walk on tuple rows that the
+    packed breadth-first walk replaced. Returns coeff[h] as r x rk tuples
+    and the set of distinct constraint rows."""
+    k = len(group.generating_set)
+    table = group.cayley
+    r = action.rank
+    N = action.ctx.modulus
+    elements = group.elements
+    start = group._index[group.identity]
+    coeff = [None] * len(elements)
+    coeff[start] = ((0,) * (r * k),) * r
+    frontier = [start]
+    rows = set()
+    while frontier:
+        h = frontier.pop()
+        base = coeff[h]
+        act = action.act_rows(elements[h])
+        for i in range(k):
+            cand = []
+            for row, arow in zip(base, act):
+                row = list(row)
+                for j, a in enumerate(arow, i * r):
+                    row[j] = (row[j] + a) % N
+                cand.append(tuple(row))
+            g = table[h * k + i]
+            have = coeff[g]
+            if have is None:
+                coeff[g] = tuple(cand)
+                frontier.append(g)
+            else:
+                for x, y in zip(cand, have):
+                    if x != y:
+                        rows.add(tuple((a - b) % N for a, b in zip(x, y)))
+    assert None not in coeff
+    return coeff, rows
+
+
+def assert_engine_matches_reference(group, action):
+    """Z1, the annihilator rows and the value tables of Z1's generators agree
+    with the tuple-row reference; coeff itself depends on the walk's tree."""
+    eng = cohomology_engine(group, action)
+    coeff, rows = tuple_row_propagate(group, action)
+    dim = action.rank * len(group.generating_set)
+    z1 = zmod.kernel(zmod.ResidueMatrix(len(rows), dim, tuple(itertools.chain.from_iterable(rows)), action.ctx))
+    assert eng.z1 == z1
+    assert eng.rows == tuple(a.entries for a in zmod.annihilator(z1).generators)
+    assert len(eng.coeff) == len(group)
+    assert all(len(m) == action.rank and all(len(row) == dim for row in m) for m in eng.coeff)
+    assert _tables(group, action, eng.coeff, eng.z1) == _tables(group, action, coeff, z1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_packed_propagation_matches_tuple_rows(data):
+    grp = draw_small_group(data)
+    if grp is None:
+        return
+    ctx = grp.ctx
+    assert_engine_matches_reference(grp, ModuleAction.standard(ctx))
+    for m in range(1, ctx.n):
+        assert_engine_matches_reference(grp, ModuleAction(ModulusContext(ctx.p, m), 2))
+    diag = special_subgroups(grp)[0]
+    for coord in (0, 1):
+        assert_engine_matches_reference(diag, ModuleAction.line_of(ctx, coord))
+
+
+def test_packed_propagation_matches_tuple_rows_on_fixed_groups():
+    gl2_f3 = close_group([Mat2(1, 1, 0, 1, Z3), Mat2(0, 1, 2, 0, Z3), Mat2(2, 0, 0, 1, Z3)], Z3)
+    borel9 = close_group([Mat2(1, 1, 0, 1, Z9), Mat2(2, 0, 0, 1, Z9), Mat2(1, 0, 3, 1, Z9)], Z9)
+    diag25 = close_group([Mat2.diagonal(2, 1, Z25), Mat2.diagonal(1, 6, Z25)], Z25)
+    family = make_example_group(5).group
+    for grp in (gl2_f3, borel9, family):
+        assert_engine_matches_reference(grp, ModuleAction.standard(grp.ctx))
+    for grp in (borel9, family):
+        assert_engine_matches_reference(grp, ModuleAction(ModulusContext(grp.ctx.p, 1), 2))
+    for coord in (0, 1):
+        assert_engine_matches_reference(diag25, ModuleAction.line_of(Z25, coord))
+        assert_engine_matches_reference(diag25, ModuleAction.line_of(ModulusContext(5, 1), coord))
+
+
+@pytest.mark.parametrize(
+    "p, n, width",
+    [(61, 1, 8), (2, 6, 16), (2, 13, 16), (2, 14, 32), (2, 29, 32), (2, 30, 64), (65521, 2, 64), (2, 32, 64)],
+)
+def test_packed_propagation_on_both_sides_of_each_slot_width(p, n, width):
+    ctx = ModulusContext(p, n)
+    assert _slot_width(ctx.modulus) == width
+    N = ctx.modulus
+    # the signed permutation matrices, order 8, conjugated by a determinant-1
+    # matrix to spread the entries over Z/N
+    signed = close_group([Mat2(0, 1, 1, 0, ctx), Mat2.diagonal(N - 1, 1, ctx)], ctx)
+    assert len(signed) == 8
+    a, b = N // 3, 5 + N // 2
+    spread = conjugate(signed, Mat2(1, a, b, 1 + a * b, ctx))
+    for grp in (signed, spread):
+        assert_engine_matches_reference(grp, ModuleAction.standard(ctx))
+    assert h1(signed) == ([] if p % 2 else h1(spread))
+    assert_engine_matches_reference(special_subgroups(signed)[0], ModuleAction.line_of(ctx, 1))
 
 
 # ---------------------------------------------------------------------------
