@@ -23,7 +23,6 @@ from .cohom import cohomology_engine, h1_loc, h1_loc_via_restrictions
 from .errors import BudgetExceeded, CapExceeded, CohomLabError, WrongLevel
 from .experiments import (
     DEFAULT_BUDGET_MS,
-    EXPERIMENT_NAMES,
     falsify_main_theorem,
     run_example6,
     verify_diagonal_triviality,
@@ -113,26 +112,26 @@ def cmd_compute(args) -> int:
     return 1 if violation else 0
 
 
-def _require_p(args) -> int:
-    if args.p is None:
-        raise ValueError(f"experiment {args.name} requires --p")
-    return args.p
+# experiment name -> (its function, the flags it reads besides --budget-ms, --out and --format)
+EXPERIMENTS = {
+    "example6": (run_example6, ("p", "m")),
+    "diagonal": (verify_diagonal_triviality, ("p", "n")),
+    "shape-lemma": (verify_shape_lemma, ("p",)),
+    "structure-props": (verify_structure_props, ("p", "seed")),
+    "main-theorem": (falsify_main_theorem, ("p", "seed")),
+    "oracle": (verify_oracle_equivalence, ()),
+}
 
 
 def cmd_experiment(args) -> int:
-    name = args.name
-    if name == "example6":
-        verdict = run_example6(_require_p(args), m=args.m, budget_ms=args.budget_ms)
-    elif name == "diagonal":
-        verdict = verify_diagonal_triviality(_require_p(args), args.n, budget_ms=args.budget_ms)
-    elif name == "shape-lemma":
-        verdict = verify_shape_lemma(_require_p(args), seed=args.seed, budget_ms=args.budget_ms)
-    elif name == "structure-props":
-        verdict = verify_structure_props(_require_p(args), seed=args.seed, budget_ms=args.budget_ms)
-    elif name == "main-theorem":
-        verdict = falsify_main_theorem(_require_p(args), seed=args.seed, budget_ms=args.budget_ms)
-    else:
-        verdict = verify_oracle_equivalence(budget_ms=args.budget_ms)
+    run, reads = EXPERIMENTS[args.name]
+    given = {flag: getattr(args, flag) for flag in ("p", "n", "m", "seed") if getattr(args, flag) is not None}
+    unread = [flag for flag in given if flag not in reads]
+    if unread:
+        raise ValueError(f"experiment {args.name} does not read --{unread[0]}")
+    if "p" in reads and "p" not in given:
+        raise ValueError(f"experiment {args.name} requires --p")
+    verdict = run(**given, budget_ms=args.budget_ms)
     _emit(verdict.to_json_dict(), verdict.to_csv_rows(), args.out, args.format)
     return 0 if verdict.passed else 1
 
@@ -154,12 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_compute)
 
     pe = sub.add_parser("experiment", help="run a named experiment")
-    pe.add_argument("name", choices=EXPERIMENT_NAMES)
-    pe.add_argument("--p", type=int, default=None, help="prime parameter")
-    pe.add_argument("--n", type=int, default=2, help="level parameter (diagonal experiment)")
-    pe.add_argument("--m", type=int, default=None, help="override the nonsquare (example6)")
+    pe.add_argument("name", choices=EXPERIMENTS)
+    pe.add_argument("--p", type=int, default=None, help="prime parameter (every experiment but oracle)")
+    pe.add_argument("--n", type=int, default=None, help="level parameter (diagonal only, default 2)")
+    pe.add_argument("--m", type=int, default=None, help="override the nonsquare (example6 only)")
     pe.add_argument("--budget-ms", type=int, default=DEFAULT_BUDGET_MS, help="wall-clock budget in milliseconds")
-    pe.add_argument("--seed", type=int, default=0, help="sampling seed")
+    pe.add_argument("--seed", type=int, default=None, help="sampling seed (structure-props and main-theorem, default 0)")
     pe.add_argument("--out", default=None, help="write the verdict to this path instead of stdout")
     pe.add_argument("--format", choices=("json", "csv"), default="json")
     pe.set_defaults(func=cmd_experiment)

@@ -110,15 +110,17 @@ class ModuleAction:
     def line_of(cls, ctx: ModulusContext, coord: int) -> "ModuleAction":
         return cls(ctx, 1, coord)
 
-    def _check_group(self, g: Mat2):
-        if g.ctx.p != self.ctx.p:
+    def _check_group(self, group: MatGroup):
+        """Raise ValueError unless the group lives over the module's prime at
+        a level at least the module's. This runs once, where an action meets
+        a group (_action_for, Cocycle); act_rows trusts its argument."""
+        if group.ctx.p != self.ctx.p:
             raise ValueError("module and group live over different primes")
-        if self.ctx.n > g.ctx.n:
+        if self.ctx.n > group.ctx.n:
             raise ValueError("module level exceeds the group's level")
 
     def act_rows(self, g: Mat2) -> tuple:
         """Matrix of the action of g, as rows over the module's modulus."""
-        self._check_group(g)
         N = self.ctx.modulus
         if self.rank == 2:
             return ((g.a % N, g.b % N), (g.c % N, g.d % N))
@@ -143,7 +145,11 @@ class ModuleAction:
 
 
 def _action_for(group: MatGroup, action: Optional[ModuleAction]) -> ModuleAction:
-    return action if action is not None else ModuleAction.standard(group.ctx)
+    """The given action, checked against the group, or the standard action."""
+    if action is None:
+        return ModuleAction.standard(group.ctx)
+    action._check_group(group)
+    return action
 
 
 @dataclass(frozen=True)
@@ -157,6 +163,7 @@ class Cocycle:
     def __post_init__(self):
         if len(self.values) != len(self.group):
             raise ValueError("need one value per group element")
+        self.action._check_group(self.group)
         N = self.action.ctx.modulus
         object.__setattr__(
             self, "values", tuple(tuple(e % N for e in v) for v in self.values)

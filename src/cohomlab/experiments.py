@@ -15,12 +15,14 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .cohom import (
     Cocycle,
     ModuleAction,
+    _action_for,
     action_image,
     coboundary_space,
     cocycle_space,
@@ -33,18 +35,16 @@ from .cohom import (
     is_locally_trivial,
     locally_trivial_subspace,
 )
-from .errors import BudgetExceeded, CapExceeded
+from .errors import BudgetExceeded
 from .galoisdict import evaluate_main_theorem_conditions
 from .matgrp import (
     DEFAULT_CAP,
     Mat2,
     MatGroup,
-    _build,
-    _close_walk,
-    _key,
     close_group,
     conjugate,
     cyclic_subgroups,
+    distinct_closures,
     enumerate_subgroups,
     find_triangularizing_conjugator,
     make_example_group,
@@ -183,7 +183,7 @@ def brute_cocycle_tables(group: MatGroup, action: Optional[ModuleAction] = None)
     assignments of generator values are propagated and the full relation
     is re-verified on each surviving table.
     """
-    action = action if action is not None else ModuleAction.standard(group.ctx)
+    action = _action_for(group, action)
     n = action.ctx.modulus
     r = action.rank
     module = list(itertools.product(range(n), repeat=r))
@@ -224,7 +224,7 @@ def brute_cocycle_tables(group: MatGroup, action: Optional[ModuleAction] = None)
 
 
 def brute_coboundary_tables(group: MatGroup, action: Optional[ModuleAction] = None) -> set:
-    action = action if action is not None else ModuleAction.standard(group.ctx)
+    action = _action_for(group, action)
     n = action.ctx.modulus
     r = action.rank
     out = set()
@@ -238,6 +238,7 @@ def brute_coboundary_tables(group: MatGroup, action: Optional[ModuleAction] = No
 
 
 def brute_locally_trivial_tables(group, action, z1_tables) -> set:
+    action = _action_for(group, action)
     n = action.ctx.modulus
     r = action.rank
     images = []
@@ -369,45 +370,35 @@ def sample_level2_groups(
 ) -> list:
     """Deterministic candidate subgroups of GL2(Z/p^2): curated then random.
 
-    Generator sets whose closure passes DEFAULT_CAP elements are skipped.
-    Exact duplicates are dropped as soon as the closure walk ends, before
-    their group is built: a match on the order and the hash of the element
-    set is confirmed element by element. A conjugation-invariant
-    fingerprint limits how many lookalikes are kept so the budget spreads
-    over genuinely different groups. When tick finds the budget spent, the
-    error names the generator set reached.
+    The first count of the distinct closures of the generator sets
+    (matgrp.distinct_closures), at most four per conjugation-invariant
+    fingerprint, so the budget spreads over genuinely different groups.
+    tick is called before each generator set is closed; when it finds the
+    budget spent, the error names the generator set reached.
     """
+    if count <= 0:
+        return []
     ctx = ModulusContext(p, 2)
     rng = random.Random(seed)
-    # the element tuples of the groups built so far, by order and hash of the element set
-    seen = {}
-    fingerprints = {}
-    out = []
     gen_sets = list(_curated_level2_generators(ctx))
     while len(gen_sets) < count * 4:
         gen_sets.append([_random_matrix(rng, ctx) for _ in range(rng.randrange(1, 4))])
-    for index, gens in enumerate(gen_sets):
-        if len(out) >= count:
-            break
-        if tick is not None:
-            _tick_at(tick, lambda: f"generator set {index} of the sampling")
-        try:
-            walk = _close_walk(gens, ctx, DEFAULT_CAP)
-        except CapExceeded:
-            continue
-        found = walk[1]
-        twins = seen.setdefault((len(found), hash(frozenset(found))), [])
-        if twins:
-            keys = sorted(found)
-            if any(keys == list(map(_key, elements)) for elements in twins):
-                continue
-        grp = _build(walk, ctx)
-        twins.append(grp.elements)
+
+    def ticked():
+        for index, gens in enumerate(gen_sets):
+            if tick is not None:
+                _tick_at(tick, lambda: f"generator set {index} of the sampling")
+            yield gens
+
+    fingerprints = Counter()
+    out = []
+    for grp in distinct_closures(ticked(), ctx):
         fp = _group_fingerprint(grp)
-        if fingerprints.get(fp, 0) >= 4:
-            continue
-        fingerprints[fp] = fingerprints.get(fp, 0) + 1
-        out.append(grp)
+        fingerprints[fp] += 1
+        if fingerprints[fp] <= 4:
+            out.append(grp)
+            if len(out) == count:
+                break
     return out
 
 
@@ -541,7 +532,7 @@ def full_diagonal_group(ctx: ModulusContext) -> MatGroup:
     return close_group(gens, ctx, cap=max(DEFAULT_CAP, n * n))
 
 
-def verify_diagonal_triviality(p: int, n: int, budget_ms: int = DEFAULT_BUDGET_MS) -> ExperimentVerdict:
+def verify_diagonal_triviality(p: int, n: int = 2, budget_ms: int = DEFAULT_BUDGET_MS) -> ExperimentVerdict:
     """Every diagonal subgroup has only coboundaries among locally trivial cocycles.
 
     Also checks the two structural laws behind that fact: the class group of
@@ -621,11 +612,8 @@ def _shape_targets(p: int) -> set:
         for b in range(1, p):
             if a != b:
                 rhos.append(Mat2.diagonal(a, b, ctx))
-    targets = set()
-    for rho in rhos:
-        targets.add(close_group([rho], ctx).elements)
-        targets.add(close_group([rho, sigma], ctx).elements)
-    return targets
+    gen_sets = itertools.chain.from_iterable(([rho], [rho, sigma]) for rho in rhos)
+    return {grp.elements for grp in distinct_closures(gen_sets, ctx)}
 
 
 def _matches_shape(group: MatGroup, full: MatGroup, targets: set) -> bool:
@@ -635,44 +623,19 @@ def _matches_shape(group: MatGroup, full: MatGroup, targets: set) -> bool:
     return False
 
 
-def verify_shape_lemma(
-    p: int,
-    seed: int = 0,
-    samples: int = 150,
-    budget_ms: int = DEFAULT_BUDGET_MS,
-) -> ExperimentVerdict:
+def verify_shape_lemma(p: int, budget_ms: int = DEFAULT_BUDGET_MS) -> ExperimentVerdict:
     """Groups with nontrivial classes are conjugate to a diagonal-unipotent shape.
 
-    Exhaustive over all subgroups for p <= 3; seeded sampling for p = 5.
+    Exhaustive over all subgroups for p <= 3. GL2(F_5) is not solvable, so
+    enumerate_subgroups cannot list its subgroups; at p = 5 the candidates
+    are its cyclic subgroups, all of them.
     """
     if p not in (2, 3, 5):
         raise ValueError(f"shape check runs at p in {{2, 3, 5}}, got {p}")
     full = full_matrix_group_mod_p(p)
     exhaustive = p <= 3
-    if exhaustive:
-        candidates = enumerate_subgroups(full)
-    else:
-        ctx = ModulusContext(p, 1)
-        rng = random.Random(seed)
-        seen = set()
-        candidates = list(cyclic_subgroups(full))
-        for sub in candidates:
-            seen.add(sub.elements)
-        while len(candidates) < samples:
-            gens = [_random_matrix(rng, ctx) for _ in range(rng.randrange(1, 3))]
-            try:
-                grp = close_group(gens, ctx, cap=len(full) + 1)
-            except CapExceeded:
-                continue
-            if grp.elements in seen:
-                continue
-            seen.add(grp.elements)
-            candidates.append(grp)
-    run = _Run(
-        "shape-lemma",
-        {"p": p, "seed": seed, "candidates": len(candidates), "exhaustive": exhaustive},
-        budget_ms,
-    )
+    candidates = enumerate_subgroups(full) if exhaustive else cyclic_subgroups(full)
+    run = _Run("shape-lemma", {"p": p, "candidates": len(candidates), "exhaustive": exhaustive}, budget_ms)
     targets = _shape_targets(p)
     nontrivial = 0
     violations = 0
@@ -759,20 +722,10 @@ def verify_structure_props(
     closed = Mat2.diagonal(1 + p**j, (1 - p**j * inv) % n, ctx)
     run.check("unipotent bracket word equals its diagonal closed form", closed, word)
 
-    seen = set()
-    candidates = []
-    for gens in _structured_level2_candidates(ctx):
-        try:
-            grp = close_group(gens, ctx, cap=DEFAULT_CAP)
-        except CapExceeded:
-            continue
-        if grp.elements not in seen:
-            seen.add(grp.elements)
-            candidates.append(grp)
-    for grp in sample_level2_groups(p, seed, samples, tick=run.tick):
-        if grp.elements not in seen:
-            seen.add(grp.elements)
-            candidates.append(grp)
+    candidates = list(distinct_closures(_structured_level2_candidates(ctx), ctx))
+    seen = {grp.elements for grp in candidates}
+    sampled = sample_level2_groups(p, seed, samples, tick=run.tick)
+    candidates += [grp for grp in sampled if grp.elements not in seen]
 
     local_vanishing_instances = 0
     local_vanishing_violations = 0
@@ -795,7 +748,7 @@ def verify_structure_props(
             continue
         diag_part, upper_part, lower_part = special_subgroups(grp)
         part_elems = set(diag_part.elements) | set(upper_part.elements) | set(lower_part.elements)
-        regenerated = close_group(sorted(part_elems), ctx, cap=DEFAULT_CAP)
+        regenerated = close_group(sorted(part_elems), ctx)
         level1 = reduce_mod(grp, 1)
         if regenerated == grp and not _is_cyclic(level1):
             local_vanishing_instances += 1
@@ -939,14 +892,7 @@ def _curated_mod4_groups() -> list:
         [Mat2(1, 1, 0, 1, ctx), Mat2(1, 2, 2, 3, ctx)],
         [Mat2.diagonal(1, 3, ctx), Mat2.diagonal(3, 1, ctx)],
     ]
-    seen = set()
-    out = []
-    for gens in gen_sets:
-        grp = close_group(gens, ctx, cap=200)
-        if grp.elements not in seen:
-            seen.add(grp.elements)
-            out.append(grp)
-    return out
+    return list(distinct_closures(gen_sets, ctx))
 
 
 def verify_oracle_equivalence(budget_ms: int = DEFAULT_BUDGET_MS) -> ExperimentVerdict:
@@ -987,12 +933,3 @@ def verify_oracle_equivalence(budget_ms: int = DEFAULT_BUDGET_MS) -> ExperimentV
     run.check("locally trivial quotient invariants agree on every group", 0, counters["h1loc"])
     return run.verdict()
 
-
-EXPERIMENT_NAMES = (
-    "example6",
-    "diagonal",
-    "shape-lemma",
-    "structure-props",
-    "main-theorem",
-    "oracle",
-)

@@ -10,7 +10,8 @@ of an element with a kept generator exactly once and records it as an
 integer, which gives each group its Cayley table: close_group stores the
 table of its own walk, and a group built from an element list gets it from
 the same lazy walk that picks its generating set. cohom propagates cocycles
-over that table, with no matrix products.
+over that table, with no matrix products. distinct_closures closes a run of
+generator sets and drops a repeated group before it is built.
 
 A second lazy walk on the same tuples, the power walk, visits every cyclic
 subgroup once from its least generator. It gives cyclic_subgroups,
@@ -283,6 +284,33 @@ def close_group(gens: Iterable[Mat2], ctx: ModulusContext, cap: int = DEFAULT_CA
     the walk keeps become the group's generating set, and the products it
     forms become the group's Cayley table."""
     return _build(_close_walk(gens, ctx, cap), ctx)
+
+
+def distinct_closures(gen_sets: Iterable[Iterable[Mat2]], ctx: ModulusContext):
+    """The groups the generator sets generate, in order, each group once.
+
+    A set whose closure passes DEFAULT_CAP elements is skipped. A closure
+    equal to a group already yielded is dropped as soon as its walk ends,
+    before its group is built: a match on the order and the hash of the
+    element set is confirmed element by element. The next set is drawn only
+    when the next group is asked for, so a caller may stop early.
+    """
+    # the element tuples of the groups yielded so far, by order and hash of the element set
+    seen = {}
+    for gens in gen_sets:
+        try:
+            walk = _close_walk(gens, ctx, DEFAULT_CAP)
+        except CapExceeded:
+            continue
+        found = walk[1]
+        twins = seen.setdefault((len(found), hash(frozenset(found))), [])
+        if twins:
+            keys = sorted(found)
+            if any(keys == list(map(_key, elements)) for elements in twins):
+                continue
+        grp = _build(walk, ctx)
+        twins.append(grp.elements)
+        yield grp
 
 
 class _PowerWalk(NamedTuple):

@@ -157,8 +157,8 @@ def test_criterion_5_oracle_equivalence():
     verdict = verify_oracle_equivalence()
     assert verdict.passed, [c for c in verdict.checks if not c.ok]
     assert verdict.parameters["mod2_groups"] == 6
-    assert verdict.parameters["mod3_groups"] >= 10
-    assert verdict.parameters["mod4_groups"] >= 10
+    assert verdict.parameters["mod3_groups"] == 50
+    assert verdict.parameters["mod4_groups"] == 14
     _finish(5, "brute-force and linear-algebra paths agree on every group", t0, 120.0)
 
 

@@ -183,6 +183,35 @@ def test_experiment_rejects_bad_inputs(capsys):
     assert run_cli(capsys, "experiment", "example6", "--p", "3", "--cap", "5")[0] == 2
 
 
+# every experiment with each flag it does not read (besides --budget-ms, --out
+# and --format, which all of them read)
+UNREAD_FLAGS = [
+    ("example6", ["--p", "3", "--n", "2"]),
+    ("example6", ["--p", "3", "--seed", "0"]),
+    ("example6", ["--p", "3", "--n", "9", "--seed", "4"]),
+    ("diagonal", ["--p", "3", "--m", "2"]),
+    ("diagonal", ["--p", "3", "--seed", "0"]),
+    ("shape-lemma", ["--p", "5", "--n", "2"]),
+    ("shape-lemma", ["--p", "5", "--m", "2"]),
+    ("shape-lemma", ["--p", "5", "--seed", "1"]),
+    ("structure-props", ["--p", "3", "--n", "2"]),
+    ("structure-props", ["--p", "3", "--m", "2"]),
+    ("main-theorem", ["--p", "3", "--n", "3"]),
+    ("main-theorem", ["--p", "3", "--m", "2"]),
+    ("oracle", ["--p", "3"]),
+    ("oracle", ["--n", "2"]),
+    ("oracle", ["--m", "2"]),
+    ("oracle", ["--seed", "0"]),
+]
+
+
+@pytest.mark.parametrize("name, flags", UNREAD_FLAGS)
+def test_experiment_rejects_flags_it_does_not_read(capsys, name, flags):
+    code, out, err = run_cli(capsys, "experiment", name, *flags)
+    assert code == 2 and out == ""
+    assert re.fullmatch(rf"error: experiment {name} does not read --(n|m|p|seed)\n", err)
+
+
 def test_experiment_budget_exhaustion(capsys):
     code, _, err = run_cli(capsys, "experiment", "main-theorem", "--p", "3", "--budget-ms", "0")
     assert code == 3

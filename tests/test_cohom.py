@@ -311,6 +311,28 @@ def test_shared_engine_gives_the_same_answers():
         h1_loc_via_restrictions(SIGMA3, engine=engine)
 
 
+@pytest.mark.parametrize(
+    "module, match",
+    [(ModulusContext(5, 1), "different primes"), (ModulusContext(3, 3), "level exceeds")],
+)
+def test_action_must_fit_the_group(module, match):
+    # the group lives over Z/9: a module over another prime, or at a finer
+    # level than the group's, is refused where the action meets the group
+    grp = make_example_group(3).group
+    action = ModuleAction.standard(module)
+    with pytest.raises(ValueError, match=match):
+        cohomology_engine(grp, action)
+    with pytest.raises(ValueError, match=match):
+        h1_loc(grp, action)
+    with pytest.raises(ValueError, match=match):
+        is_cocycle(Cocycle(grp, action, ((0, 0),) * len(grp)))
+    # the brute-force oracles refuse it too
+    with pytest.raises(ValueError, match=match):
+        brute_cocycle_tables(grp, action)
+    with pytest.raises(ValueError, match=match):
+        brute_coboundary_tables(grp, action)
+
+
 def test_restriction_path_eliminates_twice_per_conjugacy_class(monkeypatch):
     calls = []
     howell = zmod._howell
