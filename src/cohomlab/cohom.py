@@ -567,16 +567,17 @@ def h1_loc_via_restrictions(
 # ---------------------------------------------------------------------------
 
 
-def is_cocycle(z: Cocycle, exhaustive: bool = False) -> bool:
+def is_cocycle(z: Cocycle) -> bool:
     """Check the relation Z_{gh} = Z_g + g.Z_h.
 
-    The default checks all pairs (s, h) with s a generator, which implies
-    the full relation; exhaustive=True checks every pair literally.
+    It is checked on the pairs (s, h) with s a generator, or the identity
+    when there is none. The pair (s, 1) gives s.Z_1 = 0, so Z_1 = 0, and
+    then the full relation follows by induction on g as a word in the
+    generators: Z_{gsh} = Z_g + g.Z_{sh} = Z_{gs} + gs.Z_h.
     """
     group, action = z.group, z.action
     N = action.ctx.modulus
-    firsts = group.elements if exhaustive else group.generating_set
-    for s in firsts:
+    for s in group.generating_set or (group.identity,):
         rows = action.act_rows(s)
         zs = z.values[group._index[s]]
         for h in group.elements:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import WrongLevel
-from .matgrp import MatGroup, _projective_line_reps, reduce_mod
-from .zmod import ModulusContext, ResidueMatrix, Submodule, kernel
+from .matgrp import MatGroup, _fixes_line, _projective_line_reps, reduce_mod
+from .zmod import ResidueMatrix, Submodule, kernel
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,12 @@ def stable_cyclic_submodules(group: MatGroup, order: int) -> list:
     first unit coordinate to 1 picks exactly one representative per line:
     (1, y) for y mod p^k, or (p t, 1) for t mod p^(k-1) when the first
     coordinate is not a unit. These are the p^(k-1)(p+1) points of the
-    projective line of Z/p^k, so each submodule is built and tested once.
+    projective line of Z/p^k, so each submodule is tested once.
     Stability under a generating set implies stability under the group,
-    since g(h v) lies in g<v> = <g v> <= <v>. The result is sorted by Howell
-    generators, which are canonical per submodule.
+    since g(h v) lies in g<v> = <g v> <= <v>, and p^(n-k) w is stable iff g
+    fixes the line of w mod p^k (matgrp._fixes_line), so a submodule is
+    built only for a stable line. The result is sorted by Howell generators,
+    which are canonical per submodule.
     """
     ctx = group.ctx
     p, n = ctx.p, ctx.n
@@ -93,13 +95,12 @@ def stable_cyclic_submodules(group: MatGroup, order: int) -> list:
     if q != 1 or k < 1 or k > n:
         raise ValueError(f"order must be a power of {p} between {p} and {ctx.modulus}")
     gens = group.generating_set
-    scale = p ** (n - k)
-    found = []
-    for x, y in _projective_line_reps(ModulusContext(p, k)):
-        v = (scale * x, scale * y)
-        span = Submodule.span([list(v)], 2, ctx)
-        if all(span.contains(g.apply(v)) for g in gens):
-            found.append(span)
+    scale, N = p ** (n - k), p**k
+    found = [
+        Submodule.span([[scale * x, scale * y]], 2, ctx)
+        for x, y in _projective_line_reps(p, N)
+        if all(_fixes_line(g, (x, y), N) for g in gens)
+    ]
     return sorted(found, key=lambda s: tuple(tuple(g.entries) for g in s.generators))
 
 

@@ -572,9 +572,11 @@ def make_example_group(p: int, m: Optional[int] = None) -> ExampleGroup:
 
 
 def reduce_mod(group: MatGroup, m: int) -> MatGroup:
-    """Image of the group under entrywise reduction Z/p^n -> Z/p^m."""
+    """Image of the group under entrywise reduction Z/p^n -> Z/p^m; at m = n, the group itself."""
     if m > group.ctx.n or m < 1:
         raise ValueError(f"target exponent {m} out of range 1..{group.ctx.n}")
+    if m == group.ctx.n:
+        return group
     sub = ModulusContext(group.ctx.p, m)
     elems = {Mat2(g.a, g.b, g.c, g.d, sub) for g in group.elements}
     gens = tuple(Mat2(g.a, g.b, g.c, g.d, sub) for g in group._gens)
@@ -672,54 +674,50 @@ def conjugate(group: MatGroup, t: Mat2) -> MatGroup:
     return MatGroup(elems, group.ctx, gens)
 
 
-def _projective_line_reps(ctx: ModulusContext):
-    """Generators of the free rank-1 submodules of (Z/p^n)^2: (1,y) then (pk,1)."""
-    N = ctx.modulus
+def _projective_line_reps(p: int, N: int):
+    """Generators of the free rank-1 submodules of (Z/N)^2, N a power of p,
+    each scaled so that its first unit coordinate is 1: (1,y) then (pk,1)."""
     for y in range(N):
         yield (1, y)
-    for k in range(N // ctx.p):
-        yield (ctx.p * k, 1)
+    for k in range(N // p):
+        yield (p * k, 1)
+
+
+def _fixes_line(g: Mat2, w: tuple, N: int) -> bool:
+    """Whether g maps the line of w into itself mod N, for w from
+    _projective_line_reps(p, N) and N dividing the modulus of g.
+
+    g w lies on the line of w iff g w = λ w for a scalar λ, and comparing
+    the coordinates where w has a 1 fixes λ: for w = (1, y) it is the first
+    coordinate of g w, for w = (pk, 1) the second.
+    """
+    x, y = w
+    first, second = g.a * x + g.b * y, g.c * x + g.d * y
+    return (second - first * y if x == 1 else first - second * x) % N == 0
 
 
 def find_triangularizing_conjugator(group: MatGroup):
     """A matrix t with t*G*t^{-1} all upper (or all lower) triangular, or None.
 
-    Searches for a free line stabilized by every element; the first basis
-    vector of t^{-1} spans that line. Identity-first ordering makes already
-    upper-triangular groups return (identity, "upper"). Moduli above 25
-    raise BudgetExceeded.
+    Searches the free lines in the order of _projective_line_reps for the
+    first one every generator fixes; the first basis vector of t^{-1} spans
+    it. The first line is that of (1, 0), so an upper-triangular group
+    returns (identity, "upper"); any other lower-triangular group returns
+    (identity, "lower"). Moduli above 25 raise BudgetExceeded.
     """
-    if group.ctx.modulus > 25:
-        raise BudgetExceeded(f"stable-line search over modulus {group.ctx.modulus} exceeds budget 25")
-    ident = Mat2.identity(group.ctx)
-    if all(g.is_upper() for g in group):
-        return ident, "upper"
-    if all(g.is_lower() for g in group):
-        return ident, "lower"
-    N = group.ctx.modulus
-    for v in _projective_line_reps(group.ctx):
-        stable = True
-        for g in group.generating_set:
-            w = g.apply(v)
-            # w must lie in the line spanned by v: solve w = t*v with t a scalar
-            if v[0] % group.ctx.p != 0:
-                t = w.entries[0] * unit_inverse(v[0], group.ctx) % N
-            else:
-                t = w.entries[1] * unit_inverse(v[1], group.ctx) % N
-            if (t * v[0] - w.entries[0]) % N or (t * v[1] - w.entries[1]) % N:
-                stable = False
-                break
-        if not stable:
-            continue
-        # complete v to a basis; t^{-1} has columns (v, w)
-        if v[0] % group.ctx.p != 0:
-            other = (0, 1)
-        else:
-            other = (1, 0)
-        t_inv = Mat2(v[0], other[0], v[1], other[1], group.ctx)
-        t = t_inv.inv()
-        conj = conjugate(group, t)
-        if not all(g.is_upper() for g in conj):
-            raise AssertionError("stable line did not triangularize")
-        return t, "upper"
-    return None
+    ctx = group.ctx
+    N = ctx.modulus
+    if N > 25:
+        raise BudgetExceeded(f"stable-line search over modulus {N} exceeds budget 25")
+    gens = group.generating_set
+    v = next((v for v in _projective_line_reps(ctx.p, N) if all(_fixes_line(g, v, N) for g in gens)), None)
+    if v is None:
+        return None
+    if v != (1, 0) and all(g.is_lower() for g in gens):
+        return Mat2.identity(ctx), "lower"
+    # complete v to a basis: t^{-1} has columns v and (0, 1), or (1, 0) when v = (pk, 1)
+    t_inv = Mat2(v[0], 0, v[1], 1, ctx) if v[0] == 1 else Mat2(v[0], 1, v[1], 0, ctx)
+    t = t_inv.inv()
+    if not all((t * g * t_inv).is_upper() for g in gens):
+        raise AssertionError("stable line did not triangularize")
+    return t, "upper"

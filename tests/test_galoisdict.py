@@ -18,7 +18,7 @@ from cohomlab.galoisdict import (
     isogeny_condition_p3,
     stable_cyclic_submodules,
 )
-from cohomlab.matgrp import Mat2, MatGroup, close_group, make_example_group, reduce_mod
+from cohomlab.matgrp import Mat2, MatGroup, close_group, enumerate_subgroups, make_example_group, reduce_mod
 from cohomlab.zmod import ModulusContext
 
 Z3 = ModulusContext(3, 1)
@@ -151,6 +151,11 @@ def test_stable_submodules_match_brute():
         (upper_mod8, (2, 4, 8)),
         (MatGroup((Mat2.identity(Z27),), Z27), (3, 9, 27)),
     ]
+    Z4 = ModulusContext(2, 2)
+    gl2_z4 = close_group([Mat2(1, 1, 0, 1, Z4), Mat2(0, 1, 1, 0, Z4), Mat2(3, 0, 0, 1, Z4)], Z4)
+    subgroups = enumerate_subgroups(gl2_z4)
+    assert (len(gl2_z4), len(subgroups)) == (96, 234)
+    cases += [(g, (2, 4)) for g in subgroups]
     for g, orders in cases:
         for order in orders:
             stable = stable_cyclic_submodules(g, order)

@@ -299,6 +299,7 @@ def test_reduce_mod_example_group():
     assert r.ctx == Z3
     assert len(r) == 2
     assert sorted(g.row_list() for g in r) == [[[1, 0], [0, 1]], [[1, 0], [0, 2]]]
+    assert reduce_mod(ex.group, 2) is ex.group
 
 
 def test_special_subgroups_example():
