@@ -203,7 +203,7 @@ def test_criterion_8_falsification_searches_clean():
         assert verdict.passed, (verdict.name, [c for c in verdict.checks if not c.ok])
         assert verdict.counterexamples == [], verdict.counterexamples
     # seed-0 parameters (candidates, local-vanishing, triangular and word
-    # instances); test_experiments pins seed 1 the same way
+    # instances); test_experiments pins seeds 0 and 1 the same way
     keys = ("candidates", "local_vanishing_instances", "triangular_instances", "word_instances")
     assert tuple(structure.parameters[k] for k in keys) == (144, 6, 0, 12)
     _finish(8, "shape, structure, and falsification searches report zero violations", t0, 600.0)
