@@ -38,8 +38,8 @@ cyclic subgroup is conjugate to a representative
   lies in the image of g - I, one annihilator of Im(g - I) per
   representative, at its least generator g;
 - the restriction path (h1_loc_via_restrictions) takes, per representative
-  C, the kernel of the matrix with a block [coeff[h] | -(h - I)] for each
-  h in C: the pairs (x, v) whose restricted table is the coboundary of v
+  C, the kernel of the matrix with a block [coeff[h] | h - I] for each
+  h in C: the pairs (x, v) whose restricted table is the coboundary of -v
   on all of C. The annihilator of its projection onto x gives the rows.
   Its size is r|C| x (kr + r), linear in |C|, and each C costs two
   eliminations.
@@ -128,20 +128,6 @@ class ModuleAction:
             raise ValueError("line actions are defined for diagonal matrices only")
         u = (g.a if self.coord == 0 else g.d) % N
         return ((u,),)
-
-    def act_minus_identity(self, g: Mat2) -> ResidueMatrix:
-        rows = self.act_rows(g)
-        return ResidueMatrix.from_rows(
-            [[(e - (1 if i == j else 0)) % self.ctx.modulus for j, e in enumerate(row)] for i, row in enumerate(rows)],
-            self.ctx,
-        )
-
-    def apply(self, g: Mat2, vec) -> ResidueVector:
-        rows = self.act_rows(g)
-        N = self.ctx.modulus
-        return ResidueVector(
-            tuple(sum(a * x for a, x in zip(row, vec)) % N for row in rows), self.ctx
-        )
 
 
 def _action_for(group: MatGroup, action: Optional[ModuleAction]) -> ModuleAction:
@@ -358,19 +344,18 @@ def _row(a, m, N: int) -> tuple:
     return tuple(sum(map(mul, a, col)) % N for col in zip(*m))
 
 
-def _coboundary_span(elements, action: ModuleAction) -> Submodule:
-    """Span of the tables g -> g.e_j - e_j over the listed elements."""
-    r = action.rank
+def _minus_identity(action: ModuleAction, g: Mat2) -> list:
+    """Rows of g - I on the module, read from act_rows."""
     N = action.ctx.modulus
-    tables = []
-    for j in range(r):
-        basis = tuple(1 if i == j else 0 for i in range(r))
-        flat = []
-        for g in elements:
-            moved = action.apply(g, basis)
-            flat.extend((moved.entries[i] - basis[i]) % N for i in range(r))
-        tables.append(flat)
-    return Submodule.span(tables, r * len(elements), action.ctx)
+    return [[(e - (i == j)) % N for j, e in enumerate(row)] for i, row in enumerate(action.act_rows(g))]
+
+
+def _coboundary_span(elements, action: ModuleAction) -> Submodule:
+    """Span of the tables g -> (g - I)e_j over the listed elements: table j
+    lists column j of every g - I."""
+    diffs = [_minus_identity(action, g) for g in elements]
+    tables = [[row[j] for d in diffs for row in d] for j in range(action.rank)]
+    return Submodule.span(tables, action.rank * len(elements), action.ctx)
 
 
 class Engine(NamedTuple):
@@ -434,7 +419,7 @@ def _locally_trivial(group: MatGroup, action: ModuleAction, coeff, rows) -> Subm
     for powers in group._class_representatives:
         g = powers[0]
         # Ann(Im(g - I)) is the left kernel of g - I
-        for a in _left_kernel(action.act_minus_identity(group.elements[g]).row_list(), r, action.ctx):
+        for a in _left_kernel(_minus_identity(action, group.elements[g]), r, action.ctx):
             row = _row(a, coeff[g], N)
             if any(row):
                 local.add(row)
@@ -466,11 +451,10 @@ def coboundary_of(group: MatGroup, v, action: Optional[ModuleAction] = None) -> 
     """The coboundary cocycle g -> g.v - v."""
     action = _action_for(group, action)
     N = action.ctx.modulus
-    vals = []
-    for g in group.elements:
-        moved = action.apply(g, tuple(v))
-        vals.append(tuple((moved.entries[i] - v[i]) % N for i in range(action.rank)))
-    return Cocycle(group, action, tuple(vals))
+    vals = tuple(
+        tuple(sum(map(mul, row, v)) % N for row in _minus_identity(action, g)) for g in group.elements
+    )
+    return Cocycle(group, action, vals)
 
 
 def locally_trivial_subspace(group: MatGroup, action: Optional[ModuleAction] = None) -> Submodule:
@@ -491,7 +475,8 @@ def h1_loc(
     """Invariant factors of L / B^1 with explicit witness cocycles.
 
     The witnesses come from value tables: the quotient of the table form of
-    L by coboundary_space, each generator reduced modulo B^1. An engine
+    L by the table form of the engine's B^1, which spans the same submodule
+    as coboundary_space, each generator reduced modulo B^1. An engine
     from cohomology_engine(group, action) may be passed to reuse its work.
     """
     _, action, coeff, rows, z1, b1 = _engine(group, action, engine)
@@ -503,7 +488,7 @@ def h1_loc(
     loc = _locally_trivial(group, action, coeff, rows) if h1_inv else None
     if loc is None or not quotient_invariants(loc, b1):
         return CohomologyReport(z1_inv, b1_inv, h1_inv, (), ())
-    b1_full = coboundary_space(group, action)
+    b1_full = _tables(group, action, coeff, b1)
     loc_inv, raw_wits = quotient_decomposition(_tables(group, action, coeff, loc), b1_full)
     witnesses = []
     for w in raw_wits:
@@ -529,8 +514,8 @@ def h1_loc_via_restrictions(
     w = t^-1 Z_t, Z_{tct^-1} = t (Z_c - (c - I) w), so Z restricts to a
     coboundary on C iff it does on tCt^-1, and one C per conjugacy class
     of G suffices (MatGroup._class_representatives). Per C
-    the pairs (x, v) doing so form the kernel of the (r|C|) x (kr + r)
-    matrix B with a block [coeff[h] | -(h - I)] per h, found as the left
+    the pairs (x, -v) doing so form the kernel of the (r|C|) x (kr + r)
+    matrix B with a block [coeff[h] | h - I] per h, found as the left
     kernel of B^T, which is built by columns; its projection P_C onto x is
     cut out by the annihilator of P_C, the left kernel of P_C^T, since
     annihilators are reflexive over Z/p^n. That is two eliminations per C.
@@ -542,19 +527,13 @@ def h1_loc_via_restrictions(
     reuse its work.
     """
     _, action, coeff, rows, _, b1 = _engine(group, action, engine)
-    r = action.rank
     dim = b1.ambient_rank
     ctx = action.ctx
-    N = ctx.modulus
     elements = group.elements
     restricted = set()
     for powers in group._class_representatives:
         xs = [crow for h in powers for crow in coeff[h]]
-        vs = [
-            [((i == j) - a) % N for j, a in enumerate(arow)]
-            for h in powers
-            for i, arow in enumerate(action.act_rows(elements[h]))
-        ]
+        vs = [vrow for h in powers for vrow in _minus_identity(action, elements[h])]
         pairs = _left_kernel([*zip(*xs), *zip(*vs)], len(xs), ctx)
         projection = [y[:dim] for y in pairs]
         ann = _left_kernel(list(zip(*projection)), len(projection), ctx)
@@ -594,26 +573,18 @@ def is_cocycle(z: Cocycle) -> bool:
 def is_coboundary(z: Cocycle) -> Optional[ResidueVector]:
     """A vector v with Z_g = g.v - v for all g, or None."""
     action = z.action
-    r = action.rank
-    rows = []
-    rhs = []
-    for g in z.group.elements:
-        diff = action.act_minus_identity(g)
-        for i in range(r):
-            rows.append([diff.entries[i * r + j] for j in range(r)])
-        rhs.extend(z.values[z.group._index[g]])
-    m = ResidueMatrix.from_rows(rows, action.ctx, cols=r)
-    return solve_linear(m, ResidueVector(tuple(rhs), action.ctx))
+    rows = [row for g in z.group.elements for row in _minus_identity(action, g)]
+    m = ResidueMatrix.from_rows(rows, action.ctx, cols=action.rank)
+    return solve_linear(m, z.flatten())
 
 
 def is_locally_trivial(z: Cocycle) -> bool:
     """Whether each single value Z_g lies in the image of g - I."""
-    action = z.action
-    for g in z.group.elements:
-        diff = action.act_minus_identity(g)
-        if not image_contains(diff, z.value_of(g)):
-            return False
-    return True
+    ctx = z.action.ctx
+    return all(
+        image_contains(ResidueMatrix.from_rows(_minus_identity(z.action, g), ctx), ResidueVector(v, ctx))
+        for g, v in zip(z.group.elements, z.values)
+    )
 
 
 def restriction(z: Cocycle, subgroup: MatGroup) -> Cocycle:

@@ -44,11 +44,16 @@ class ConditionReport:
 
 
 def fixed_points(group: MatGroup) -> Submodule:
-    """Common fixed vectors: the intersection of ker(g - I) over the group."""
+    """Common fixed vectors: the intersection of ker(g - I) over the group.
+
+    A vector fixed by a generating set is fixed by every product of its
+    members, so the generators' rows suffice; the trivial group has none
+    and fixes everything.
+    """
     ctx = group.ctx
     n = ctx.modulus
     rows = []
-    for g in group.elements:
+    for g in group.generating_set:
         rows.append([(g.a - 1) % n, g.b])
         rows.append([g.c, (g.d - 1) % n])
     m = ResidueMatrix.from_rows(rows, ctx, cols=2)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import re
 
@@ -14,16 +15,17 @@ def write_spec(tmp_path, doc, name="spec.json"):
     return str(path)
 
 
-def example_family_spec(tmp_path):
+def example_family_spec(tmp_path, p=3, m=2):
+    """The order-2p^2 family over Z/p^2, with m a nonsquare mod p."""
     return write_spec(
         tmp_path,
         {
-            "p": 3,
+            "p": p,
             "n": 2,
             "generators": [
-                [[1, 0], [0, 8]],
-                [[4, 0], [0, 4]],
-                [[1, 6], [3, 1]],
+                [[1, 0], [0, p * p - 1]],
+                [[1 + p, 0], [0, 1 + p]],
+                [[1, m * p], [p, 1]],
             ],
         },
     )
@@ -51,6 +53,17 @@ FAMILY_18_GOLDEN = {
         "isogenyConditionP3": False,
         "zetaConditionHolds": False,
     },
+}
+
+
+# sha256 of `compute --local --conditions` stdout on the family spec at the
+# larger primes, with the least nonsquare m; each output carries one witness
+# of 2p^2 values.
+FAMILY_SHA256 = {
+    (5, 2): "9d1e66f4f0bdcf21b7f7bdeb885156e1fd4b734ee35cdfb77309a6bc07dc801e",
+    (7, 3): "4e204f083c2ed2bc6f689a6dbc44c193cac08c70152e6a59131e8fbc22076120",
+    (11, 2): "561cad533d2b846a3d2129e2ca4f520ee0a5e51912add588ae7decd07e6c9c57",
+    (13, 2): "8f87028f2d6d66ecb18664363660229df7d5fb1adfedd111c4f0649e2ce94b87",
 }
 
 
@@ -148,6 +161,16 @@ def test_compute_byte_identical_reruns(tmp_path, capsys):
     _, out2, _ = run_cli(capsys, "compute", spec, "--local", "--conditions")
     assert out1 == out2
     assert out1 == json.dumps(FAMILY_18_GOLDEN, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("p, m", sorted(FAMILY_SHA256))
+def test_compute_family_output_pinned(tmp_path, capsys, p, m):
+    spec = example_family_spec(tmp_path, p, m)
+    code, out, _ = run_cli(capsys, "compute", spec, "--local", "--conditions")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["h1loc"] == [p] and len(doc["witnesses"]) == 1 and len(doc["witnesses"][0]) == 2 * p * p
+    assert hashlib.sha256(out.encode()).hexdigest() == FAMILY_SHA256[p, m]
 
 
 def test_compute_out_file_and_csv(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Tests for the cohomology core.
 
-The anti-regression oracle here enumerates value tables literally: either
-every table in M^|G| (tiny cases) or every assignment of generator values
-propagated through the group, with the cocycle relation then checked over
-all pairs. Expected cardinalities below were frozen from those runs.
+The anti-regression oracle is the brute-force one in cohomlab.experiments:
+it enumerates value tables literally, either every table in M^|G| (tiny
+cases) or every assignment of generator values propagated through the
+group, with the cocycle relation then checked over all pairs, and it reads
+the action only through act_rows. Expected cardinalities below were frozen
+from those runs.
 """
 
 import itertools
@@ -39,7 +41,13 @@ from cohomlab.errors import (
     NotASubgroup,
     StabilizerMismatch,
 )
-from cohomlab.experiments import brute_cocycle_tables, brute_coboundary_tables, brute_quotient_invariants
+from cohomlab.experiments import (
+    _relation_holds,
+    brute_coboundary_tables,
+    brute_cocycle_tables,
+    brute_locally_trivial_tables,
+    brute_quotient_invariants,
+)
 from cohomlab.matgrp import (
     Mat2,
     MatGroup,
@@ -58,91 +66,6 @@ Z2 = ModulusContext(2, 1)
 Z3 = ModulusContext(3, 1)
 Z9 = ModulusContext(3, 2)
 Z25 = ModulusContext(5, 2)
-
-
-# ---------------------------------------------------------------------------
-# oracle: literal table enumeration
-# ---------------------------------------------------------------------------
-
-
-def table_satisfies_relation(group, action, table):
-    n = action.ctx.modulus
-    idx = group._index
-    for g in group.elements:
-        rows = action.act_rows(g)
-        zg = table[idx[g]]
-        for h in group.elements:
-            zh = table[idx[h]]
-            want = tuple(
-                (zg[i] + sum(rows[i][t] * zh[t] for t in range(action.rank))) % n
-                for i in range(action.rank)
-            )
-            if table[idx[g * h]] != want:
-                return False
-    return True
-
-
-def brute_tables(group, action):
-    """All cocycle tables, by propagating every generator assignment."""
-    n = action.ctx.modulus
-    r = action.rank
-    gens = group.generating_set
-    module = list(itertools.product(range(n), repeat=r))
-    if not gens:
-        return {((0,) * r,)}
-    out = set()
-    for assign in itertools.product(module, repeat=len(gens)):
-        table = {group.identity: (0,) * r}
-        frontier = [group.identity]
-        ok = True
-        while frontier and ok:
-            h = frontier.pop()
-            zh = table[h]
-            for s, zs in zip(gens, assign):
-                g = s * h
-                rows = action.act_rows(s)
-                val = tuple(
-                    (zs[i] + sum(rows[i][t] * zh[t] for t in range(r))) % n for i in range(r)
-                )
-                if g not in table:
-                    table[g] = val
-                    frontier.append(g)
-                elif table[g] != val:
-                    ok = False
-                    break
-        if not ok or len(table) != len(group):
-            continue
-        flat = tuple(table[g] for g in group.elements)
-        if table_satisfies_relation(group, action, flat):
-            out.add(flat)
-    return out
-
-
-def brute_coboundaries(group, action):
-    n = action.ctx.modulus
-    r = action.rank
-    out = set()
-    for v in itertools.product(range(n), repeat=r):
-        tab = []
-        for g in group.elements:
-            moved = action.apply(g, v)
-            tab.append(tuple((moved.entries[i] - v[i]) % n for i in range(r)))
-        out.add(tuple(tab))
-    return out
-
-
-def brute_locally_trivial(group, action, z1_tables):
-    n = action.ctx.modulus
-    r = action.rank
-    idx = group._index
-    images = []
-    for g in group.elements:
-        img = set()
-        for v in itertools.product(range(n), repeat=r):
-            moved = action.apply(g, v)
-            img.add(tuple((moved.entries[i] - v[i]) % n for i in range(r)))
-        images.append(img)
-    return {t for t in z1_tables if all(t[idx[g]] in images[i] for i, g in enumerate(group.elements))}
 
 
 def submodule_card(sub):
@@ -194,10 +117,10 @@ def test_sigma_mod3_cardinalities():
 
 def test_sigma_mod3_matches_brute():
     action = ModuleAction.standard(Z3)
-    tables = brute_tables(SIGMA3, action)
+    tables = brute_cocycle_tables(SIGMA3, action)
     assert len(tables) == 9
-    assert brute_coboundaries(SIGMA3, action) <= tables
-    assert len(brute_coboundaries(SIGMA3, action)) == 3
+    assert brute_coboundary_tables(SIGMA3, action) <= tables
+    assert len(brute_coboundary_tables(SIGMA3, action)) == 3
     got = {tuple(tuple(v[i * 2 : i * 2 + 2]) for i in range(len(SIGMA3))) for v in (x.entries for x in cocycle_space(SIGMA3).vectors())}
     assert got == tables
 
@@ -208,9 +131,9 @@ def test_gl2f2_all_subgroups_match_brute():
     g = close_group([swap, sig], Z2)
     action = ModuleAction.standard(Z2)
     for sub in enumerate_subgroups(g):
-        tables = brute_tables(sub, action)
-        cobs = brute_coboundaries(sub, action)
-        loc_tables = brute_locally_trivial(sub, action, tables)
+        tables = brute_cocycle_tables(sub, action)
+        cobs = brute_coboundary_tables(sub, action)
+        loc_tables = brute_locally_trivial_tables(sub, action, tables)
         assert cocycle_space(sub).cardinality() == len(tables)
         assert coboundary_space(sub).cardinality() == len(cobs)
         assert locally_trivial_subspace(sub).cardinality() == len(loc_tables)
@@ -242,9 +165,9 @@ def test_random_small_groups_match_brute(data):
         return
     ctx = grp.ctx
     action = ModuleAction.standard(ctx)
-    tables = brute_tables(grp, action)
-    cobs = brute_coboundaries(grp, action)
-    loc_tables = brute_locally_trivial(grp, action, tables)
+    tables = brute_cocycle_tables(grp, action)
+    cobs = brute_coboundary_tables(grp, action)
+    loc_tables = brute_locally_trivial_tables(grp, action, tables)
     z1 = cocycle_space(grp, action)
     b1 = coboundary_space(grp, action)
     loc = locally_trivial_subspace(grp, action)
@@ -308,6 +231,22 @@ def test_shared_engine_gives_the_same_answers():
         h1_loc(grp, line, engine=engine)
     with pytest.raises(ValueError, match="another group or action"):
         h1_loc_via_restrictions(SIGMA3, engine=engine)
+
+
+def test_engine_b1_tables_are_the_coboundary_space():
+    # h1_loc reduces its witnesses modulo the table form of the engine's B^1,
+    # spanned from the generator values (s - I)e_j; coboundary_space spans
+    # the tables of every g - I directly. Both are canonical Howell spans.
+    Z4 = ModulusContext(2, 2)
+    gl2_z4 = close_group([Mat2(1, 1, 0, 1, Z4), Mat2(0, 1, 1, 0, Z4), Mat2(3, 0, 0, 1, Z4)], Z4)
+    sylow = close_group(
+        [Mat2(1, 1, 0, 1, Z9), Mat2(1, 0, 3, 1, Z9), Mat2.diagonal(4, 1, Z9), Mat2.diagonal(1, 4, Z9)], Z9
+    )
+    subgroups = enumerate_subgroups(gl2_z4) + enumerate_subgroups(sylow)
+    assert len(subgroups) == 234 + 342
+    for g in subgroups:
+        eng = cohomology_engine(g)
+        assert _tables(g, eng.action, eng.coeff, eng.b1) == coboundary_space(g)
 
 
 @pytest.mark.parametrize(
@@ -505,7 +444,7 @@ def test_example_cocycle_in_computed_spaces():
 
 
 def test_is_cocycle_matches_all_pairs_relation():
-    # is_cocycle checks generator pairs only; table_satisfies_relation checks
+    # is_cocycle checks generator pairs only; _relation_holds checks
     # every pair. They must agree on cocycles and on tables with one value
     # moved: the example cocycle at p = 3, and the cocycle space generators
     # of the least subgroup of each order of GL2(F_3), the trivial one too.
@@ -521,12 +460,12 @@ def test_is_cocycle_matches_all_pairs_relation():
         cocycles += [Cocycle.from_flat(sub, action, flat) for flat in flats]
     rejected = 0
     for z in cocycles:
-        assert is_cocycle(z) and table_satisfies_relation(z.group, z.action, z.values)
+        assert is_cocycle(z) and _relation_holds(z.group, z.action, z.values)
         for i in (0, len(z.values) // 2, len(z.values) - 1):
             values = list(z.values)
             values[i] = (values[i][0] + 1, values[i][1])
             moved = Cocycle(z.group, z.action, tuple(values))
-            literal = table_satisfies_relation(z.group, z.action, moved.values)
+            literal = _relation_holds(z.group, z.action, moved.values)
             assert is_cocycle(moved) == literal
             rejected += not literal
     assert rejected >= 2 * len(cocycles)
