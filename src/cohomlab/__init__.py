@@ -77,11 +77,8 @@ from .matgrp import (
 )
 from .zmod import (
     ModulusContext,
-    ResidueMatrix,
-    ResidueVector,
     Submodule,
     annihilator,
-    canonical_row_form,
     kernel,
     quotient_decomposition,
     quotient_invariants,

@@ -63,8 +63,6 @@ def _jsonable(value):
         return [[value.a, value.b], [value.c, value.d]]
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if hasattr(value, "entries"):
-        return [int(e) for e in value.entries]
     return value
 
 
@@ -454,8 +452,8 @@ def run_example6(
             inv = unit_inverse(den, ctx)
             v = (c * c * ex.nonsquare * inv % n, -b * c * inv % n)
         moved = g.apply(v)
-        got = ((moved.entries[0] - v[0]) % n, (moved.entries[1] - v[1]) % n)
-        if got != tuple(zc.value_of(g)):
+        got = ((moved[0] - v[0]) % n, (moved[1] - v[1]) % n)
+        if got != zc.value_of(g):
             bad_local += 1
     run.check("closed-form local solution verified at every element", 0, bad_local)
     run.check("cocycle passes the elementwise local test", True, is_locally_trivial(zc))
@@ -463,11 +461,11 @@ def run_example6(
     run.check("cocycle is not a coboundary", None, is_coboundary(zc))
 
     def single_element_solutions(g):
-        target = tuple(zc.value_of(g))
+        target = zc.value_of(g)
         sols = set()
         for v in itertools.product(range(n), repeat=2):
             moved = g.apply(v)
-            if ((moved.entries[0] - v[0]) % n, (moved.entries[1] - v[1]) % n) == target:
+            if ((moved[0] - v[0]) % n, (moved[1] - v[1]) % n) == target:
                 sols.add(v)
         return sols
 
@@ -501,7 +499,7 @@ def run_example6(
     run.check(
         "class of the displayed cocycle has order p",
         True,
-        zc.scale(p).is_zero() and locally_trivial_subspace(grp).contains(zc.flatten().entries),
+        zc.scale(p).is_zero() and locally_trivial_subspace(grp).contains(zc.flatten()),
     )
 
     cond = evaluate_main_theorem_conditions(grp)
@@ -847,9 +845,9 @@ def _compare_paths(run: _Run, grp: MatGroup, counters: dict) -> None:
     def flatten_all(tables):
         return {tuple(itertools.chain.from_iterable(t)) for t in tables}
 
-    z_lin = {v.entries for v in cocycle_space(grp).vectors()}
-    b_lin = {v.entries for v in coboundary_space(grp).vectors()}
-    l_lin = {v.entries for v in locally_trivial_subspace(grp).vectors()}
+    z_lin = set(cocycle_space(grp).vectors())
+    b_lin = set(coboundary_space(grp).vectors())
+    l_lin = set(locally_trivial_subspace(grp).vectors())
     if flatten_all(z_brute) != z_lin:
         counters["z"] += 1
         run.counterexample(grp, "cocycle tables differ between the two paths")

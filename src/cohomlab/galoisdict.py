@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import WrongLevel
 from .matgrp import MatGroup, _fixes_line, _projective_line_reps, reduce_mod
-from .zmod import ResidueMatrix, Submodule, kernel
+from .zmod import Submodule, kernel
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,10 @@ class ConditionReport:
             "detImageOrderMod_p": self.det_image_order_mod_p,
             "detKernelTrivialMod_p": self.det_kernel_trivial_mod_p,
             "stableCyclicOrderP": [
-                [list(g.entries) for g in s.generators] for s in self.stable_cyclic_order_p
+                [list(g) for g in s.generators] for s in self.stable_cyclic_order_p
             ],
             "stableCyclicOrderP2": [
-                [list(g.entries) for g in s.generators] for s in self.stable_cyclic_order_p2
+                [list(g) for g in s.generators] for s in self.stable_cyclic_order_p2
             ],
             "isogenyConditionP3": self.isogeny_condition_p3,
             "zetaConditionHolds": self.zeta_condition_holds,
@@ -56,8 +56,7 @@ def fixed_points(group: MatGroup) -> Submodule:
     for g in group.generating_set:
         rows.append([(g.a - 1) % n, g.b])
         rows.append([g.c, (g.d - 1) % n])
-    m = ResidueMatrix.from_rows(rows, ctx, cols=2)
-    return kernel(m)
+    return kernel(rows, 2, ctx)
 
 
 def det_image(group: MatGroup) -> list:
@@ -106,7 +105,7 @@ def stable_cyclic_submodules(group: MatGroup, order: int) -> list:
         for x, y in _projective_line_reps(p, N)
         if all(_fixes_line(g, (x, y), N) for g in gens)
     ]
-    return sorted(found, key=lambda s: tuple(tuple(g.entries) for g in s.generators))
+    return sorted(found, key=lambda s: s.generators)
 
 
 def _disjoint_pair(big, small) -> bool:

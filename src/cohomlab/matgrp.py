@@ -46,7 +46,7 @@ from .errors import (
     NonInvertibleConjugator,
     NonInvertibleGenerator,
 )
-from .zmod import ModulusContext, ResidueVector, _is_prime, unit_inverse
+from .zmod import ModulusContext, _is_prime, unit_inverse
 
 DEFAULT_CAP = 5000
 
@@ -167,10 +167,11 @@ class Mat2:
         sub = ModulusContext(self.ctx.p, m)
         return Mat2(self.a, self.b, self.c, self.d, sub)
 
-    def apply(self, vec) -> ResidueVector:
-        """Matrix-times-column-vector action on the rank-2 module."""
+    def apply(self, vec) -> tuple:
+        """Matrix-times-column-vector action on the rank-2 module, reduced mod p^n."""
         x, y = vec
-        return ResidueVector((self.a * x + self.b * y, self.c * x + self.d * y), self.ctx)
+        N = self.ctx.modulus
+        return ((self.a * x + self.b * y) % N, (self.c * x + self.d * y) % N)
 
 
 # The entries of a Mat2 as a plain tuple: its sort key, and the element

@@ -12,7 +12,8 @@ Quotients of finite modules are reported through their invariant factors,
 obtained by lifting a relation matrix to the integers (appending the
 p^n-multiple relations) and reducing it to diagonal Smith form.
 
-Everything is plain Python integers; p^n never leaves the exact range.
+Vectors are tuples of plain Python integers and matrices are sequences of
+such rows; p^n never leaves the exact range.
 """
 
 from __future__ import annotations
@@ -79,98 +80,6 @@ def unit_inverse(a: int, ctx: ModulusContext) -> int:
     if a % ctx.p == 0:
         raise NotAUnit(f"{a} is divisible by {ctx.p} mod {ctx.modulus}")
     return pow(a, -1, ctx.modulus)
-
-
-@dataclass(frozen=True)
-class ResidueVector:
-    """Vector over Z/p^nZ with canonical entries in [0, p^n)."""
-
-    entries: tuple[int, ...]
-    ctx: ModulusContext
-
-    def __post_init__(self) -> None:
-        n = self.ctx.modulus
-        object.__setattr__(self, "entries", tuple(int(e) % n for e in self.entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __add__(self, other: "ResidueVector") -> "ResidueVector":
-        self._check(other)
-        return ResidueVector(tuple(x + y for x, y in zip(self.entries, other.entries)), self.ctx)
-
-    def __sub__(self, other: "ResidueVector") -> "ResidueVector":
-        self._check(other)
-        return ResidueVector(tuple(x - y for x, y in zip(self.entries, other.entries)), self.ctx)
-
-    def scale(self, k: int) -> "ResidueVector":
-        return ResidueVector(tuple(k * x for x in self.entries), self.ctx)
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
-    def _check(self, other: "ResidueVector") -> None:
-        if self.ctx != other.ctx or len(self) != len(other):
-            raise DimensionMismatch("vector shapes or moduli differ")
-
-    @classmethod
-    def zero(cls, length: int, ctx: ModulusContext) -> "ResidueVector":
-        return cls((0,) * length, ctx)
-
-
-@dataclass(frozen=True)
-class ResidueMatrix:
-    """Row-major matrix over Z/p^nZ with canonical entries."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-    ctx: ModulusContext
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        n = self.ctx.modulus
-        object.__setattr__(self, "entries", tuple(int(e) % n for e in self.entries))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], ctx: ModulusContext, cols: Optional[int] = None) -> "ResidueMatrix":
-        rows = [list(r) for r in rows]
-        if rows:
-            cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
-                raise DimensionMismatch("ragged rows")
-        elif cols is None:
-            raise DimensionMismatch("empty matrix needs an explicit column count")
-        flat = tuple(e for r in rows for e in r)
-        return cls(len(rows), cols, flat, ctx)
-
-    def row(self, i: int) -> list[int]:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def row_list(self) -> list[list[int]]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def transpose_rows(self) -> list[list[int]]:
-        return [[self.entries[i * self.cols + j] for i in range(self.rows)] for j in range(self.cols)]
-
-    def mul_vec(self, v: Sequence[int]) -> ResidueVector:
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"matrix has {self.cols} columns, vector has {len(v)}")
-        n = self.ctx.modulus
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            out.append(sum(self.entries[base + j] * v[j] for j in range(self.cols)) % n)
-        return ResidueVector(tuple(out), self.ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -281,61 +190,53 @@ def _reduce_against(hrows: Sequence[Sequence[int]], vec: Sequence[int], ctx: Mod
 class Submodule:
     """Submodule of (Z/p^nZ)^ambient_rank held by canonical generators.
 
-    Generators are the Howell normal form of any spanning set: unique per
-    submodule, ordered by pivot column, never containing the zero vector.
+    Generators are the Howell normal form of any spanning set, as tuples of
+    canonical entries: unique per submodule, ordered by pivot column, never
+    containing the zero vector.
     """
 
     ambient_rank: int
-    generators: tuple[ResidueVector, ...]
+    generators: tuple[tuple[int, ...], ...]
     ctx: ModulusContext
 
     @classmethod
     def span(cls, rows: Sequence[Sequence[int]], ambient_rank: int, ctx: ModulusContext) -> "Submodule":
         H, _, _ = _howell(rows, ambient_rank, ctx)
-        gens = tuple(ResidueVector(tuple(r), ctx) for r in H)
-        return cls(ambient_rank, gens, ctx)
+        return cls(ambient_rank, tuple(map(tuple, H)), ctx)
 
     @classmethod
     def zero(cls, ambient_rank: int, ctx: ModulusContext) -> "Submodule":
         return cls(ambient_rank, (), ctx)
 
-    def _rows(self) -> list[list[int]]:
-        return [list(g.entries) for g in self.generators]
-
     def contains(self, v: Sequence[int]) -> bool:
+        return not any(self.coset_reduce(v))
+
+    def coset_reduce(self, v: Sequence[int]) -> tuple[int, ...]:
+        """Canonical representative of v + self (greedy Howell reduction)."""
         if len(v) != self.ambient_rank:
             raise DimensionMismatch("vector length differs from ambient rank")
-        res, _ = _reduce_against(self._rows(), v, self.ctx)
-        return not any(res)
-
-    def coset_reduce(self, v: Sequence[int]) -> ResidueVector:
-        """Canonical representative of v + self (greedy Howell reduction)."""
-        res, _ = _reduce_against(self._rows(), v, self.ctx)
-        return ResidueVector(tuple(res), self.ctx)
+        res, _ = _reduce_against(self.generators, v, self.ctx)
+        return tuple(res)
 
     def cardinality(self) -> int:
         N = self.ctx.modulus
         size = 1
         for g in self.generators:
-            piv = next(e for e in g.entries if e)
-            size *= N // piv
+            size *= N // next(e for e in g if e)
         return size
 
     def is_zero(self) -> bool:
         return not self.generators
 
-    def vectors(self) -> Iterator[ResidueVector]:
+    def vectors(self) -> Iterator[tuple[int, ...]]:
         """All elements (cardinality-many; caller guards sizes)."""
         N = self.ctx.modulus
-        gens = self._rows()
-        ranges = []
-        for g in self.generators:
-            piv = next(e for e in g.entries if e)
-            ranges.append(N // piv)
+        gens = self.generators
+        ranges = [N // next(e for e in g if e) for g in gens]
 
-        def rec(i: int, acc: list[int]) -> Iterator[ResidueVector]:
+        def rec(i: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
             if i == len(gens):
-                yield ResidueVector(tuple(acc), self.ctx)
+                yield tuple(acc)
                 return
             for c in range(ranges[i]):
                 yield from rec(i + 1, [(a + c * b) % N for a, b in zip(acc, gens[i])])
@@ -344,13 +245,7 @@ class Submodule:
 
     def le(self, other: "Submodule") -> bool:
         """Containment self <= other."""
-        return all(other.contains(g.entries) for g in self.generators)
-
-
-def canonical_row_form(m: ResidueMatrix) -> ResidueMatrix:
-    """Howell normal form of the rows of m; unique per row space."""
-    H, _, _ = _howell(m.row_list(), m.cols, m.ctx)
-    return ResidueMatrix.from_rows(H, m.ctx, cols=m.cols)
+        return all(other.contains(g) for g in self.generators)
 
 
 def _left_kernel(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext) -> list[list[int]]:
@@ -359,38 +254,49 @@ def _left_kernel(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext)
     return _howell(rows, ncols, ctx, transform=True)[2]
 
 
-def kernel(m: ResidueMatrix) -> Submodule:
-    """{x : m*x = 0}, via the left kernel of the transpose."""
-    return Submodule.span(_left_kernel(m.transpose_rows(), m.rows, m.ctx), m.cols, m.ctx)
+def _columns(rows: Sequence[Sequence[int]], ncols: int) -> list:
+    """The ncols columns of the matrix with these rows. Every row length is
+    checked first, since zip would silently cut ragged rows to the shortest."""
+    for r in rows:
+        if len(r) != ncols:
+            raise DimensionMismatch(f"row of length {len(r)} in a matrix of {ncols} columns")
+    return list(zip(*rows)) if rows else [()] * ncols
 
 
-def solve_linear(m: ResidueMatrix, b: ResidueVector) -> Optional[ResidueVector]:
-    """Some x with m*x = b, or None. Completeness comes from the Howell form."""
-    if b.ctx != m.ctx:
-        raise DimensionMismatch("vector modulus differs from matrix modulus")
-    if len(b) != m.rows:
-        raise DimensionMismatch(f"matrix has {m.rows} rows, vector has {len(b)}")
-    H, U, _ = _howell(m.transpose_rows(), m.rows, m.ctx, transform=True)
-    res, coeffs = _reduce_against(H, list(b.entries), m.ctx)
+def kernel(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext) -> Submodule:
+    """{x : rows * x = 0} in (Z/p^n)^ncols, via the left kernel of the transpose.
+
+    With no rows that is the whole module.
+    """
+    return Submodule.span(_left_kernel(_columns(rows, ncols), len(rows), ctx), ncols, ctx)
+
+
+def solve_linear(
+    rows: Sequence[Sequence[int]], ncols: int, b: Sequence[int], ctx: ModulusContext
+) -> Optional[tuple[int, ...]]:
+    """Some x with rows * x = b, or None. Completeness comes from the Howell form."""
+    if len(b) != len(rows):
+        raise DimensionMismatch(f"matrix has {len(rows)} rows, vector has {len(b)}")
+    H, U, _ = _howell(_columns(rows, ncols), len(rows), ctx, transform=True)
+    res, coeffs = _reduce_against(H, b, ctx)
     if any(res):
         return None
-    N = m.ctx.modulus
-    x = [0] * m.cols
+    N = ctx.modulus
+    x = [0] * ncols
     for c, urow in zip(coeffs, U):
         if c:
             x = [(a + c * u) % N for a, u in zip(x, urow)]
-    return ResidueVector(tuple(x), m.ctx)
+    return tuple(x)
 
 
-def image_contains(m: ResidueMatrix, b: ResidueVector) -> bool:
-    """Whether b lies in the column span of m (consistent with solve_linear)."""
-    return solve_linear(m, b) is not None
+def image_contains(rows: Sequence[Sequence[int]], ncols: int, b: Sequence[int], ctx: ModulusContext) -> bool:
+    """Whether b lies in the column span of the matrix (consistent with solve_linear)."""
+    return solve_linear(rows, ncols, b, ctx) is not None
 
 
 def annihilator(s: Submodule) -> Submodule:
     """{y : g . y = 0 for all g in s}. Annihilators are reflexive over Z/p^n."""
-    m = ResidueMatrix.from_rows(s._rows(), s.ctx, cols=s.ambient_rank)
-    return kernel(m)
+    return kernel(s.generators, s.ambient_rank, s.ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +390,14 @@ def quotient_decomposition(s: Submodule, t: Submodule):
     """
     if s.ctx != t.ctx or s.ambient_rank != t.ambient_rank:
         raise DimensionMismatch("submodules live in different ambient modules")
-    for g in t.generators:
-        if not s.contains(g.entries):
-            raise NotASubmodule("second argument is not contained in the first")
-    gens_s = s._rows()
+    if not t.le(s):
+        raise NotASubmodule("second argument is not contained in the first")
+    gens_s = s.generators
     r = len(gens_s)
     if r == 0:
         return [], []
     N = s.ctx.modulus
-    stacked = gens_s + t._rows()
+    stacked = gens_s + t.generators
     _, _, K = _howell(stacked, s.ambient_rank, s.ctx, transform=True)
     rel = [k[:r] for k in K]
     rel += [[N if i == j else 0 for j in range(r)] for i in range(r)]
@@ -508,7 +413,7 @@ def quotient_decomposition(s: Submodule, t: Submodule):
             for coeff, grow in zip(W[i], gens_s):
                 if coeff % N:
                     acc = [(a + coeff * b) % N for a, b in zip(acc, grow)]
-            witnesses.append(ResidueVector(tuple(acc), s.ctx))
+            witnesses.append(tuple(acc))
     return invariants, witnesses
 
 

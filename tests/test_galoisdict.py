@@ -30,7 +30,7 @@ def brute_fixed(group):
     return {
         v
         for v in itertools.product(range(n), repeat=2)
-        if all(tuple(g.apply(v)) == v for g in group.elements)
+        if all(g.apply(v) == v for g in group.elements)
     }
 
 
@@ -42,7 +42,7 @@ def brute_stable_spans(group, exact_order):
         span = {tuple(((k * v[0]) % n, (k * v[1]) % n)) for k in range(n)}
         if len(span) != exact_order:
             continue
-        if all(tuple(g.apply(v)) in span for g in group.elements):
+        if all(g.apply(v) in span for g in group.elements):
             out.add(frozenset(span))
     return out
 
@@ -90,7 +90,7 @@ def test_fixed_points_match_brute():
         full_gl2_f3(),
     ]
     for g in groups:
-        assert {tuple(v) for v in fixed_points(g).vectors()} == brute_fixed(g)
+        assert set(fixed_points(g).vectors()) == brute_fixed(g)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def test_stable_submodules_example_group():
     ex = make_example_group(3)
     stable_p = stable_cyclic_submodules(ex.group, 3)
     assert len(stable_p) == 2
-    spans = {tuple(tuple(g.entries) for g in s.generators) for s in stable_p}
+    spans = {s.generators for s in stable_p}
     assert spans == {((3, 0),), ((0, 3),)}
     assert stable_cyclic_submodules(ex.group, 9) == []
 
@@ -159,9 +159,9 @@ def test_stable_submodules_match_brute():
     for g, orders in cases:
         for order in orders:
             stable = stable_cyclic_submodules(g, order)
-            keys = [tuple(tuple(v.entries) for v in s.generators) for s in stable]
+            keys = [s.generators for s in stable]
             assert keys == sorted(keys)
-            got = {frozenset(tuple(v) for v in s.vectors()) for s in stable}
+            got = {frozenset(s.vectors()) for s in stable}
             assert len(got) == len(stable)
             assert got == brute_stable_spans(g, order)
 

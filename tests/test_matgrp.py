@@ -140,7 +140,10 @@ def test_mat2_reduce_to():
 
 def test_mat2_apply():
     m = Mat2(1, 1, 0, 1, Z9)
-    assert tuple(m.apply((2, 3))) == (5, 3)
+    assert m.apply((2, 3)) == (5, 3)
+    # entries are reduced mod p^n
+    assert m.apply((8, 8)) == (7, 8)
+    assert Mat2(8, 8, 8, 8, Z9).apply((-1, 10)) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

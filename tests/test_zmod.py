@@ -13,11 +13,8 @@ from hypothesis import given, settings, strategies as st
 from cohomlab.errors import DimensionMismatch, NotASubmodule, NotAUnit
 from cohomlab.zmod import (
     ModulusContext,
-    ResidueMatrix,
-    ResidueVector,
     Submodule,
     annihilator,
-    canonical_row_form,
     image_contains,
     kernel,
     quotient_decomposition,
@@ -52,22 +49,20 @@ def enumerate_span(rows, rank, ctx):
     return frozenset(seen)
 
 
-def brute_kernel(m):
-    N = m.ctx.modulus
-    out = set()
-    for x in itertools.product(range(N), repeat=m.cols):
-        if m.mul_vec(x).is_zero():
-            out.add(x)
-    return out
+def mat_vec(rows, x, N):
+    """The product of the matrix with these rows and the column vector x, mod N."""
+    return tuple(sum(a * b for a, b in zip(row, x)) % N for row in rows)
 
 
-def brute_solutions(m, b):
-    N = m.ctx.modulus
-    return {
-        x
-        for x in itertools.product(range(N), repeat=m.cols)
-        if tuple(m.mul_vec(x)) == tuple(b)
-    }
+def brute_kernel(rows, ncols, ctx):
+    N = ctx.modulus
+    zero = (0,) * len(rows)
+    return {x for x in itertools.product(range(N), repeat=ncols) if mat_vec(rows, x, N) == zero}
+
+
+def brute_solutions(rows, ncols, b, ctx):
+    N = ctx.modulus
+    return {x for x in itertools.product(range(N), repeat=ncols) if mat_vec(rows, x, N) == tuple(b)}
 
 
 def brute_invariants(s_set, t_set, ctx):
@@ -152,27 +147,24 @@ def test_unit_inverse_exhaustive(ctx):
 
 
 # ---------------------------------------------------------------------------
-# canonical_row_form
+# canonical row form: the generators of Submodule.span
 # ---------------------------------------------------------------------------
 
 
 def test_canonical_row_form_zero_matrix_is_empty():
-    m = ResidueMatrix.from_rows([[0, 0], [0, 0]], Z9)
-    h = canonical_row_form(m)
-    assert h.rows == 0 and h.cols == 2
+    h = Submodule.span([[0, 0], [0, 0]], 2, Z9)
+    assert h.generators == () and h.ambient_rank == 2
 
 
 def test_canonical_row_form_identity_fixed():
-    m = ResidueMatrix.from_rows([[1, 0], [0, 1]], Z9)
-    assert canonical_row_form(m).row_list() == [[1, 0], [0, 1]]
+    assert Submodule.span([[1, 0], [0, 1]], 2, Z9).generators == ((1, 0), (0, 1))
 
 
 def test_canonical_row_form_frozen_example():
     # span{(3,3),(0,3)} = span{(3,0),(0,3)} in (Z/9)^2, 9 elements
-    m = ResidueMatrix.from_rows([[3, 3], [0, 3]], Z9)
-    h = canonical_row_form(m)
-    assert h.row_list() == [[3, 0], [0, 3]]
-    assert enumerate_span([[3, 3], [0, 3]], 2, Z9) == enumerate_span(h.row_list(), 2, Z9)
+    h = Submodule.span([[3, 3], [0, 3]], 2, Z9)
+    assert h.generators == ((3, 0), (0, 3))
+    assert enumerate_span([[3, 3], [0, 3]], 2, Z9) == enumerate_span(h.generators, 2, Z9)
 
 
 def test_canonical_row_form_unique_per_span():
@@ -183,8 +175,7 @@ def test_canonical_row_form_unique_per_span():
     for pair in itertools.combinations(vecs, 2):
         if enumerate_span(pair, 2, Z9) == target:
             hits += 1
-            h = canonical_row_form(ResidueMatrix.from_rows(pair, Z9))
-            assert h.row_list() == [[3, 0], [0, 3]]
+            assert Submodule.span(pair, 2, Z9).generators == ((3, 0), (0, 3))
     assert hits > 1
 
 
@@ -198,13 +189,12 @@ def test_canonical_row_form_idempotent_and_span_preserving(data):
         [data.draw(st.integers(min_value=0, max_value=ctx.modulus - 1)) for _ in range(rank)]
         for _ in range(nrows)
     ]
-    m = ResidueMatrix.from_rows(rows, ctx, cols=rank)
-    h = canonical_row_form(m)
-    assert canonical_row_form(h).row_list() == h.row_list()
-    assert enumerate_span(rows, rank, ctx) == enumerate_span(h.row_list(), rank, ctx)
+    h = Submodule.span(rows, rank, ctx).generators
+    assert Submodule.span(h, rank, ctx).generators == h
+    assert enumerate_span(rows, rank, ctx) == enumerate_span(h, rank, ctx)
     # ordered by pivot column, pivots are p-powers, entries above reduced
     pivots = []
-    for row in h.row_list():
+    for row in h:
         j = next(k for k, e in enumerate(row) if e)
         pivots.append(j)
         piv = row[j]
@@ -218,70 +208,77 @@ def test_canonical_row_form_idempotent_and_span_preserving(data):
 
 
 def test_solve_linear_square_example():
-    m = ResidueMatrix.from_rows([[0, 6], [6, 7]], Z9)
-    b = ResidueVector((0, 6), Z9)
-    x = solve_linear(m, b)
-    assert x is not None and tuple(m.mul_vec(x)) == (0, 6)
-    assert tuple(m.mul_vec((0, 6))) == (0, 6)  # the known witness also solves
+    m = [[0, 6], [6, 7]]
+    x = solve_linear(m, 2, (0, 6), Z9)
+    assert x is not None and mat_vec(m, x, 9) == (0, 6)
+    assert mat_vec(m, (0, 6), 9) == (0, 6)  # the known witness also solves
 
 
 def test_solve_linear_identity():
-    m = ResidueMatrix.from_rows([[1, 0], [0, 1]], Z9)
-    assert tuple(solve_linear(m, ResidueVector((4, 7), Z9))) == (4, 7)
+    assert solve_linear([[1, 0], [0, 1]], 2, (4, 7), Z9) == (4, 7)
 
 
 def test_solve_linear_unsolvable():
-    m = ResidueMatrix.from_rows([[3, 0], [0, 3]], Z9)
-    assert solve_linear(m, ResidueVector((1, 0), Z9)) is None
+    assert solve_linear([[3, 0], [0, 3]], 2, (1, 0), Z9) is None
 
 
 def test_solve_linear_dimension_mismatch():
-    m = ResidueMatrix.from_rows([[1, 0], [0, 1]], Z9)
-    with pytest.raises(DimensionMismatch):
-        solve_linear(m, ResidueVector((1, 0, 0), Z9))
+    # a right-hand side longer or shorter than the column of the matrix
+    for b in ((1, 0, 0), (1,)):
+        with pytest.raises(DimensionMismatch):
+            solve_linear([[1, 0], [0, 1]], 2, b, Z9)
+
+
+def test_ragged_rows_raise():
+    # zip would cut the transpose to the shortest row without the check
+    for rows in ([[1, 0], [0]], [[1], [0, 1]], [[1, 0, 0], [0, 1]]):
+        with pytest.raises(DimensionMismatch):
+            kernel(rows, 2, Z9)
+        with pytest.raises(DimensionMismatch):
+            solve_linear(rows, 2, (0, 0), Z9)
 
 
 def test_kernel_identity_trivial():
-    assert kernel(ResidueMatrix.from_rows([[1, 0], [0, 1]], Z9)).is_zero()
+    assert kernel([[1, 0], [0, 1]], 2, Z9).is_zero()
+
+
+def test_kernel_of_no_rows_is_everything():
+    k = kernel([], 2, Z9)
+    assert k.cardinality() == 81 and k.generators == ((1, 0), (0, 1))
 
 
 def test_kernel_zero_matrix_mod3_is_everything():
-    m = ResidueMatrix.from_rows([[3, 3], [0, 3]], Z3)
-    assert kernel(m).cardinality() == 9
+    assert kernel([[3, 3], [0, 3]], 2, Z3).cardinality() == 9
 
 
 def test_kernel_unipotent_difference():
     # sigma - I = [[0,1],[0,0]] over Z/3: kernel is the first coordinate line
-    k = kernel(ResidueMatrix.from_rows([[0, 1], [0, 0]], Z3))
+    k = kernel([[0, 1], [0, 0]], 2, Z3)
     assert k.cardinality() == 3
-    assert [list(g.entries) for g in k.generators] == [[1, 0]]
+    assert k.generators == ((1, 0),)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_solve_and_kernel_match_enumeration(data):
     ctx = data.draw(st.sampled_from(small_contexts()))
-    rows = data.draw(st.integers(min_value=1, max_value=3))
+    nrows = data.draw(st.integers(min_value=1, max_value=3))
     cols = data.draw(st.integers(min_value=1, max_value=3))
-    entries = [data.draw(st.integers(min_value=0, max_value=ctx.modulus - 1)) for _ in range(rows * cols)]
-    m = ResidueMatrix(rows, cols, tuple(entries), ctx)
-    b = ResidueVector(
-        tuple(data.draw(st.integers(min_value=0, max_value=ctx.modulus - 1)) for _ in range(rows)), ctx
-    )
-    sols = brute_solutions(m, b)
-    x = solve_linear(m, b)
+    m = [[data.draw(st.integers(min_value=0, max_value=ctx.modulus - 1)) for _ in range(cols)] for _ in range(nrows)]
+    b = tuple(data.draw(st.integers(min_value=0, max_value=ctx.modulus - 1)) for _ in range(nrows))
+    sols = brute_solutions(m, cols, b, ctx)
+    x = solve_linear(m, cols, b, ctx)
     assert (x is not None) == bool(sols)
     if x is not None:
-        assert tuple(x) in sols
-    assert image_contains(m, b) == bool(sols)
-    ker = kernel(m)
-    assert {tuple(v) for v in ker.vectors()} == brute_kernel(m)
+        assert x in sols
+    assert image_contains(m, cols, b, ctx) == bool(sols)
+    assert set(kernel(m, cols, ctx).vectors()) == brute_kernel(m, cols, ctx)
 
 
 def test_image_contains_zero_cases():
-    z = ResidueMatrix.from_rows([[0, 0], [0, 0]], Z9)
-    assert image_contains(z, ResidueVector((0, 0), Z9))
-    assert not image_contains(z, ResidueVector((0, 3), Z9))
+    z = [[0, 0], [0, 0]]
+    assert image_contains(z, 2, (0, 0), Z9)
+    assert not image_contains(z, 2, (0, 3), Z9)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +348,7 @@ def test_quotient_witnesses_generate():
     assert invs == [3, 3]
     assert len(wits) == 2
     # the witnesses plus t must regenerate s
-    regen = Submodule.span([list(w.entries) for w in wits] + [list(g.entries) for g in t.generators], 2, Z9)
+    regen = Submodule.span([*wits, *t.generators], 2, Z9)
     assert regen == s
 
 
@@ -369,11 +366,11 @@ def test_quotient_invariants_match_enumeration(data):
     t_rows = []
     for g in s.generators:
         k = data.draw(st.integers(min_value=0, max_value=ctx.modulus - 1))
-        t_rows.append([(k * e) % ctx.modulus for e in g.entries])
+        t_rows.append([(k * e) % ctx.modulus for e in g])
     t = Submodule.span(t_rows, rank, ctx)
     got = quotient_invariants(s, t)
-    s_set = {tuple(v) for v in s.vectors()}
-    t_set = {tuple(v) for v in t.vectors()}
+    s_set = set(s.vectors())
+    t_set = set(t.vectors())
     assert got == brute_invariants(s_set, t_set, ctx)
     prod = 1
     for d in got:
@@ -385,7 +382,17 @@ def test_quotient_invariants_match_enumeration(data):
 
 def test_submodule_coset_reduce_canonical():
     s = Submodule.span([[3, 0], [0, 3]], 2, Z9)
-    reps = {tuple(s.coset_reduce((a, b))) for a in range(9) for b in range(9)}
+    reps = {s.coset_reduce((a, b)) for a in range(9) for b in range(9)}
     assert len(reps) == 81 // 9
     for v in s.vectors():
-        assert tuple(s.coset_reduce(v.entries)) == (0, 0)
+        assert s.coset_reduce(v) == (0, 0)
+
+
+def test_submodule_rejects_vectors_of_the_wrong_length():
+    s = Submodule.span([[1, 0]], 2, Z9)
+    for v in ((1, 2, 3, 4), (4,), (), (1, 2, 3)):
+        with pytest.raises(DimensionMismatch):
+            s.coset_reduce(v)
+        with pytest.raises(DimensionMismatch):
+            s.contains(v)
+    assert s.coset_reduce((1, 2)) == (0, 2) and s.contains((4, 0))
