@@ -688,7 +688,6 @@ def _structured_level2_candidates(ctx: ModulusContext) -> list:
 def verify_structure_props(
     p: int,
     seed: int = 0,
-    samples: int = 40,
     budget_ms: int = DEFAULT_BUDGET_MS,
 ) -> ExperimentVerdict:
     """Check structural consequences for level-2 groups at the prime 3.
@@ -720,7 +719,7 @@ def verify_structure_props(
 
     candidates = list(distinct_closures(_structured_level2_candidates(ctx), ctx))
     seen = {grp.elements for grp in candidates}
-    sampled = sample_level2_groups(p, seed, samples, tick=run.tick)
+    sampled = sample_level2_groups(p, seed, 40, tick=run.tick)
     candidates += [grp for grp in sampled if grp.elements not in seen]
 
     local_vanishing_instances = 0
@@ -900,27 +899,20 @@ def verify_oracle_equivalence(budget_ms: int = DEFAULT_BUDGET_MS) -> ExperimentV
     run = _Run("oracle", {}, budget_ms)
     counters = {"z": 0, "b": 0, "l": 0, "incl": 0, "h1": 0, "h1loc": 0, "groups": 0}
 
-    mod2_subs = enumerate_subgroups(full_matrix_group_mod_p(2))
-    for grp in mod2_subs:
-        run.tick()
-        _compare_paths(run, grp, counters)
-    run.parameters["mod2_groups"] = len(mod2_subs)
+    families = {
+        "mod2_groups": enumerate_subgroups(full_matrix_group_mod_p(2)),
+        "mod3_groups": [g for g in enumerate_subgroups(full_matrix_group_mod_p(3)) if len(g) <= 12],
+        "mod4_groups": _curated_mod4_groups(),
+    }
+    for key, subs in families.items():
+        for grp in subs:
+            run.tick()
+            _compare_paths(run, grp, counters)
+        run.parameters[key] = len(subs)
 
-    mod3_subs = [g for g in enumerate_subgroups(full_matrix_group_mod_p(3)) if len(g) <= 12]
-    for grp in mod3_subs:
-        run.tick()
-        _compare_paths(run, grp, counters)
-    run.parameters["mod3_groups"] = len(mod3_subs)
-
-    mod4_subs = _curated_mod4_groups()
-    for grp in mod4_subs:
-        run.tick()
-        _compare_paths(run, grp, counters)
-    run.parameters["mod4_groups"] = len(mod4_subs)
-
-    run.check("all subgroups mod 2 were covered", True, len(mod2_subs) >= 6)
-    run.check("small subgroups mod 3 were covered", True, len(mod3_subs) >= 10)
-    run.check("at least ten subgroups mod 4 were covered", True, len(mod4_subs) >= 10)
+    run.check("all subgroups mod 2 were covered", True, run.parameters["mod2_groups"] >= 6)
+    run.check("small subgroups mod 3 were covered", True, run.parameters["mod3_groups"] >= 10)
+    run.check("at least ten subgroups mod 4 were covered", True, run.parameters["mod4_groups"] >= 10)
     run.check("cocycle tables agree on every group", 0, counters["z"])
     run.check("coboundary tables agree on every group", 0, counters["b"])
     run.check("locally trivial tables agree on every group", 0, counters["l"])

@@ -77,11 +77,6 @@ class Mat2:
         return cls(u, 0, 0, v, ctx)
 
     @classmethod
-    def from_rows(cls, rows, ctx: ModulusContext) -> "Mat2":
-        (a, b), (c, d) = rows
-        return cls(a, b, c, d, ctx)
-
-    @classmethod
     def _reduced(cls, a: int, b: int, c: int, d: int, ctx: ModulusContext) -> "Mat2":
         """A Mat2 from entries already reduced mod N, skipping the reduction."""
         m = object.__new__(cls)

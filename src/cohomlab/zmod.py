@@ -6,7 +6,9 @@ are therefore kept in a Howell-style normal form: pivots are exact powers
 of p, entries above a pivot are reduced modulo the pivot, and for every
 pivot of positive valuation an annihilator multiple of the pivot row is
 fed back into the elimination.  The resulting form is unique per
-submodule and supports membership tests by greedy reduction.
+submodule and supports membership tests by greedy reduction.  Left
+kernels and solutions come from the same elimination, run on the rows
+with an identity block appended.
 
 Quotients of finite modules are reported through their invariant factors,
 obtained by lifting a relation matrix to the integers (appending the
@@ -87,22 +89,26 @@ def unit_inverse(a: int, ctx: ModulusContext) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _howell(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext, transform: bool = False):
-    """Howell normal form over Z/p^n.
+def _check_rows(rows: Sequence[Sequence[int]], ncols: int) -> None:
+    """Raise DimensionMismatch unless every row has ncols entries."""
+    for r in rows:
+        if len(r) != ncols:
+            raise DimensionMismatch(f"row of length {len(r)} in a matrix of {ncols} columns")
 
-    Returns (H, U, K): H the canonical nonzero rows; when transform is
-    True, U satisfies U*input = H row-wise and the rows of K generate the
-    left kernel of the input (K*input = 0).  Appending p^(n-v) multiples
-    of every pivot row of valuation v > 0 is what makes both the form
-    canonical and the kernel complete.
+
+def _howell(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext):
+    """Howell elimination over Z/p^n, pivoting on the first ncols columns.
+
+    Returns (work, r). Every row operation acts on whole rows, so any
+    columns past ncols ride along: the first r rows of work carry the Howell
+    normal form of the leading block, and the rows past r vanish on it.
+    Appending p^(n-v) multiples of every pivot row of valuation v > 0 is
+    what makes the form canonical and, through the rows past r, the left
+    kernel complete. Every such row is appended, even a zero one, so the
+    raw rows past r do not depend on which of them vanish.
     """
     N, p, nexp = ctx.modulus, ctx.p, ctx.n
     work = [[int(e) % N for e in r] for r in rows]
-    for r in work:
-        if len(r) != ncols:
-            raise DimensionMismatch("row length differs from column count")
-    nin = len(work)
-    trans = [[1 if i == j else 0 for j in range(nin)] for i in range(nin)] if transform else None
 
     r = 0
     for c in range(ncols):
@@ -121,69 +127,51 @@ def _howell(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext, tran
         if best < 0:
             continue
         work[r], work[best] = work[best], work[r]
-        if transform:
-            trans[r], trans[best] = trans[best], trans[r]
         v = bestv
         piv = p**v
         u = pow(work[r][c] // piv, -1, N)
         if u != 1:
             work[r] = [(u * e) % N for e in work[r]]
-            if transform:
-                trans[r] = [(u * e) % N for e in trans[r]]
+        wr = work[r]
         # clear below: every entry in this column at rows > r has valuation >= v
         for i in range(r + 1, len(work)):
             e = work[i][c]
             if e:
                 q = e // piv
-                wi, wr = work[i], work[r]
-                work[i] = [(a - q * b) % N for a, b in zip(wi, wr)]
-                if transform:
-                    ti, tr = trans[i], trans[r]
-                    trans[i] = [(a - q * b) % N for a, b in zip(ti, tr)]
+                work[i] = [(a - q * b) % N for a, b in zip(work[i], wr)]
         # reduce above modulo the pivot
         for i in range(r):
             q = work[i][c] // piv
             if q:
-                wi, wr = work[i], work[r]
-                work[i] = [(a - q * b) % N for a, b in zip(wi, wr)]
-                if transform:
-                    ti, tr = trans[i], trans[r]
-                    trans[i] = [(a - q * b) % N for a, b in zip(ti, tr)]
+                work[i] = [(a - q * b) % N for a, b in zip(work[i], wr)]
         # annihilator feedback keeps the span Howell-complete
         if v > 0:
             ann = p ** (nexp - v)
-            newrow = [(ann * e) % N for e in work[r]]
-            if any(newrow) or transform:
-                work.append(newrow)
-                if transform:
-                    trans.append([(ann * e) % N for e in trans[r]])
+            work.append([(ann * e) % N for e in wr])
         r += 1
-
-    H = work[:r]
-    if not transform:
-        return H, None, None
-    U = trans[:r]
-    K = trans[r:]
-    return H, U, K
+    return work, r
 
 
-def _reduce_against(hrows: Sequence[Sequence[int]], vec: Sequence[int], ctx: ModulusContext):
-    """Greedy reduction of vec against Howell rows; returns (residual, coeffs)."""
+def _with_identity(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """The rows (row_i | e_i): after elimination the identity part of each
+    row says which combination of the input rows it is."""
+    _check_rows(rows, ncols)
+    m = len(rows)
+    return [[*row, *(int(i == j) for j in range(m))] for i, row in enumerate(rows)]
+
+
+def _reduce_against(hrows: Sequence[Sequence[int]], vec: Sequence[int], ctx: ModulusContext) -> list[int]:
+    """Greedy reduction of vec against Howell rows; returns the residual."""
     N = ctx.modulus
     res = [int(e) % N for e in vec]
-    coeffs = []
     for row in hrows:
         j = next(k for k, e in enumerate(row) if e)
-        piv = row[j]
         # floor-dividing by the p-power pivot leaves the canonical remainder
         # in [0, piv); later rows have zero in column j, so this is complete
-        q = res[j] // piv
+        q = res[j] // row[j]
         if q:
             res = [(a - q * b) % N for a, b in zip(res, row)]
-            coeffs.append(q)
-        else:
-            coeffs.append(0)
-    return res, coeffs
+    return res
 
 
 @dataclass(frozen=True)
@@ -201,8 +189,9 @@ class Submodule:
 
     @classmethod
     def span(cls, rows: Sequence[Sequence[int]], ambient_rank: int, ctx: ModulusContext) -> "Submodule":
-        H, _, _ = _howell(rows, ambient_rank, ctx)
-        return cls(ambient_rank, tuple(map(tuple, H)), ctx)
+        _check_rows(rows, ambient_rank)
+        work, r = _howell(rows, ambient_rank, ctx)
+        return cls(ambient_rank, tuple(map(tuple, work[:r])), ctx)
 
     @classmethod
     def zero(cls, ambient_rank: int, ctx: ModulusContext) -> "Submodule":
@@ -215,8 +204,7 @@ class Submodule:
         """Canonical representative of v + self (greedy Howell reduction)."""
         if len(v) != self.ambient_rank:
             raise DimensionMismatch("vector length differs from ambient rank")
-        res, _ = _reduce_against(self.generators, v, self.ctx)
-        return tuple(res)
+        return tuple(_reduce_against(self.generators, v, self.ctx))
 
     def cardinality(self) -> int:
         N = self.ctx.modulus
@@ -251,15 +239,14 @@ class Submodule:
 def _left_kernel(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext) -> list[list[int]]:
     """Rows generating {y : y * rows = 0}, raw from one elimination: not in
     normal form, and possibly with zero or repeated rows."""
-    return _howell(rows, ncols, ctx, transform=True)[2]
+    work, r = _howell(_with_identity(rows, ncols), ncols, ctx)
+    return [row[ncols:] for row in work[r:]]
 
 
 def _columns(rows: Sequence[Sequence[int]], ncols: int) -> list:
     """The ncols columns of the matrix with these rows. Every row length is
     checked first, since zip would silently cut ragged rows to the shortest."""
-    for r in rows:
-        if len(r) != ncols:
-            raise DimensionMismatch(f"row of length {len(r)} in a matrix of {ncols} columns")
+    _check_rows(rows, ncols)
     return list(zip(*rows)) if rows else [()] * ncols
 
 
@@ -274,24 +261,26 @@ def kernel(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext) -> Su
 def solve_linear(
     rows: Sequence[Sequence[int]], ncols: int, b: Sequence[int], ctx: ModulusContext
 ) -> Optional[tuple[int, ...]]:
-    """Some x with rows * x = b, or None. Completeness comes from the Howell form."""
-    if len(b) != len(rows):
-        raise DimensionMismatch(f"matrix has {len(rows)} rows, vector has {len(b)}")
-    H, U, _ = _howell(_columns(rows, ncols), len(rows), ctx, transform=True)
-    res, coeffs = _reduce_against(H, b, ctx)
-    if any(res):
+    """Some x with rows * x = b, or None. Completeness comes from the Howell form.
+
+    Eliminating the columns (col_j | e_j) turns each pivot row into (h | u)
+    with h = sum_j u_j col_j. Reducing (b | 0) against the pivot rows leaves
+    (0 | -x) with b = sum_j x_j col_j whenever b lies in the column span.
+    """
+    m = len(rows)
+    if len(b) != m:
+        raise DimensionMismatch(f"matrix has {m} rows, vector has {len(b)}")
+    work, r = _howell(_with_identity(_columns(rows, ncols), m), m, ctx)
+    res = _reduce_against(work[:r], list(b) + [0] * ncols, ctx)
+    if any(res[:m]):
         return None
     N = ctx.modulus
-    x = [0] * ncols
-    for c, urow in zip(coeffs, U):
-        if c:
-            x = [(a + c * u) % N for a, u in zip(x, urow)]
-    return tuple(x)
+    return tuple(-e % N for e in res[m:])
 
 
 def image_contains(rows: Sequence[Sequence[int]], ncols: int, b: Sequence[int], ctx: ModulusContext) -> bool:
     """Whether b lies in the column span of the matrix (consistent with solve_linear)."""
-    return solve_linear(rows, ncols, b, ctx) is not None
+    return Submodule.span(_columns(rows, ncols), len(rows), ctx).contains(b)
 
 
 def annihilator(s: Submodule) -> Submodule:
@@ -398,8 +387,7 @@ def quotient_decomposition(s: Submodule, t: Submodule):
         return [], []
     N = s.ctx.modulus
     stacked = gens_s + t.generators
-    _, _, K = _howell(stacked, s.ambient_rank, s.ctx, transform=True)
-    rel = [k[:r] for k in K]
+    rel = [k[:r] for k in _left_kernel(stacked, s.ambient_rank, s.ctx)]
     rel += [[N if i == j else 0 for j in range(r)] for i in range(r)]
     diag, W = _smith_with_colbasis(rel, r)
     invariants = []

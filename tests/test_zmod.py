@@ -5,7 +5,9 @@ Frozen values here were computed by the enumeration oracles in this file
 as literals where the operations under test could regress silently.
 """
 
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from cohomlab.errors import DimensionMismatch, NotASubmodule, NotAUnit
 from cohomlab.zmod import (
     ModulusContext,
     Submodule,
+    _left_kernel,
     annihilator,
     image_contains,
     kernel,
@@ -227,15 +230,24 @@ def test_solve_linear_dimension_mismatch():
     for b in ((1, 0, 0), (1,)):
         with pytest.raises(DimensionMismatch):
             solve_linear([[1, 0], [0, 1]], 2, b, Z9)
+        with pytest.raises(DimensionMismatch):
+            image_contains([[1, 0], [0, 1]], 2, b, Z9)
 
 
 def test_ragged_rows_raise():
-    # zip would cut the transpose to the shortest row without the check
+    # zip would cut the transpose to the shortest row without the check, and
+    # the elimination would index past the end of a short row
     for rows in ([[1, 0], [0]], [[1], [0, 1]], [[1, 0, 0], [0, 1]]):
         with pytest.raises(DimensionMismatch):
             kernel(rows, 2, Z9)
         with pytest.raises(DimensionMismatch):
             solve_linear(rows, 2, (0, 0), Z9)
+        with pytest.raises(DimensionMismatch):
+            image_contains(rows, 2, (0, 0), Z9)
+        with pytest.raises(DimensionMismatch):
+            Submodule.span(rows, 2, Z9)
+        with pytest.raises(DimensionMismatch):
+            _left_kernel(rows, 2, Z9)
 
 
 def test_kernel_identity_trivial():
@@ -279,6 +291,74 @@ def test_image_contains_zero_cases():
     z = [[0, 0], [0, 0]]
     assert image_contains(z, 2, (0, 0), Z9)
     assert not image_contains(z, 2, (0, 3), Z9)
+
+
+# ---------------------------------------------------------------------------
+# raw outputs pinned on a seeded corpus
+# ---------------------------------------------------------------------------
+
+
+def zmod_corpus():
+    """Seeded matrices over Z/4, Z/8, Z/9, Z/25 and Z/27 with the raw outputs
+    of the elimination: zero-row matrices, single rows, zero rows inside a
+    matrix and p-power entries all occur."""
+    rng = random.Random(20240615)
+    out = []
+    for p, n in ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3)):
+        ctx = ModulusContext(p, n)
+        N = ctx.modulus
+
+        def entry():
+            r = rng.random()
+            if r < 0.3:
+                return 0
+            if r < 0.6:
+                return p ** rng.randrange(1, n) * rng.randrange(1, p)
+            return rng.randrange(N)
+
+        for _ in range(60):
+            ncols = rng.randrange(1, 5)
+            nrows = rng.choice((0, 1, 1, 2, 3, 4, 5))
+            rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+            if nrows and rng.random() < 0.3:
+                rows[rng.randrange(nrows)] = [0] * ncols
+            x0 = [entry() for _ in range(ncols)]
+            b_in = mat_vec(rows, x0, N)
+            b_rand = tuple(entry() for _ in rows)
+            s = Submodule.span(rows, ncols, ctx)
+            sub = [[(p * e) % N for e in r] for r in rows]
+            sub += [[(a + b) % N for a, b in zip(r1, r2)] for r1, r2 in zip(rows, rows[1:])][:1]
+            t = Submodule.span(sub, ncols, ctx)
+            out.append(
+                (
+                    (p, n, ncols, rows),
+                    _left_kernel(rows, ncols, ctx),
+                    solve_linear(rows, ncols, b_in, ctx),
+                    solve_linear(rows, ncols, b_rand, ctx),
+                    s.generators,
+                    kernel(rows, ncols, ctx).generators,
+                    quotient_decomposition(s, t),
+                    quotient_decomposition(s, Submodule.zero(ncols, ctx)),
+                )
+            )
+    return out
+
+
+def test_raw_outputs_pinned_on_seeded_corpus():
+    # Witness bytes depend on the raw left-kernel rows (zero and repeated
+    # rows included) through the pivot order of the Smith reduction, so the
+    # rows themselves are pinned, not only the submodules they span.
+    corpus = zmod_corpus()
+    assert len(corpus) == 300
+    assert sum(1 for case in corpus if not case[0][3]) == 47
+    assert all(case[2] is not None for case in corpus)
+    assert sum(1 for case in corpus if case[3] is None) == 170
+    digest = hashlib.sha256(repr(corpus).encode()).hexdigest()
+    assert digest == "6e676259d3ed4f409e2a3d4bab55c103bd0f2022bed377ce7f60dab55ee0ad26"
+    # (3, 1 | 1) pivots at 3 in column 0; its annihilator row (0, 9 | 9)
+    # pivots at 9 in column 1, and that row's annihilator 3 * (0, 9 | 9)
+    # vanishes mod 27 in both parts but is still returned
+    assert _left_kernel([[3, 1]], 2, ModulusContext(3, 3)) == [[0]]
 
 
 # ---------------------------------------------------------------------------
