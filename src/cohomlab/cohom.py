@@ -11,9 +11,8 @@ is spanned by the generator values (s - I)e_j of the coboundaries. The walk
 is breadth first, and it holds each coeff[g] as one int of fixed-width
 slots, SIMD within a register (Lamport, "Multiple byte processing with
 full-word instructions", CACM 1975): an edge adds one shifted int and
-reduces every entry mod p^n at once with a carry mask. The constraint rows
-stay packed until Z1 is cut out, and are read back as strided columns of
-one memoryview (_propagate).
+reduces every entry mod p^n at once with a carry mask. The columns of the
+constraint rows go to the Z1 elimination as arrays of machine words.
 cohomology_engine builds these once per group and action, and h1_loc and
 h1_loc_via_restrictions accept it to share the work. Quotients reduce to
 the invariant-factor machinery in zmod.
@@ -50,14 +49,13 @@ they are computed independently.
 
 Value tables, one module element per group element in canonical order, are
 built only for the public cocycle_space, coboundary_space and
-locally_trivial_subspace, and for the witnesses of a nonzero L/B1.
+locally_trivial_subspace, and for the witnesses of a nonzero L/B1. Only
+they, L and the restriction path read coeff, which stays packed until then.
 """
 
 from __future__ import annotations
 
 import itertools
-import struct
-import sys
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -70,6 +68,7 @@ from .zmod import (
     ModulusContext,
     Submodule,
     _left_kernel,
+    _words,
     annihilator,
     image_contains,
     kernel,
@@ -183,11 +182,7 @@ class Cocycle:
         return Cocycle(self.group, self.action, vals)
 
     def sub(self, other: "Cocycle") -> "Cocycle":
-        N = self.action.ctx.modulus
-        vals = tuple(
-            tuple((a - b) % N for a, b in zip(v, w)) for v, w in zip(self.values, other.values)
-        )
-        return Cocycle(self.group, self.action, vals)
+        return self.add(other.scale(-1))
 
     def scale(self, k: int) -> "Cocycle":
         N = self.action.ctx.modulus
@@ -222,33 +217,9 @@ class CohomologyReport:
 # ---------------------------------------------------------------------------
 
 
-# memoryview format codes of the slot widths, by width in bits
-_SLOT_CODES = {8 * struct.calcsize(code): code for code in "BHIQ"}
-
-
 def _slot_width(N: int) -> int:
-    """The narrowest slot that holds N.bit_length() + 2 bits: 8, 16, 32 or 64.
-
-    ModulusContext caps N at 2^32, so 64 bits always suffice.
-    """
-    need = N.bit_length() + 2
-    return min(width for width in _SLOT_CODES if width >= need)
-
-
-def _slots(packed: list, count: int, width: int) -> memoryview:
-    """The slots of the packed ints, flat in slot order, as one memoryview.
-
-    Each int holds count slots of width bits, slot t at bit width * t. The
-    ints are joined as bytes in the machine's order and read as width-bit
-    words. On a big-endian machine that lists each int's slots from the
-    top, so there the ints are joined in reverse and the view runs
-    backwards.
-    """
-    size = count * width // 8
-    code = _SLOT_CODES[width]
-    if sys.byteorder == "little":
-        return memoryview(b"".join(x.to_bytes(size, "little") for x in packed)).cast(code)
-    return memoryview(b"".join(x.to_bytes(size, "big") for x in reversed(packed))).cast(code)[::-1]
+    """The narrowest slot that holds N.bit_length() + 2 <= 34 bits: 8, 16, 32 or 64."""
+    return next(width for width in (8, 16, 32, 64) if width >= N.bit_length() + 2)
 
 
 def _propagate(group: MatGroup, action: ModuleAction):
@@ -282,12 +253,10 @@ def _propagate(group: MatGroup, action: ModuleAction):
     distinct differences are cut into their r rows, each an int of rk
     slots, and the distinct nonzero rows are the constraints.
 
-    Returns (coeff, columns, count): coeff[h] unpacked to a tuple of r
-    tuples, and the rk columns of the matrix stacking the count constraint
-    rows, read as strided slices of one memoryview over the packed rows.
-    Column j lists entry j of every row, so the left kernel of the columns
-    is the kernel of the rows, as kernel() would find it from the
-    transpose.
+    Returns (coeff, columns, count): coeff as packed _Coefficients, and
+    the rk columns of the matrix stacking the count constraint rows, each
+    an array of width-bit words. The left kernel of the columns is the
+    kernel of the rows, as kernel() would find it from the transpose.
     """
     k = len(group.generating_set)
     table = group.cayley
@@ -327,16 +296,33 @@ def _propagate(group: MatGroup, action: ModuleAction):
         raise AssertionError("generator propagation failed to reach the whole group")
     constraints = {(d >> shift) & row_mask for d in differences for shift in row_shifts}
     constraints.discard(0)
-    view = _slots(list(constraints), rk, width)
-    columns = [view[j::rk] for j in range(rk)]
-    flat = _slots(coeff, r * rk, width).tolist()
-    rows = [tuple(flat[i * rk : i * rk + rk]) for i in range(len(coeff) * r)]
-    return list(zip(*[iter(rows)] * r)), columns, len(constraints)
+    words = _words(list(constraints), rk, width // 8)
+    return _Coefficients(coeff, r, rk, width // 8), [words[j::rk] for j in range(rk)], len(constraints)
 
 
-def _row(a, m, N: int) -> tuple:
-    """The row a . m on M^k, for a in M and an r x rk matrix m = coeff[g]."""
-    return tuple(sum(map(mul, a, col)) % N for col in zip(*m))
+class _Coefficients:
+    """The matrices coeff[h] of _propagate, each held as one packed int of
+    r x rk slots and cut into r row tuples only when read."""
+
+    def __init__(self, packed: list, r: int, rk: int, size: int):
+        self.packed, self.r, self.rk, self.size = packed, r, rk, size
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __getitem__(self, h: int) -> tuple:
+        return self.at([h])[0]
+
+    def __iter__(self):
+        return iter(self.at(range(len(self.packed))))
+
+    def at(self, indices) -> list:
+        """The matrices of the listed elements, unpacked together."""
+        r, rk = self.r, self.rk
+        packed = [self.packed[h] for h in indices]
+        flat = _words(packed, r * rk, self.size).tolist()
+        rows = [tuple(flat[i * rk : i * rk + rk]) for i in range(len(packed) * r)]
+        return list(zip(*[iter(rows)] * r))
 
 
 def _minus_identity(action: ModuleAction, g: Mat2) -> list:
@@ -356,8 +342,8 @@ def _coboundary_span(elements, action: ModuleAction) -> Submodule:
 class Engine(NamedTuple):
     """The spaces of one group and action in generator coordinates.
 
-    coeff comes from propagating the cocycle relation, with coeff[i] the
-    matrix of group.elements[i]; z1 and b1 are Z^1 and B^1 as submodules
+    coeff comes from propagating the cocycle relation, packed until read,
+    with coeff[i] the matrix of group.elements[i]; z1 and b1 are Z^1 and B^1 as submodules
     of M^k. rows generate the annihilator of Z^1, at most kr of them: since
     annihilators are reflexive, their kernel is Z^1, so a subspace of Z^1
     is cut out by stacking further rows onto these. Build one with
@@ -399,23 +385,19 @@ def _engine(group: MatGroup, action: Optional[ModuleAction], engine: Optional[En
 def _locally_trivial(group: MatGroup, action: ModuleAction, coeff, rows) -> Submodule:
     """L in generator coordinates: the cocycles with Z_g in Im(g - I) for all g.
 
-    One element g per conjugacy class of maximal cyclic subgroups, the
-    least generator of the class representative, is enough. If
-    Z_g = (g - I)v, then Z_{g^u} = (g^u - I)v for every u, by the cocycle
-    relation on <g>; every element is a power of the generator of a maximal
-    cyclic subgroup; and since Z_{tgt^-1} = t (Z_g - (g - I) t^-1 Z_t), Z_g
-    lies in Im(g - I) iff Z_{tgt^-1} lies in Im(tgt^-1 - I). The rows
-    a . coeff[g], for a in the annihilator of Im(g - I), cut L out of Z^1,
-    whose annihilator is rows.
+    By the three facts of the module docstring, the least generator g of
+    each class representative is enough. The rows a . coeff[g], for a in
+    the annihilator of Im(g - I), cut L out of Z^1, whose annihilator is rows.
     """
     r = action.rank
     N = action.ctx.modulus
     local = set()
-    for powers in group._class_representatives:
-        g = powers[0]
+    reps = [powers[0] for powers in group._class_representatives]
+    for g, m in zip(reps, coeff.at(reps)):
         # Ann(Im(g - I)) is the left kernel of g - I
         for a in _left_kernel(_minus_identity(action, group.elements[g]), r, action.ctx):
-            row = _row(a, coeff[g], N)
+            # the row a . coeff[g] on M^k
+            row = tuple(sum(map(mul, a, col)) % N for col in zip(*m))
             if any(row):
                 local.add(row)
     return kernel([*rows, *local], r * len(group.generating_set), action.ctx)
@@ -503,11 +485,8 @@ def h1_loc_via_restrictions(
 
     A cocycle with generator values x restricts to a coboundary on a cyclic
     subgroup C iff coeff[h] x = (h - I) v for every h in C and one v in M.
-    The restriction of a coboundary to a subgroup is a coboundary, and every
-    cyclic subgroup lies in a maximal one, so the maximal C suffice. With
-    w = t^-1 Z_t, Z_{tct^-1} = t (Z_c - (c - I) w), so Z restricts to a
-    coboundary on C iff it does on tCt^-1, and one C per conjugacy class
-    of G suffices (MatGroup._class_representatives). Per C
+    By the three facts of the module docstring, one maximal C per conjugacy
+    class of G suffices (MatGroup._class_representatives). Per C
     the pairs (x, -v) doing so form the kernel of the (r|C|) x (kr + r)
     matrix B with a block [coeff[h] | h - I] per h, found as the left
     kernel of B^T, which is built by columns; its projection P_C onto x is
@@ -526,7 +505,7 @@ def h1_loc_via_restrictions(
     elements = group.elements
     restricted = set()
     for powers in group._class_representatives:
-        xs = [crow for h in powers for crow in coeff[h]]
+        xs = [crow for m in coeff.at(powers) for crow in m]
         vs = [vrow for h in powers for vrow in _minus_identity(action, elements[h])]
         pairs = _left_kernel([*zip(*xs), *zip(*vs)], len(xs), ctx)
         projection = [y[:dim] for y in pairs]

@@ -612,6 +612,41 @@ def maximal_cyclic_subgroups(group: MatGroup) -> list:
     return [_cyclic_group(group, powers) for powers in group._power_walk.maximal]
 
 
+def _inverse(x: tuple, N: int) -> tuple:
+    """The inverse of an invertible (a, b, c, d) tuple mod N."""
+    a, b, c, d = x
+    u = pow(a * d - b * c, -1, N)
+    return (d * u % N, -b * u % N, -c * u % N, a * u % N)
+
+
+def _is_solvable(group: MatGroup) -> bool:
+    """Whether the derived series G > G' > G'' > ... reaches the trivial group.
+
+    Each term is the normal closure of the commutators of the previous
+    term's generators, closed on plain tuples: the commutators generate a
+    subgroup, which is extended by the conjugates of its generators under
+    the previous term's until none falls outside it. A group is solvable
+    exactly when the series does not stop shrinking above the trivial group.
+    """
+    N = group.ctx.modulus
+    gens, order = list(map(_key, group.generating_set)), len(group)
+    while order > 1:
+        pairs = [(x, _inverse(x, N)) for x in gens]
+        new = [_product(_product(x, y, N), _product(xi, yi, N), N) for x, xi in pairs for y, yi in pairs]
+        while True:
+            kept, found, _ = _grow_span(new, N, order)
+            new = [found[h] for h in kept]
+            members = set(found)
+            outside = {_product(_product(x, h, N), xi, N) for x, xi in pairs for h in new} - members
+            if not outside:
+                break
+            new += outside
+        if len(found) == order:
+            return False
+        gens, order = new, len(found)
+    return True
+
+
 def enumerate_subgroups(group: MatGroup) -> list:
     """All subgroups of a solvable group, sorted by (order, elements).
 
@@ -625,9 +660,12 @@ def enumerate_subgroups(group: MatGroup) -> list:
     extension K of H already found are skipped. Every nontrivial subgroup
     of a solvable group has a normal subgroup of prime index, so the walk
     reaches every subgroup; a group reached by such a chain is solvable, so
-    the group itself is reached exactly when it is solvable. Products are
-    formed on plain (a, b, c, d) tuples.
+    the group itself is reached exactly when it is solvable, which the
+    derived series tells first (_is_solvable). Products are formed on plain
+    (a, b, c, d) tuples.
     """
+    if not _is_solvable(group):
+        raise ValueError("subgroup enumeration needs a solvable group")
     N = group.ctx.modulus
     # each element with its tuple and the tuple of its inverse
     elements = [(g, _key(g), _key(g.inv())) for g in group.elements]
@@ -656,7 +694,7 @@ def enumerate_subgroups(group: MatGroup) -> list:
                 queue.append((ext, found[ext]))
     subgroups = sorted(found.values(), key=lambda h: (len(h), h.elements))
     if len(subgroups[-1]) != len(group):
-        raise ValueError("subgroup enumeration needs a solvable group")
+        raise RuntimeError("the cyclic extension walk missed the solvable group itself")
     return subgroups
 
 

@@ -8,7 +8,10 @@ pivot of positive valuation an annihilator multiple of the pivot row is
 fed back into the elimination.  The resulting form is unique per
 submodule and supports membership tests by greedy reduction.  Left
 kernels and solutions come from the same elimination, run on the rows
-with an identity block appended.
+with an identity block appended.  The elimination packs each row into
+one int of fixed-width slots (Lamport, CACM 1975), so a row operation is
+a few big-int operations that reduce every entry at once (Barrett,
+CRYPTO '86); rows go in and come out as lists, packed through bytes.
 
 Quotients of finite modules are reported through their invariant factors,
 obtained by lifting a relation matrix to the integers (appending the
@@ -20,7 +23,13 @@ such rows; p^n never leaves the exact range.
 
 from __future__ import annotations
 
+import itertools
+import math
+import sys
+from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, NotASubmodule, NotAUnit
@@ -28,6 +37,10 @@ from .errors import DimensionMismatch, NotASubmodule, NotAUnit
 
 # Largest modulus p^n a context accepts.
 MAX_MODULUS = 2**32
+
+# array type codes of the machine words, by size in bytes
+_WORD_CODES = {array(code).itemsize: code for code in "BHIQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _is_prime(p: int) -> bool:
@@ -96,6 +109,67 @@ def _check_rows(rows: Sequence[Sequence[int]], ncols: int) -> None:
             raise DimensionMismatch(f"row of length {len(r)} in a matrix of {ncols} columns")
 
 
+@lru_cache(maxsize=256)
+def _layout(N: int, count: int) -> tuple:
+    """Slot size and reduction constants for rows of count entries mod N.
+
+    With m = ceil(2^s / N) and (-2^s mod N) * N^2 < 2^s, (x*m) >> s is
+    x // N for every x < N^2 (Granlund and Montgomery, PLDI '94); a slot
+    holds x*m, so x - ((x*m >> s) & qmask)*N reduces all slots below N^2
+    at once. top and bias test that every slot lies in [0, N).
+    """
+    s = N.bit_length()
+    while (N * N - 1) * (-(1 << s) % N) >= 1 << s:
+        s += 1
+    m = -(-(1 << s) // N)
+    size = 1
+    while 8 * size < ((N * N - 1) * m).bit_length():
+        size *= 2
+    W = 8 * size
+    ones = ((1 << W * count) - 1) // ((1 << W) - 1)
+    top = ones << (W - 1)
+    return W, size, s, m, ones * ((1 << (W - s)) - 1), ones * N, top, top - ones * N
+
+
+def _restride(blob, src: int, dst: int, count: int) -> bytearray:
+    """count little-endian words of src bytes as words of dst bytes."""
+    out = bytearray(dst * count)
+    for b in range(min(src, dst)):
+        out[b::dst] = blob[b::src]
+    return out
+
+
+def _words(packed: list, count: int, size: int) -> array:
+    """The count slots of size bytes of each packed int, in slot order, as
+    one array; a slot past 8 bytes (the wide path) keeps its low 8."""
+    blob = b"".join([x.to_bytes(size * count, "little") for x in packed])
+    if size > 8:
+        blob = _restride(blob, size, 8, count * len(packed))
+    words = array(_WORD_CODES[min(size, 8)], blob)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
+
+
+def _pack(row, lay: tuple) -> int:
+    """One row as one int of slots: an unsigned array row as its words, any
+    other as words of the slot size. OverflowError if an entry is not in
+    [0, N)."""
+    size, top, bias = lay[1], lay[6], lay[7]
+    unsigned = isinstance(row, array) and row.typecode in "BHILQ"
+    words = row if unsigned else array(_WORD_CODES[min(size, 8)], row)
+    if _BIG_ENDIAN:
+        words = array(words.typecode, words)
+        words.byteswap()
+    blob = words.tobytes()
+    if words.itemsize != size:
+        blob = _restride(blob, words.itemsize, size, len(words))
+    x = int.from_bytes(blob, "little")
+    if x & top or (x + bias) & top:
+        raise OverflowError("entry outside [0, N)")
+    return x
+
+
 def _howell(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext):
     """Howell elimination over Z/p^n, pivoting on the first ncols columns.
 
@@ -105,59 +179,77 @@ def _howell(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext):
     Appending p^(n-v) multiples of every pivot row of valuation v > 0 is
     what makes the form canonical and, through the rows past r, the left
     kernel complete. Every such row is appended, even a zero one, so the
-    raw rows past r do not depend on which of them vanish.
+    raw rows past r do not depend on which of them vanish. On packed rows
+    (a - q*b) mod N is a + q*(N*ones - b) and one reduction, and the next
+    pivot column is the lowest nonzero slot of the OR of the rows from r.
     """
+    if not rows:
+        return [], 0
     N, p, nexp = ctx.modulus, ctx.p, ctx.n
-    work = [[int(e) % N for e in r] for r in rows]
-
+    count = len(rows[0])
+    lay = _layout(N, count)
+    W, size, s, m, qmask, lift, _, _ = lay
+    slot = (1 << W) - 1
+    leading = (1 << W * ncols) - 1
+    try:
+        work = [_pack(row, lay) for row in rows]
+    except (TypeError, OverflowError):
+        work = [_pack([int(e) % N for e in row], lay) for row in rows]
     r = 0
-    for c in range(ncols):
-        if r >= len(work):
+    while r < len(work):
+        below = 0
+        for x in work[r:]:
+            below |= x
+        below &= leading
+        if not below:
             break
-        # pivot: the row at or below r whose column-c entry has least valuation
+        shift = (below & -below).bit_length() - 1
+        shift -= shift % W
+        # pivot: the row at or below r whose entry has least valuation
         best, bestv = -1, nexp
         for i in range(r, len(work)):
-            a = work[i][c]
+            a = (work[i] >> shift) & slot
             if a:
-                v = ctx.valuation(a)
+                v = ctx.valuation(a) if a % p == 0 else 0
                 if v < bestv:
                     best, bestv = i, v
                     if v == 0:
                         break
-        if best < 0:
-            continue
         work[r], work[best] = work[best], work[r]
-        v = bestv
-        piv = p**v
-        u = pow(work[r][c] // piv, -1, N)
-        if u != 1:
-            work[r] = [(u * e) % N for e in work[r]]
+        piv = p**bestv
         wr = work[r]
-        # clear below: every entry in this column at rows > r has valuation >= v
-        for i in range(r + 1, len(work)):
-            e = work[i][c]
-            if e:
-                q = e // piv
-                work[i] = [(a - q * b) % N for a, b in zip(work[i], wr)]
-        # reduce above modulo the pivot
-        for i in range(r):
-            q = work[i][c] // piv
-            if q:
-                work[i] = [(a - q * b) % N for a, b in zip(work[i], wr)]
+        a = (wr >> shift) & slot
+        if a != piv:
+            wr = pow(a // piv, -1, N) * wr
+            work[r] = wr = wr - ((wr * m >> s) & qmask) * N
+        minus = lift - wr
+        # clear below, where every entry in this column has valuation at
+        # least the pivot's, and reduce above modulo the pivot
+        for i in range(len(work)):
+            q = ((work[i] >> shift) & slot) // piv
+            if q and i != r:
+                x = work[i] + q * minus
+                work[i] = x - ((x * m >> s) & qmask) * N
         # annihilator feedback keeps the span Howell-complete
-        if v > 0:
-            ann = p ** (nexp - v)
-            work.append([(ann * e) % N for e in wr])
+        if bestv > 0:
+            x = p ** (nexp - bestv) * wr
+            work.append(x - ((x * m >> s) & qmask) * N)
         r += 1
-    return work, r
+    if size > 8 or _BIG_ENDIAN:
+        return [_words([x], count, size).tolist() for x in work], r
+    return [array(_WORD_CODES[size], x.to_bytes(size * count, "little")).tolist() for x in work], r
 
 
-def _with_identity(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+def _with_identity(rows: Sequence[Sequence[int]], ncols: int) -> list:
     """The rows (row_i | e_i): after elimination the identity part of each
-    row says which combination of the input rows it is."""
+    row says which combination of the input rows it is. Array rows stay
+    arrays, whose words _pack copies without reading an entry."""
     _check_rows(rows, ncols)
-    m = len(rows)
-    return [[*row, *(int(i == j) for j in range(m))] for i, row in enumerate(rows)]
+    units = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+    return [
+        row + array(row.typecode, e) if isinstance(row, array) else [*row, *e]
+        for row, e in zip(rows, units)
+    ]
 
 
 def _reduce_against(hrows: Sequence[Sequence[int]], vec: Sequence[int], ctx: ModulusContext) -> list[int]:
@@ -207,11 +299,7 @@ class Submodule:
         return tuple(_reduce_against(self.generators, v, self.ctx))
 
     def cardinality(self) -> int:
-        N = self.ctx.modulus
-        size = 1
-        for g in self.generators:
-            size *= N // next(e for e in g if e)
-        return size
+        return math.prod(self.ctx.modulus // next(e for e in g if e) for g in self.generators)
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -219,17 +307,10 @@ class Submodule:
     def vectors(self) -> Iterator[tuple[int, ...]]:
         """All elements (cardinality-many; caller guards sizes)."""
         N = self.ctx.modulus
-        gens = self.generators
-        ranges = [N // next(e for e in g if e) for g in gens]
-
-        def rec(i: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-            if i == len(gens):
-                yield tuple(acc)
-                return
-            for c in range(ranges[i]):
-                yield from rec(i + 1, [(a + c * b) % N for a, b in zip(acc, gens[i])])
-
-        yield from rec(0, [0] * self.ambient_rank)
+        ranges = [range(N // next(e for e in g if e)) for g in self.generators]
+        cols = list(zip(*self.generators, [0] * self.ambient_rank))
+        for coeffs in itertools.product(*ranges):
+            yield tuple(sum(map(mul, coeffs, col)) % N for col in cols)
 
     def le(self, other: "Submodule") -> bool:
         """Containment self <= other."""
@@ -303,23 +384,6 @@ def _smith_with_colbasis(rel_rows: list[list[int]], r: int):
     m = [row[:] for row in rel_rows]
     nrows = len(m)
     W = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-
-    def col_swap(i: int, j: int) -> None:
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        W[i], W[j] = W[j], W[i]
-
-    def col_sub(j: int, q: int, i: int) -> None:
-        # col_j -= q * col_i  mirrors as  W_i += q * W_j
-        for row in m:
-            row[j] -= q * row[i]
-        W[i] = [a + q * b for a, b in zip(W[i], W[j])]
-
-    def col_neg(i: int) -> None:
-        for row in m:
-            row[i] = -row[i]
-        W[i] = [-a for a in W[i]]
-
     diag = []
     for t in range(r):
         while True:
@@ -335,9 +399,13 @@ def _smith_with_colbasis(rel_rows: list[list[int]], r: int):
                 break
             m[t], m[pi] = m[pi], m[t]
             if pj != t:
-                col_swap(t, pj)
+                for row in m:
+                    row[t], row[pj] = row[pj], row[t]
+                W[t], W[pj] = W[pj], W[t]
             if m[t][t] < 0:
-                col_neg(t)
+                for row in m:
+                    row[t] = -row[t]
+                W[t] = [-a for a in W[t]]
             a = m[t][t]
             dirty = False
             for i in range(t + 1, nrows):
@@ -349,20 +417,17 @@ def _smith_with_colbasis(rel_rows: list[list[int]], r: int):
             for j in range(t + 1, r):
                 q = m[t][j] // a
                 if q:
-                    col_sub(j, q, t)
+                    # col_j -= q * col_t  mirrors as  W_t += q * W_j
+                    for row in m:
+                        row[j] -= q * row[t]
+                    W[t] = [x + q * y for x, y in zip(W[t], W[j])]
                 if m[t][j]:
                     dirty = True
             if dirty:
                 continue
             # divisibility sweep: pivot must divide the remaining block
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, r):
-                    if m[i][j] % a:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            rest = range(t + 1, r)
+            offender = next((i for i in range(t + 1, nrows) for j in rest if m[i][j] % a), None)
             if offender is None:
                 diag.append(a)
                 break
@@ -397,11 +462,7 @@ def quotient_decomposition(s: Submodule, t: Submodule):
             raise AssertionError("relation lattice must have full rank dividing p^n")
         if d > 1:
             invariants.append(d)
-            acc = [0] * s.ambient_rank
-            for coeff, grow in zip(W[i], gens_s):
-                if coeff % N:
-                    acc = [(a + coeff * b) % N for a, b in zip(acc, grow)]
-            witnesses.append(tuple(acc))
+            witnesses.append(tuple(sum(map(mul, W[i], col)) % N for col in zip(*gens_s)))
     return invariants, witnesses
 
 

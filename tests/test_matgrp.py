@@ -11,6 +11,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohomlab import matgrp
 from cohomlab.errors import CapExceeded, NonInvertibleConjugator, NonInvertibleGenerator
 from cohomlab.experiments import full_diagonal_group
 from cohomlab.matgrp import (
@@ -461,6 +462,28 @@ def test_enumerate_subgroups_sylow_three_of_gl2_z9():
 def test_enumerate_subgroups_rejects_non_solvable_group():
     with pytest.raises(ValueError, match="solvable"):
         enumerate_subgroups(full_gl2(ModulusContext(5, 1)))
+
+
+def test_derived_series_rejects_non_solvable_groups_before_the_walk(monkeypatch):
+    # the derived series of GL2(F_5) stops at SL2(F_5), that of SL2(F_7) at
+    # once; the cyclic extension walk, whose closures go through
+    # close_group, never starts
+    Z5, Z7 = ModulusContext(5, 1), ModulusContext(7, 1)
+    gl2_f5 = full_gl2(Z5)
+    sl2_f7 = close_group([Mat2(1, 1, 0, 1, Z7), Mat2(1, 0, 1, 1, Z7)], Z7)
+    assert len(sl2_f7) == 336
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the extension walk started")
+
+    monkeypatch.setattr(matgrp, "close_group", no_walk)
+    for group in (gl2_f5, sl2_f7):
+        assert not matgrp._is_solvable(group)
+        with pytest.raises(ValueError, match="subgroup enumeration needs a solvable group"):
+            enumerate_subgroups(group)
+    # solvable groups pass: GL2(F_3), GL2(Z/4), GL2(Z/9) and the Borel of GL2(F_5)
+    for group in (full_gl2(Z3), full_gl2(Z4), full_gl2(Z9), MatGroup(tuple(g for g in gl2_f5 if g.c == 0), Z5)):
+        assert matgrp._is_solvable(group)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from array import array
+
 from cohomlab.errors import DimensionMismatch, NotASubmodule, NotAUnit
 from cohomlab.zmod import (
     ModulusContext,
     Submodule,
+    _howell,
+    _layout,
     _left_kernel,
+    _with_identity,
     annihilator,
     image_contains,
     kernel,
@@ -359,6 +364,194 @@ def test_raw_outputs_pinned_on_seeded_corpus():
     # pivots at 9 in column 1, and that row's annihilator 3 * (0, 9 | 9)
     # vanishes mod 27 in both parts but is still returned
     assert _left_kernel([[3, 1]], 2, ModulusContext(3, 3)) == [[0]]
+
+
+def zmod_wide_corpus():
+    """Seeded cases the 300-case corpus does not reach, with the raw outputs
+    of the elimination: spans up to 3000 columns wide, left kernels of up to
+    8 x 2000 matrices (a 6 x 3000 one shaped like the Z1 cut of cohom, whose
+    rows are the columns of the constraint matrix), and matrices over the
+    extreme moduli 65521^2, 2^32 and 3^20. Entries N - 1 under a unit pivot
+    give quotients N - 1 against entries N - 1, the largest value a row
+    operation forms before it is reduced."""
+    rng = random.Random(20261019)
+    out = []
+
+    def entry(ctx, zeros):
+        p, n, N = ctx.p, ctx.n, ctx.modulus
+        r = rng.random()
+        if r < zeros:
+            return 0
+        if r < zeros + (1 - zeros) / 3:
+            return N - 1
+        if r < zeros + 2 * (1 - zeros) / 3 and n > 1:
+            return p ** rng.randrange(1, n) * rng.randrange(1, p) % N
+        return rng.randrange(N)
+
+    for (p, n), shapes in (
+        ((3, 2), ((1, 1000), (3, 3000), (8, 2000))),
+        ((5, 2), ((6, 3000), (2, 2500))),
+        ((2, 3), ((4, 1500),)),
+        ((3, 3), ((6, 1200),)),
+    ):
+        ctx = ModulusContext(p, n)
+        for nrows, ncols in shapes:
+            rows = [[entry(ctx, 0.9) for _ in range(ncols)] for _ in range(nrows)]
+            rows[rng.randrange(nrows)][rng.randrange(ncols)] = p
+            if nrows > 2:
+                # a dependent last row, so that the left kernel is not zero
+                rows[-1] = [(a + p * b) % ctx.modulus for a, b in zip(rows[0], rows[1])]
+            out.append(((p, n, nrows, ncols), Submodule.span(rows, ncols, ctx).generators, _left_kernel(rows, ncols, ctx)))
+
+    for p, n in ((65521, 2), (2, 32), (3, 20)):
+        ctx = ModulusContext(p, n)
+        N = ctx.modulus
+        fixed = [
+            [[1, 0, 0], [N - 1, N - 1, N - 1]],
+            [[N - 1, N - 1], [N - 1, 1]],
+            [[p, N - 1], [N - 1, N - 1], [N - p, 0]],
+            [[N - 1] * 4 for _ in range(3)],
+        ]
+        shaped = [
+            [[entry(ctx, 0.3) for _ in range(ncols)] for _ in range(nrows)]
+            for nrows, ncols in ((1, 1), (2, 2), (3, 2), (2, 4), (5, 3), (4, 4), (6, 5))
+            for _ in range(4)
+        ]
+        for rows in fixed + shaped:
+            ncols = len(rows[0])
+            s = Submodule.span(rows, ncols, ctx)
+            t = Submodule.span([[p * e % N for e in r] for r in rows], ncols, ctx)
+            out.append(
+                (
+                    (p, n, rows),
+                    s.generators,
+                    _left_kernel(rows, ncols, ctx),
+                    kernel(rows, ncols, ctx).generators,
+                    solve_linear(rows, ncols, mat_vec(rows, [N - 1] * ncols, N), ctx),
+                    solve_linear(rows, ncols, [N - 1] * len(rows), ctx),
+                    quotient_decomposition(s, t),
+                )
+            )
+        rows = [[entry(ctx, 0.6) for _ in range(300)] for _ in range(5)]
+        out.append(((p, n, 5, 300), Submodule.span(rows, 300, ctx).generators, _left_kernel(rows, 300, ctx)))
+    return out
+
+
+def test_raw_outputs_pinned_on_wide_and_extreme_cases():
+    corpus = zmod_wide_corpus()
+    assert len(corpus) == 7 + 3 * (4 + 28 + 1)
+    digest = hashlib.sha256(repr(corpus).encode()).hexdigest()
+    assert digest == "ecf567efc74abe0e38930d64906851ab5d44b9a4c0cbf42f04ef3aa448a49c13"
+
+
+def list_row_howell(rows, ncols, ctx):
+    """Reference elimination: the Howell elimination on lists of entries,
+    walked column by column and row by row, that the packed rows replaced.
+    Same pivots, same row operations, every feedback row appended."""
+    N, p, nexp = ctx.modulus, ctx.p, ctx.n
+    work = [[int(e) % N for e in r] for r in rows]
+    r = 0
+    for c in range(ncols):
+        if r >= len(work):
+            break
+        best, bestv = -1, nexp
+        for i in range(r, len(work)):
+            a = work[i][c]
+            if a:
+                v = ctx.valuation(a)
+                if v < bestv:
+                    best, bestv = i, v
+                    if v == 0:
+                        break
+        if best < 0:
+            continue
+        work[r], work[best] = work[best], work[r]
+        v = bestv
+        piv = p**v
+        u = pow(work[r][c] // piv, -1, N)
+        if u != 1:
+            work[r] = [(u * e) % N for e in work[r]]
+        wr = work[r]
+        for i in range(r + 1, len(work)):
+            e = work[i][c]
+            if e:
+                q = e // piv
+                work[i] = [(a - q * b) % N for a, b in zip(work[i], wr)]
+        for i in range(r):
+            q = work[i][c] // piv
+            if q:
+                work[i] = [(a - q * b) % N for a, b in zip(work[i], wr)]
+        if v > 0:
+            ann = p ** (nexp - v)
+            work.append([(ann * e) % N for e in wr])
+        r += 1
+    return work, r
+
+
+# one modulus per slot width of the packed rows: 8, 16, 32, 64 and 128 bits
+SLOT_WIDTH_CONTEXTS = [
+    (ModulusContext(2, 3), 8),
+    (ModulusContext(3, 1), 8),
+    (ModulusContext(3, 2), 16),
+    (ModulusContext(5, 2), 16),
+    (ModulusContext(3, 3), 32),
+    (ModulusContext(13, 2), 32),
+    (ModulusContext(5, 4), 64),
+    (ModulusContext(2, 16), 64),
+    (ModulusContext(7, 6), 128),
+    (ModulusContext(65521, 2), 128),
+    (ModulusContext(2, 32), 128),
+    (ModulusContext(3, 20), 128),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_howell_matches_list_rows(data):
+    ctx, width = data.draw(st.sampled_from(SLOT_WIDTH_CONTEXTS))
+    assert _layout(ctx.modulus, 1)[0] == width
+    p, n, N = ctx.p, ctx.n, ctx.modulus
+    nrows = data.draw(st.integers(min_value=1, max_value=8))
+    ncols = data.draw(st.sampled_from([1, 2, 3, 4, 7, 30, 300, 2000]))
+    extra = data.draw(st.integers(min_value=0, max_value=3))
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+    zeros = rng.random()
+
+    def entry():
+        t = rng.random()
+        if t < zeros:
+            return 0
+        t = rng.random()
+        if t < 0.3:
+            return p ** rng.randrange(n) * rng.randrange(1, p) % N
+        if t < 0.5:
+            return N - 1
+        return rng.randrange(N)
+
+    rows = [[entry() for _ in range(ncols + extra)] for _ in range(nrows)]
+    if rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = [0] * (ncols + extra)
+    want = list_row_howell(rows, ncols, ctx)
+    assert _howell(rows, ncols, ctx) == want
+    # entries outside [0, N) are reduced first, negative or not
+    for low in (-2, 0):
+        shifted = [[e + N * rng.randrange(low, 3) for e in row] for row in rows]
+        assert _howell(shifted, ncols, ctx) == want
+    # array rows, as the Z1 cut of cohom passes them, in any word that holds N
+    code = data.draw(st.sampled_from([c for c in "BHIQ" if N <= 256 ** array(c).itemsize]))
+    assert _howell([array(code, row) for row in rows], ncols, ctx) == want
+    identity = _with_identity([array(code, row) for row in rows], ncols + extra)
+    assert _howell(identity, ncols, ctx) == list_row_howell(_with_identity(rows, ncols + extra), ncols, ctx)
+
+
+def test_signed_and_float_array_rows_are_read_by_value():
+    # only unsigned arrays are packed from their bytes: the bytes of -100 in
+    # a signed char would read as 156, a residue mod 169 in its own right
+    ctx = ModulusContext(13, 2)
+    rows = [[-100, 5, 120], [3, -1, 0]]
+    want = list_row_howell(rows, 3, ctx)
+    for code in "bhilqd":
+        assert _howell([array(code, row) for row in rows], 3, ctx) == want
 
 
 # ---------------------------------------------------------------------------
