@@ -50,7 +50,12 @@ they are computed independently.
 Value tables, one module element per group element in canonical order, are
 built only for the public cocycle_space, coboundary_space and
 locally_trivial_subspace, and for the witnesses of a nonzero L/B1. Only
-they, L and the restriction path read coeff, which stays packed until then.
+they, L and the restriction path read coeff, which stays packed until then;
+h1_loc unpacks it once for its B1 and L tables. is_locally_trivial checks
+each witness one maximal cyclic subgroup <g> at a time: one solve
+Z_g = (g - I)v, then Z_h = (h - I)v multiplied out for each h in <g>,
+which the first fact guarantees for a cocycle. An element that a table
+not a cocycle leaves unproven is tested on its own.
 """
 
 from __future__ import annotations
@@ -310,9 +315,6 @@ class _Coefficients:
     def __len__(self) -> int:
         return len(self.packed)
 
-    def __getitem__(self, h: int) -> tuple:
-        return self.at([h])[0]
-
     def __iter__(self):
         return iter(self.at(range(len(self.packed))))
 
@@ -353,7 +355,7 @@ class Engine(NamedTuple):
 
     group: MatGroup
     action: ModuleAction
-    coeff: list
+    coeff: _Coefficients
     rows: tuple
     z1: Submodule
     b1: Submodule
@@ -404,12 +406,10 @@ def _locally_trivial(group: MatGroup, action: ModuleAction, coeff, rows) -> Subm
 
 
 def _tables(group: MatGroup, action: ModuleAction, coeff, sub: Submodule) -> Submodule:
-    """A submodule of M^k carried to value tables, a submodule of M^|G|."""
+    """A submodule of M^k carried to value tables in M^|G|, iterating coeff once."""
     N = action.ctx.modulus
-    tables = [
-        [sum(map(mul, crow, z)) % N for m in coeff for crow in m]
-        for z in sub.generators
-    ]
+    crows = [crow for m in coeff for crow in m]
+    tables = [[sum(map(mul, crow, z)) % N for crow in crows] for z in sub.generators]
     return Submodule.span(tables, action.rank * len(group), action.ctx)
 
 
@@ -465,8 +465,9 @@ def h1_loc(
     loc = _locally_trivial(group, action, coeff, rows) if h1_inv else None
     if loc is None or not quotient_invariants(loc, b1):
         return CohomologyReport(z1_inv, b1_inv, h1_inv, (), ())
-    b1_full = _tables(group, action, coeff, b1)
-    loc_inv, raw_wits = quotient_decomposition(_tables(group, action, coeff, loc), b1_full)
+    matrices = list(coeff)
+    b1_full = _tables(group, action, matrices, b1)
+    loc_inv, raw_wits = quotient_decomposition(_tables(group, action, matrices, loc), b1_full)
     witnesses = []
     for w in raw_wits:
         zc = Cocycle.from_flat(group, action, b1_full.coset_reduce(w))
@@ -551,11 +552,22 @@ def is_coboundary(z: Cocycle) -> Optional[tuple]:
 
 
 def is_locally_trivial(z: Cocycle) -> bool:
-    """Whether each single value Z_g lies in the image of g - I."""
-    action = z.action
+    """Whether each single value Z_g lies in the image of g - I: one solve
+    per maximal cyclic subgroup, and a membership test for each element
+    that no solve proves (module docstring)."""
+    action, elements, values = z.action, z.group.elements, z.values
+    N = action.ctx.modulus
+    proven = bytearray(len(elements))
+    for powers in z.group._power_walk.maximal:
+        v = solve_linear(_minus_identity(action, elements[powers[0]]), action.rank, values[powers[0]], action.ctx)
+        if v is None:
+            return False
+        for h in powers:
+            if values[h] == tuple((sum(map(mul, row, v)) - e) % N for row, e in zip(action.act_rows(elements[h]), v)):
+                proven[h] = 1
     return all(
-        image_contains(_minus_identity(action, g), action.rank, v, action.ctx)
-        for g, v in zip(z.group.elements, z.values)
+        proven[i] or image_contains(_minus_identity(action, g), action.rank, values[i], action.ctx)
+        for i, g in enumerate(elements)
     )
 
 

@@ -45,6 +45,7 @@ from .errors import (
     CapExceeded,
     NonInvertibleConjugator,
     NonInvertibleGenerator,
+    NotAUnit,
 )
 from .zmod import ModulusContext, _is_prime, unit_inverse
 
@@ -131,6 +132,10 @@ class Mat2:
         return out
 
     def order(self) -> int:
+        """The least k >= 1 with self^k = I; raises NotAUnit, as inv does,
+        for a matrix singular mod p, whose powers never reach I."""
+        if not self.is_invertible():
+            raise NotAUnit(f"the determinant {self.det()} is divisible by {self.ctx.p}")
         N = self.ctx.modulus
         a, b, c, d = self.a, self.b, self.c, self.d
         x, y, z, w = a, b, c, d
@@ -412,6 +417,8 @@ class MatGroup:
         for i, (a, b, c, d) in enumerate(keys):
             if orders[i]:
                 continue
+            if (a * d - b * c) % self.ctx.p == 0:
+                raise ValueError("a singular matrix is not a group element")
             powers = [i]
             x, y, z, w = a, b, c, d
             while (x, y, z, w) != (1, 0, 0, 1):

@@ -11,7 +11,7 @@ kernels and solutions come from the same elimination, run on the rows
 with an identity block appended.  The elimination packs each row into
 one int of fixed-width slots (Lamport, CACM 1975), so a row operation is
 a few big-int operations that reduce every entry at once (Barrett,
-CRYPTO '86); rows go in and come out as lists, packed through bytes.
+CRYPTO '86); callers unpack only the rows and columns they read.
 
 Quotients of finite modules are reported through their invariant factors,
 obtained by lifting a relation matrix to the integers (appending the
@@ -173,9 +173,9 @@ def _pack(row, lay: tuple) -> int:
 def _howell(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext):
     """Howell elimination over Z/p^n, pivoting on the first ncols columns.
 
-    Returns (work, r). Every row operation acts on whole rows, so any
-    columns past ncols ride along: the first r rows of work carry the Howell
-    normal form of the leading block, and the rows past r vanish on it.
+    Returns (work, r, size), rows packed in slots of size bytes (_slots).
+    Row operations act on whole rows, so columns past ncols ride along: the
+    first r rows carry the Howell form of the leading block, the rest vanish on it.
     Appending p^(n-v) multiples of every pivot row of valuation v > 0 is
     what makes the form canonical and, through the rows past r, the left
     kernel complete. Every such row is appended, even a zero one, so the
@@ -184,7 +184,7 @@ def _howell(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext):
     pivot column is the lowest nonzero slot of the OR of the rows from r.
     """
     if not rows:
-        return [], 0
+        return [], 0, 1
     N, p, nexp = ctx.modulus, ctx.p, ctx.n
     count = len(rows[0])
     lay = _layout(N, count)
@@ -235,9 +235,14 @@ def _howell(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext):
             x = p ** (nexp - bestv) * wr
             work.append(x - ((x * m >> s) & qmask) * N)
         r += 1
-    if size > 8 or _BIG_ENDIAN:
-        return [_words([x], count, size).tolist() for x in work], r
-    return [array(_WORD_CODES[size], x.to_bytes(size * count, "little")).tolist() for x in work], r
+    return work, r, size
+
+
+def _slots(packed: list, size: int, count: int, start: int = 0) -> list:
+    """Slots start..count of each packed int of count slots, as lists."""
+    n = count - start
+    flat = _words([x >> 8 * size * start for x in packed], n, size).tolist()
+    return [flat[i * n : i * n + n] for i in range(len(packed))]
 
 
 def _with_identity(rows: Sequence[Sequence[int]], ncols: int) -> list:
@@ -282,8 +287,8 @@ class Submodule:
     @classmethod
     def span(cls, rows: Sequence[Sequence[int]], ambient_rank: int, ctx: ModulusContext) -> "Submodule":
         _check_rows(rows, ambient_rank)
-        work, r = _howell(rows, ambient_rank, ctx)
-        return cls(ambient_rank, tuple(map(tuple, work[:r])), ctx)
+        work, r, size = _howell(rows, ambient_rank, ctx)
+        return cls(ambient_rank, tuple(map(tuple, _slots(work[:r], size, ambient_rank))), ctx)
 
     @classmethod
     def zero(cls, ambient_rank: int, ctx: ModulusContext) -> "Submodule":
@@ -320,8 +325,8 @@ class Submodule:
 def _left_kernel(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext) -> list[list[int]]:
     """Rows generating {y : y * rows = 0}, raw from one elimination: not in
     normal form, and possibly with zero or repeated rows."""
-    work, r = _howell(_with_identity(rows, ncols), ncols, ctx)
-    return [row[ncols:] for row in work[r:]]
+    work, r, size = _howell(_with_identity(rows, ncols), ncols, ctx)
+    return _slots(work[r:], size, ncols + len(rows), ncols)
 
 
 def _columns(rows: Sequence[Sequence[int]], ncols: int) -> list:
@@ -351,8 +356,8 @@ def solve_linear(
     m = len(rows)
     if len(b) != m:
         raise DimensionMismatch(f"matrix has {m} rows, vector has {len(b)}")
-    work, r = _howell(_with_identity(_columns(rows, ncols), m), m, ctx)
-    res = _reduce_against(work[:r], list(b) + [0] * ncols, ctx)
+    work, r, size = _howell(_with_identity(_columns(rows, ncols), m), m, ctx)
+    res = _reduce_against(_slots(work[:r], size, m + ncols), list(b) + [0] * ncols, ctx)
     if any(res[:m]):
         return None
     N = ctx.modulus

@@ -27,7 +27,6 @@ from cohomlab.experiments import (
     verify_diagonal_triviality,
     verify_oracle_equivalence,
     verify_shape_lemma,
-    verify_structure_props,
 )
 from cohomlab.galoisdict import evaluate_main_theorem_conditions
 from cohomlab.matgrp import (
@@ -192,9 +191,9 @@ def test_criterion_7_random_cyclic_groups_trivial():
     _finish(7, "200 random cyclic subgroups all have trivial quotient", t0, 120.0)
 
 
-def test_criterion_8_falsification_searches_clean():
+def test_criterion_8_falsification_searches_clean(structure_props):
     t0 = time.monotonic()
-    structure = verify_structure_props(3)
+    structure = structure_props(0)
     for verdict in (
         verify_shape_lemma(3),
         structure,

@@ -47,6 +47,7 @@ from cohomlab.experiments import (
     brute_cocycle_tables,
     brute_locally_trivial_tables,
     brute_quotient_invariants,
+    full_diagonal_group,
 )
 from cohomlab.matgrp import (
     Mat2,
@@ -59,7 +60,7 @@ from cohomlab.matgrp import (
     maximal_cyclic_subgroups,
     special_subgroups,
 )
-from cohomlab import zmod
+from cohomlab import cohom, zmod
 from cohomlab.zmod import ModulusContext, Submodule, quotient_invariants
 
 Z2 = ModulusContext(2, 1)
@@ -480,6 +481,101 @@ def test_is_cocycle_matches_all_pairs_relation():
             assert is_cocycle(moved) == literal
             rejected += not literal
     assert rejected >= 2 * len(cocycles)
+
+
+def minus_identity(action, g):
+    """Rows of g - I on the module, read from act_rows."""
+    N = action.ctx.modulus
+    return [[(e - (i == j)) % N for j, e in enumerate(row)] for i, row in enumerate(action.act_rows(g))]
+
+
+def elementwise_is_locally_trivial(z):
+    """Reference: every value Z_g tested on its own for membership in the
+    image of g - I."""
+    action = z.action
+    return all(
+        zmod.image_contains(minus_identity(action, g), action.rank, v, action.ctx)
+        for g, v in zip(z.group.elements, z.values)
+    )
+
+
+def witness_check_cases():
+    """(label, cocycle) pairs: the cocycle space generators of every subgroup
+    of GL2(F_3), of the family at p = 3 and 5 with its witnesses and the
+    explicit example cocycle, and of the diagonal group mod 9 on a line."""
+    gl2 = close_group([Mat2(1, 1, 0, 1, Z3), Mat2(2, 0, 0, 1, Z3), Mat2(0, 2, 1, 0, Z3)], Z3)
+    groups = [(f"gl2-f3-{i}", sub, ModuleAction.standard(Z3)) for i, sub in enumerate(enumerate_subgroups(gl2))]
+    groups.append(("diag-z9-line", full_diagonal_group(Z9), ModuleAction.line_of(Z9, 1)))
+    cases = []
+    for p in (3, 5):
+        ex = make_example_group(p)
+        groups.append((f"family-p{p}", ex.group, ModuleAction.standard(ex.group.ctx)))
+        cases.append((f"family-p{p}-example", example_cocycle(ex)))
+        cases += [(f"family-p{p}-witness", w) for w in h1_loc(ex.group).h1loc_witnesses]
+    for label, grp, action in groups:
+        cases += [(label, Cocycle.from_flat(grp, action, flat)) for flat in cocycle_space(grp, action).generators]
+    return cases
+
+
+def test_locally_trivial_matches_the_elementwise_test():
+    outcomes = {}
+    for label, z in witness_check_cases():
+        want = elementwise_is_locally_trivial(z)
+        assert is_locally_trivial(z) == want, label
+        outcomes.setdefault(want, label)
+    assert set(outcomes) == {True, False}
+    assert outcomes[False].startswith("gl2-f3")
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_locally_trivial_solves_once_per_maximal_cyclic_subgroup(monkeypatch, p):
+    ex = make_example_group(p)
+    calls = {"solve": 0, "member": 0}
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(cohom, "solve_linear", counted("solve", cohom.solve_linear))
+    monkeypatch.setattr(cohom, "image_contains", counted("member", cohom.image_contains))
+    assert is_locally_trivial(example_cocycle(ex))
+    assert calls == {"solve": 2 * p, "member": 0}
+    assert len(maximal_cyclic_subgroups(ex.group)) == 2 * p
+
+
+def test_locally_trivial_falls_back_on_a_moved_value(monkeypatch):
+    # Moving one value of a locally trivial cocycle breaks the cocycle
+    # relation, so the solve of a maximal cyclic subgroup through that
+    # element no longer proves it, and the element gets its own test. A
+    # value moved within Im(h - I) passes it, one moved out of it fails.
+    fallback = []
+    member = cohom.image_contains
+
+    def recorded(*args):
+        fallback.append(member(*args))
+        return fallback[-1]
+
+    monkeypatch.setattr(cohom, "image_contains", recorded)
+    results = set()
+    for p in (3, 5):
+        z = example_cocycle(make_example_group(p))
+        N = z.action.ctx.modulus
+        for i, h in enumerate(z.group.elements):
+            minus = minus_identity(z.action, h)
+            steps = [col for col in zip(*minus) if any(col)]
+            steps += [e for e in ((1, 0), (0, 1)) if not zmod.image_contains(minus, 2, e, z.action.ctx)]
+            for step in steps:
+                values = list(z.values)
+                values[i] = tuple((a + b) % N for a, b in zip(values[i], step))
+                moved = Cocycle(z.group, z.action, tuple(values))
+                want = elementwise_is_locally_trivial(moved)
+                fallback.clear()
+                assert is_locally_trivial(moved) == want, (p, h, step)
+                results.update(fallback)
+    assert results == {True, False}
 
 
 @pytest.mark.parametrize("p", [3, 5])

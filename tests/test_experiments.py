@@ -226,13 +226,13 @@ def test_sampling_is_pinned(p, seed):
 # verify_structure_props(3, seed) parameters (candidates, local-vanishing,
 # triangular and word instances), recorded before its structured candidates
 # and the sampler shared one closure routine. Acceptance criterion 8 asserts
-# the seed-0 entry on its own run as well.
+# the seed-0 entry too, on the same run (the structure_props fixture).
 STRUCTURE_PARAMETERS = {0: (144, 6, 0, 12), 1: (140, 7, 0, 12)}
 
 
 @pytest.mark.parametrize("seed", sorted(STRUCTURE_PARAMETERS))
-def test_structure_props_candidates_are_pinned(seed):
-    v = verify_structure_props(3, seed=seed)
+def test_structure_props_candidates_are_pinned(structure_props, seed):
+    v = structure_props(seed)
     assert v.passed
     keys = ("candidates", "local_vanishing_instances", "triangular_instances", "word_instances")
     assert tuple(v.parameters[k] for k in keys) == STRUCTURE_PARAMETERS[seed]

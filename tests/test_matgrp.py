@@ -7,12 +7,13 @@ that is feasible.
 
 import functools
 import itertools
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohomlab import matgrp
-from cohomlab.errors import CapExceeded, NonInvertibleConjugator, NonInvertibleGenerator
+from cohomlab.errors import CapExceeded, NonInvertibleConjugator, NonInvertibleGenerator, NotAUnit
 from cohomlab.experiments import full_diagonal_group
 from cohomlab.matgrp import (
     DEFAULT_CAP,
@@ -121,6 +122,28 @@ def test_mat2_order():
         for g in grp:
             least = next(k for k in itertools.count(1) if g.pow(k) == ident)
             assert g.order() == least, g
+
+
+def test_singular_matrices_have_no_order():
+    # The powers of a singular matrix never reach I, so the determinant is
+    # tested before the first power. An alarm turns a regression into a
+    # failure rather than a hang.
+    def hang(signum, frame):
+        raise TimeoutError("walked the powers of a singular matrix")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        for m in (Mat2(1, 0, 0, 0, Z3), Mat2(1, 0, 0, 0, Z9), Mat2(3, 1, 0, 3, Z9), Mat2(0, 0, 0, 0, Z9)):
+            with pytest.raises(NotAUnit):
+                m.order()
+        # {e, I} with e = diag(1, 0) is closed, and e^k = e for every k
+        monoid = MatGroup((Mat2(1, 0, 0, 0, Z9), Mat2.identity(Z9)), Z9)
+        with pytest.raises(ValueError, match="singular"):
+            monoid._power_walk
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_mat2_shape_predicates():
