@@ -12,7 +12,7 @@ Exit codes: 0 pass, 1 property violation, 2 input error, 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import io
 import json
 import os
@@ -78,11 +78,14 @@ def load_group_spec(path: str, cap: int) -> MatGroup:
     return close_group(mats, ctx, cap=cap)
 
 
-def _emit(doc: dict, csv_rows: list, out: Optional[str], fmt: str) -> None:
+def _emit(doc: dict, csv_rows, out: Optional[str], fmt: str) -> None:
+    """Write doc as JSON, or the rows that csv_rows() returns as CSV."""
     if fmt == "csv":
+        import csv  # only CSV output needs it, so JSON runs do not import it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(csv_rows)
+        writer.writerows(csv_rows())
         text = buf.getvalue()
     else:
         text = json.dumps(doc, indent=2) + "\n"
@@ -107,7 +110,10 @@ def cmd_compute(args) -> int:
             violation = True
     if args.conditions:
         doc["conditions"] = evaluate_main_theorem_conditions(group).to_json_dict()
-    rows = [["field", "value"]] + [[key, json.dumps(value)] for key, value in doc.items()]
+
+    def rows():
+        return [["field", "value"]] + [[key, json.dumps(value)] for key, value in doc.items()]
+
     _emit(doc, rows, args.out, args.format)
     return 1 if violation else 0
 
@@ -132,11 +138,15 @@ def cmd_experiment(args) -> int:
     if "p" in reads and "p" not in given:
         raise ValueError(f"experiment {args.name} requires --p")
     verdict = run(**given, budget_ms=args.budget_ms)
-    _emit(verdict.to_json_dict(), verdict.to_csv_rows(), args.out, args.format)
+    _emit(verdict.to_json_dict(), verdict.to_csv_rows, args.out, args.format)
     return 0 if verdict.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: a parser holds reference
+    cycles, so one built per call of main stays in memory until the cyclic
+    collector runs."""
     parser = argparse.ArgumentParser(
         prog="cohomlab",
         description="group cohomology laboratory for 2x2 matrix groups over Z/p^n",

@@ -60,6 +60,7 @@ not a cocycle leaves unproven is tested on its own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left
 from collections import deque
@@ -68,7 +69,7 @@ from operator import lshift, mul
 from typing import NamedTuple, Optional
 
 from .errors import HypothesisViolated, NotASubgroup, StabilizerMismatch
-from .matgrp import Mat2, MatGroup, _key, close_group, special_subgroups
+from .matgrp import Mat2, MatGroup, _code, _entries, _key, close_group, special_subgroups
 from .zmod import (
     ModulusContext,
     Submodule,
@@ -123,13 +124,17 @@ class ModuleAction:
 
     def act_rows(self, g: Mat2) -> tuple:
         """Matrix of the action of g, as rows over the module's modulus."""
+        return self._act_entries(_key(g))
+
+    def _act_entries(self, entries: tuple) -> tuple:
+        """act_rows of the matrix with entries (a, b, c, d)."""
+        a, b, c, d = entries
         N = self.ctx.modulus
         if self.rank == 2:
-            return ((g.a % N, g.b % N), (g.c % N, g.d % N))
-        if g.b % N or g.c % N:
+            return ((a % N, b % N), (c % N, d % N))
+        if b % N or c % N:
             raise ValueError("line actions are defined for diagonal matrices only")
-        u = (g.a if self.coord == 0 else g.d) % N
-        return ((u,),)
+        return (((a if self.coord == 0 else d) % N,),)
 
 
 def _action_for(group: MatGroup, action: Optional[ModuleAction]) -> ModuleAction:
@@ -163,7 +168,7 @@ class Cocycle:
     @classmethod
     def zero(cls, group: MatGroup, action: Optional[ModuleAction] = None) -> "Cocycle":
         action = _action_for(group, action)
-        return cls(group, action, tuple((0,) * action.rank for _ in group.elements))
+        return cls(group, action, ((0,) * action.rank,) * len(group))
 
     @classmethod
     def from_flat(cls, group: MatGroup, action: ModuleAction, flat) -> "Cocycle":
@@ -174,7 +179,7 @@ class Cocycle:
         return cls(group, action, vals)
 
     def value_of(self, g: Mat2) -> tuple:
-        return self.values[self.group._index[g]]
+        return self.values[self.group.position(g)]
 
     def flatten(self) -> tuple:
         return tuple(itertools.chain.from_iterable(self.values))
@@ -277,16 +282,32 @@ def _propagate(group: MatGroup, action: ModuleAction):
     row_shifts = [width * rk * a for a in range(r)]
     place = [width * (a * rk + b) for a in range(r) for b in range(r)]
     shifts = [width * r * i for i in range(k)]
-    elements = group.elements
-    start = bisect_left(elements, (1, 0, 0, 1), key=_key)
-    coeff = [None] * len(elements)
+    codes, G = group.codes, group.ctx.modulus
+    start = bisect_left(codes, _code((1, 0, 0, 1), G))
+    coeff = [None] * len(codes)
     coeff[start] = 0
     queue = deque([start])
     differences = set()
+
+    def packed(entries: tuple) -> int:
+        return sum(map(lshift, itertools.chain.from_iterable(action._act_entries(entries)), place))
+
+    # act(h) packed. When rows repeat (|G| > 2 G^2), it is the sum of the
+    # packed actions of the two rows of h, each cached by its row code (a
+    # code is top_row * G^2 + bottom_row, a row code x * G + y; see
+    # matgrp._code): the action reduces each entry on its own.
+    by_rows = len(codes) > 2 * G * G
+    upper = functools.cache(lambda row: packed((*divmod(row, G), 0, 0)))
+    lower = functools.cache(lambda row: packed((0, 0, *divmod(row, G))))
     while queue:
         h = queue.popleft()
         base = coeff[h]
-        act = sum(map(lshift, itertools.chain.from_iterable(action.act_rows(elements[h])), place))
+        top_row, bottom_row = divmod(codes[h], G * G)
+        if by_rows:
+            act = upper(top_row) + lower(bottom_row)
+        else:
+            rows = action._act_entries((*divmod(top_row, G), *divmod(bottom_row, G)))
+            act = sum(map(lshift, itertools.chain.from_iterable(rows), place))
         for g, shift in zip(table[h * k : h * k + k], shifts):
             x = base + (act << shift)
             x -= (((x + bias) >> top) & ones) * N
@@ -327,18 +348,24 @@ class _Coefficients:
         return list(zip(*[iter(rows)] * r))
 
 
-def _minus_identity(action: ModuleAction, g: Mat2) -> list:
-    """Rows of g - I on the module, read from act_rows."""
+def _minus_identity(action: ModuleAction, entries: tuple) -> list:
+    """Rows of g - I on the module, for g with entries (a, b, c, d)."""
     N = action.ctx.modulus
-    return [[(e - (i == j)) % N for j, e in enumerate(row)] for i, row in enumerate(action.act_rows(g))]
+    return [[(e - (i == j)) % N for j, e in enumerate(row)] for i, row in enumerate(action._act_entries(entries))]
 
 
-def _coboundary_span(elements, action: ModuleAction) -> Submodule:
-    """Span of the tables g -> (g - I)e_j over the listed elements: table j
+def _all_entries(group: MatGroup) -> list:
+    """The entries (a, b, c, d) of every element, in canonical order."""
+    N = group.ctx.modulus
+    return [_entries(c, N) for c in group.codes]
+
+
+def _coboundary_span(entries, action: ModuleAction) -> Submodule:
+    """Span of the tables g -> (g - I)e_j over the listed entries: table j
     lists column j of every g - I."""
-    diffs = [_minus_identity(action, g) for g in elements]
+    diffs = [_minus_identity(action, x) for x in entries]
     tables = [[row[j] for d in diffs for row in d] for j in range(action.rank)]
-    return Submodule.span(tables, action.rank * len(elements), action.ctx)
+    return Submodule.span(tables, action.rank * len(diffs), action.ctx)
 
 
 class Engine(NamedTuple):
@@ -371,7 +398,7 @@ def cohomology_engine(group: MatGroup, action: Optional[ModuleAction] = None) ->
     coeff, columns, count = _propagate(group, action)
     dim = action.rank * len(group.generating_set)
     z1 = Submodule.span(_left_kernel(columns, count, action.ctx), dim, action.ctx)
-    b1 = _coboundary_span(group.generating_set, action)
+    b1 = _coboundary_span(map(_key, group.generating_set), action)
     return Engine(group, action, coeff, annihilator(z1).generators, z1, b1)
 
 
@@ -392,12 +419,12 @@ def _locally_trivial(group: MatGroup, action: ModuleAction, coeff, rows) -> Subm
     the annihilator of Im(g - I), cut L out of Z^1, whose annihilator is rows.
     """
     r = action.rank
-    N = action.ctx.modulus
+    N, G = action.ctx.modulus, group.ctx.modulus
     local = set()
     reps = [powers[0] for powers in group._class_representatives]
     for g, m in zip(reps, coeff.at(reps)):
         # Ann(Im(g - I)) is the left kernel of g - I
-        for a in _left_kernel(_minus_identity(action, group.elements[g]), r, action.ctx):
+        for a in _left_kernel(_minus_identity(action, _entries(group.codes[g], G)), r, action.ctx):
             # the row a . coeff[g] on M^k
             row = tuple(sum(map(mul, a, col)) % N for col in zip(*m))
             if any(row):
@@ -421,7 +448,7 @@ def cocycle_space(group: MatGroup, action: Optional[ModuleAction] = None) -> Sub
 
 def coboundary_space(group: MatGroup, action: Optional[ModuleAction] = None) -> Submodule:
     """B^1(G, M): tables of g -> g.v - v as v runs over the module."""
-    return _coboundary_span(group.elements, _action_for(group, action))
+    return _coboundary_span(_all_entries(group), _action_for(group, action))
 
 
 def coboundary_of(group: MatGroup, v, action: Optional[ModuleAction] = None) -> Cocycle:
@@ -429,7 +456,7 @@ def coboundary_of(group: MatGroup, v, action: Optional[ModuleAction] = None) -> 
     action = _action_for(group, action)
     N = action.ctx.modulus
     vals = tuple(
-        tuple(sum(map(mul, row, v)) % N for row in _minus_identity(action, g)) for g in group.elements
+        tuple(sum(map(mul, row, v)) % N for row in _minus_identity(action, x)) for x in _all_entries(group)
     )
     return Cocycle(group, action, vals)
 
@@ -503,11 +530,11 @@ def h1_loc_via_restrictions(
     _, action, coeff, rows, _, b1 = _engine(group, action, engine)
     dim = b1.ambient_rank
     ctx = action.ctx
-    elements = group.elements
+    codes, G = group.codes, group.ctx.modulus
     restricted = set()
     for powers in group._class_representatives:
         xs = [crow for m in coeff.at(powers) for crow in m]
-        vs = [vrow for h in powers for vrow in _minus_identity(action, elements[h])]
+        vs = [vrow for h in powers for vrow in _minus_identity(action, _entries(codes[h], G))]
         pairs = _left_kernel([*zip(*xs), *zip(*vs)], len(xs), ctx)
         projection = [y[:dim] for y in pairs]
         ann = _left_kernel(list(zip(*projection)), len(projection), ctx)
@@ -532,14 +559,13 @@ def is_cocycle(z: Cocycle) -> bool:
     N = action.ctx.modulus
     for s in group.generating_set or (group.identity,):
         rows = action.act_rows(s)
-        zs = z.values[group._index[s]]
-        for h in group.elements:
-            zh = z.values[group._index[h]]
+        zs = z.values[group.position(s)]
+        for h, zh in zip(group.elements, z.values):
             want = tuple(
                 (zs[i] + sum(rows[i][t] * zh[t] for t in range(action.rank))) % N
                 for i in range(action.rank)
             )
-            if z.values[group._index[s * h]] != want:
+            if z.values[group.position(s * h)] != want:
                 return False
     return True
 
@@ -547,7 +573,7 @@ def is_cocycle(z: Cocycle) -> bool:
 def is_coboundary(z: Cocycle) -> Optional[tuple]:
     """A vector v with Z_g = g.v - v for all g, or None."""
     action = z.action
-    rows = [row for g in z.group.elements for row in _minus_identity(action, g)]
+    rows = [row for x in _all_entries(z.group) for row in _minus_identity(action, x)]
     return solve_linear(rows, action.rank, z.flatten(), action.ctx)
 
 
@@ -555,19 +581,20 @@ def is_locally_trivial(z: Cocycle) -> bool:
     """Whether each single value Z_g lies in the image of g - I: one solve
     per maximal cyclic subgroup, and a membership test for each element
     that no solve proves (module docstring)."""
-    action, elements, values = z.action, z.group.elements, z.values
+    action, entries, values = z.action, _all_entries(z.group), z.values
     N = action.ctx.modulus
-    proven = bytearray(len(elements))
+    proven = bytearray(len(entries))
     for powers in z.group._power_walk.maximal:
-        v = solve_linear(_minus_identity(action, elements[powers[0]]), action.rank, values[powers[0]], action.ctx)
+        v = solve_linear(_minus_identity(action, entries[powers[0]]), action.rank, values[powers[0]], action.ctx)
         if v is None:
             return False
         for h in powers:
-            if values[h] == tuple((sum(map(mul, row, v)) - e) % N for row, e in zip(action.act_rows(elements[h]), v)):
+            rows = action._act_entries(entries[h])
+            if values[h] == tuple((sum(map(mul, row, v)) - e) % N for row, e in zip(rows, v)):
                 proven[h] = 1
     return all(
-        proven[i] or image_contains(_minus_identity(action, g), action.rank, values[i], action.ctx)
-        for i, g in enumerate(elements)
+        proven[i] or image_contains(_minus_identity(action, x), action.rank, values[i], action.ctx)
+        for i, x in enumerate(entries)
     )
 
 
@@ -576,7 +603,7 @@ def restriction(z: Cocycle, subgroup: MatGroup) -> Cocycle:
     for h in subgroup.elements:
         if h not in z.group:
             raise NotASubgroup("restriction target contains elements outside the group")
-    vals = tuple(z.values[z.group._index[h]] for h in subgroup.elements)
+    vals = tuple(z.values[z.group.position(h)] for h in subgroup.elements)
     return Cocycle(subgroup, z.action, vals)
 
 
@@ -633,7 +660,7 @@ def inflation(
     q, image_action, proj = action_image(group, action)
     if y.group != q or y.action != image_action:
         raise StabilizerMismatch("cocycle is not defined on the faithful quotient of this action")
-    vals = tuple(y.values[q._index[proj[g]]] for g in group.elements)
+    vals = tuple(y.values[q.position(proj[g])] for g in group.elements)
     return Cocycle(group, action, vals)
 
 

@@ -41,6 +41,7 @@ from .matgrp import (
     DEFAULT_CAP,
     Mat2,
     MatGroup,
+    _entries,
     close_group,
     conjugate,
     cyclic_subgroups,
@@ -159,10 +160,12 @@ def _tick_at(tick, where) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _relation_holds(group, action, table):
+def _relation_holds(group, action, table, idx=None):
+    """Whether the table satisfies Z_gh = Z_g + g.Z_h on all pairs; idx
+    maps each element to its position, built here when not given."""
     n = action.ctx.modulus
     r = action.rank
-    idx = group._index
+    idx = idx or {g: i for i, g in enumerate(group.elements)}
     for g in group.elements:
         rows = action.act_rows(g)
         zg = table[idx[g]]
@@ -186,11 +189,12 @@ def brute_cocycle_tables(group: MatGroup, action: Optional[ModuleAction] = None)
     r = action.rank
     module = list(itertools.product(range(n), repeat=r))
     size = len(module)
+    idx = {g: i for i, g in enumerate(group.elements)}
     if size ** len(group) <= 300000:
         return {
             table
             for table in itertools.product(module, repeat=len(group))
-            if _relation_holds(group, action, table)
+            if _relation_holds(group, action, table, idx)
         }
     gens = group.generating_set
     if size ** len(gens) > 300000:
@@ -216,7 +220,7 @@ def brute_cocycle_tables(group: MatGroup, action: Optional[ModuleAction] = None)
         if not ok or len(table) != len(group):
             continue
         flat = tuple(table[g] for g in group.elements)
-        if _relation_holds(group, action, flat):
+        if _relation_holds(group, action, flat, idx):
             out.add(flat)
     return out
 
@@ -282,9 +286,11 @@ def brute_quotient_invariants(s_set: set, t_set: set, ctx: ModulusContext) -> li
 
 def _group_fingerprint(group: MatGroup) -> tuple:
     """Conjugation-invariant signature used to spread search effort."""
+    N = group.ctx.modulus
     counts = {}
-    for g, order in zip(group.elements, group._power_walk.orders):
-        key = (g.trace(), g.det(), order)
+    for code, order in zip(group.codes, group._power_walk.orders):
+        a, b, c, d = _entries(code, N)
+        key = ((a + d) % N, (a * d - b * c) % N, order)
         counts[key] = counts.get(key, 0) + 1
     return (len(group), tuple(sorted(counts.items())))
 
@@ -599,7 +605,7 @@ def full_matrix_group_mod_p(p: int) -> MatGroup:
 
 
 def _shape_targets(p: int) -> set:
-    """Element sets of the groups generated by a unipotent and a diagonal part.
+    """The groups generated by a unipotent and a diagonal part.
 
     The admissible diagonal part is the identity or has distinct diagonal
     entries mod p; targets are taken with and without the unipotent.
@@ -612,14 +618,11 @@ def _shape_targets(p: int) -> set:
             if a != b:
                 rhos.append(Mat2.diagonal(a, b, ctx))
     gen_sets = itertools.chain.from_iterable(([rho], [rho, sigma]) for rho in rhos)
-    return {grp.elements for grp in distinct_closures(gen_sets, ctx)}
+    return set(distinct_closures(gen_sets, ctx))
 
 
 def _matches_shape(group: MatGroup, full: MatGroup, targets: set) -> bool:
-    for t in full.elements:
-        if conjugate(group, t).elements in targets:
-            return True
-    return False
+    return any(conjugate(group, t) in targets for t in full.elements)
 
 
 def verify_shape_lemma(p: int, budget_ms: int = DEFAULT_BUDGET_MS) -> ExperimentVerdict:
@@ -718,9 +721,9 @@ def verify_structure_props(
     run.check("unipotent bracket word equals its diagonal closed form", closed, word)
 
     candidates = list(distinct_closures(_structured_level2_candidates(ctx), ctx))
-    seen = {grp.elements for grp in candidates}
+    seen = set(candidates)
     sampled = sample_level2_groups(p, seed, 40, tick=run.tick)
-    candidates += [grp for grp in sampled if grp.elements not in seen]
+    candidates += [grp for grp in sampled if grp not in seen]
 
     local_vanishing_instances = 0
     local_vanishing_violations = 0
@@ -799,7 +802,7 @@ def falsify_main_theorem(
     run = _Run("main-theorem", {"p": p, "seed": seed, "samples": samples}, budget_ms)
     candidates = [make_example_group(p).group]
     for grp in sample_level2_groups(p, seed, samples, tick=run.tick):
-        if grp.elements != candidates[0].elements:
+        if grp != candidates[0]:
             candidates.append(grp)
 
     nontrivial = 0

@@ -1,32 +1,32 @@
 """Finite subgroups of GL2 over Z/p^nZ.
 
-Groups are stored as explicit sorted element tuples so that equality,
-hashing, and iteration order are deterministic across runs.
+A group is held as the sorted tuple of its elements' int codes: with
+N = p^n, [[a, b], [c, d]] has code ((a*N + b)*N + c)*N + d, so codes sort
+as the (a, b, c, d) tuples do. Mat2 is the public value type;
+MatGroup.elements builds one Mat2 per element only when first read.
 
-Mat2 is the public value type. Closure walks run on plain (a, b, c, d)
-tuples reduced mod p^n instead, numbering each element as it is found, and
-build one Mat2 per element at the end. The walk forms every product h * s_i
-of an element with a kept generator exactly once and records it as an
-integer, which gives each group its Cayley table: close_group stores the
-table of its own walk, and a group built from an element list gets it from
-the same lazy walk that picks its generating set. cohom propagates cocycles
-over that table, with no matrix products. distinct_closures closes a run of
-generator sets and drops a repeated group before it is built.
+The closure walk numbers each code as it is found and forms every product
+h * s_i of an element with a kept generator exactly once, as two lookups in
+a row table of s_i, and records it as an integer, which gives each group
+its Cayley table: close_group stores the table of its own walk, and a group
+built from an element list gets it from the same lazy walk that picks its
+generating set. cohom propagates cocycles over that table, with no matrix
+products. distinct_closures closes a run of generator sets and drops a
+repeated group before it is built.
 
-A second lazy walk on the same tuples, the power walk, visits every cyclic
-subgroup once from its least generator. It gives cyclic_subgroups,
+A second lazy walk on codes, the power walk, visits every cyclic subgroup
+once from its least generator. It gives cyclic_subgroups,
 maximal_cyclic_subgroups and the order of every element. Conjugating the
-least generator of each maximal cyclic subgroup by the generating set, on
-the same tuples, groups the maximal subgroups into conjugacy classes, and
-one representative per class is all that the local conditions in cohom
-need.
+least generator of each maximal cyclic subgroup by the generating set
+groups the maximal subgroups into conjugacy classes, and one representative
+per class is all that the local conditions in cohom need.
 
 enumerate_subgroups lists the subgroups of a solvable group by cyclic
 extension of prime index: from the trivial group, each subgroup H found is
 extended by every g outside it that normalizes H and has a prime least m
 with g^m in H. Both tests and the cosets of H that make up the extension
-are formed on the same tuples. A group that is not solvable raises
-ValueError.
+are formed on plain (a, b, c, d) tuples. A group that is not solvable
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -52,7 +51,7 @@ from .zmod import ModulusContext, _is_prime, unit_inverse
 DEFAULT_CAP = 5000
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Mat2:
     """2x2 matrix over Z/p^nZ, entries reduced on construction."""
 
@@ -175,8 +174,25 @@ class Mat2:
 
 
 # The entries of a Mat2 as a plain tuple: its sort key, and the element
-# representation inside closure walks.
+# representation of the tuple walks.
 _key = attrgetter("a", "b", "c", "d")
+
+
+def _code(x, N: int) -> int:
+    """The code of the entries (a, b, c, d), each in [0, N)."""
+    a, b, c, d = x
+    return ((a * N + b) * N + c) * N + d
+
+
+def _entries(code: int, N: int) -> tuple:
+    """The entries (a, b, c, d) of a code."""
+    top, bottom = divmod(code, N * N)
+    return (*divmod(top, N), *divmod(bottom, N))
+
+
+def _mat(code: int, ctx: ModulusContext) -> Mat2:
+    """The Mat2 of a code."""
+    return Mat2._reduced(*_entries(code, ctx.modulus), ctx)
 
 
 def _product(x: tuple, y: tuple, N: int) -> tuple:
@@ -186,31 +202,51 @@ def _product(x: tuple, y: tuple, N: int) -> tuple:
     return ((a * e + b * g) % N, (a * f + b * h) % N, (c * e + d * g) % N, (c * f + d * h) % N)
 
 
-def _grow_span(candidates: Iterable[tuple], N: int, cap: float) -> tuple:
+def _grow_span(candidates: Iterable[int], N: int, cap: float) -> tuple:
     """Greedy generating set of the candidates and the group it generates.
 
-    Elements are plain (a, b, c, d) tuples reduced mod N, numbered in the
-    order they are found; the identity is 0. A candidate outside the span so
-    far is kept, and the span is closed under right multiplication by the
-    kept generators: old elements need only the new generator, new elements
-    need all of them. In a finite group this right closure is the subgroup
-    they generate. Every product h * s_i is formed exactly once, and its
-    number is recorded in products[h * k + i], with k the number kept.
+    Elements are codes, numbered in the order they are found; the identity
+    is 0. A candidate outside the span so far is kept, and the span is
+    closed under right multiplication by the kept generators: old elements
+    need only the new generator, new elements need all of them. In a finite
+    group this right closure is the subgroup they generate. Every product
+    h * s_i is formed once, from the entries or, in a span larger than N^2,
+    from the table of s_i that maps the row code x*N + y to the code of
+    (x, y)*s_i, filled as rows are reached; its number is recorded in
+    products[h * k + i], with k the number kept.
 
-    Returns (numbers of the kept candidates, elements by number, products).
+    Returns (numbers of the kept candidates, codes by number, products).
     """
-    ident = (1, 0, 0, 1)
+    ident, NN = _code((1, 0, 0, 1), N), N * N
     found = [ident]
     number = {ident: 0}
-    gens = []
+    gens, tables = [], []
     products = array("I")
 
     def step(h, first):
         """Form h * s_i for i >= first; queue each new element in fresh."""
-        x, y, z, w = found[h]
+        top, bottom = divmod(found[h], NN)
+        # rows repeat, and the tables pay, only once the span has more
+        # elements than there are row codes; until then multiply directly
+        tabled = len(found) > NN
+        if not tabled:
+            x, y = divmod(top, N)
+            z, w = divmod(bottom, N)
         for i in range(first, k):
-            a, b, c, d = gens[i]
-            m = ((x * a + y * c) % N, (x * b + y * d) % N, (z * a + w * c) % N, (z * b + w * d) % N)
+            rows, a, b, c, d = tables[i]
+            if not tabled:
+                t = (x * a + y * c) % N * N + (x * b + y * d) % N
+                u = (z * a + w * c) % N * N + (z * b + w * d) % N
+            else:
+                t = rows.get(top)
+                if t is None:
+                    p, q = divmod(top, N)
+                    t = rows[top] = (p * a + q * c) % N * N + (p * b + q * d) % N
+                u = rows.get(bottom)
+                if u is None:
+                    p, q = divmod(bottom, N)
+                    u = rows[bottom] = (p * a + q * c) % N * N + (p * b + q * d) % N
+            m = t * NN + u
             j = number.get(m)
             if j is None:
                 if len(found) >= cap:
@@ -225,6 +261,7 @@ def _grow_span(candidates: Iterable[tuple], N: int, cap: float) -> tuple:
         if g in number:
             continue
         gens.append(g)
+        tables.append(({}, *_entries(g, N)))
         k = len(gens)
         # the table gains a column for g: restride it from k - 1 to k
         blank = array("I", bytes(4 * k))
@@ -241,18 +278,15 @@ def _grow_span(candidates: Iterable[tuple], N: int, cap: float) -> tuple:
 
 
 def _tabulate(found: list, products: array, k: int) -> tuple:
-    """Sort the found elements and renumber the products by sorted position.
-
-    Returns (the element numbers in sorted order, the sorted position of
-    each number, the Cayley table with cayley[h * k + i] the position of
-    elements[h] * s_i).
-    """
+    """The found codes sorted, and the products renumbered by sorted
+    position into the Cayley table."""
     order = sorted(range(len(found)), key=found.__getitem__)
-    position = array("I", bytes(4 * len(found)))
-    for pos, h in enumerate(order):
-        position[h] = pos
-    cayley = array("I", (position[products[h * k + i]] for h in order for i in range(k)))
-    return order, position, cayley
+    position = sorted(range(len(found)), key=order.__getitem__)
+    renumbered = list(map(position.__getitem__, products))
+    cayley = array("I", bytes(4 * len(products)))
+    for i in range(k):
+        cayley[i::k] = array("I", map(renumbered[i::k].__getitem__, order))
+    return tuple(map(found.__getitem__, order)), cayley
 
 
 def _close_walk(gens: Iterable[Mat2], ctx: ModulusContext, cap: float) -> tuple:
@@ -264,19 +298,17 @@ def _close_walk(gens: Iterable[Mat2], ctx: ModulusContext, cap: float) -> tuple:
             raise ValueError("generator modulus mismatch")
         if not g.is_invertible():
             raise NonInvertibleGenerator(f"generator {g.row_list()} has determinant divisible by {ctx.p}")
-    return _grow_span([_key(g) for g in gens], ctx.modulus, cap)
+    return _grow_span([_code(_key(g), ctx.modulus) for g in gens], ctx.modulus, cap)
 
 
 def _build(walk: tuple, ctx: ModulusContext) -> "MatGroup":
-    """The group a closure walk found: its elements sorted, the kept
+    """The group a closure walk found: its codes sorted, the kept
     generators as its generating set, its products as its Cayley table."""
     chosen, found, products = walk
-    order, position, cayley = _tabulate(found, products, len(chosen))
-    # the elements arrive sorted, so MatGroup.__init__ is skipped
-    elements = tuple(Mat2._reduced(*found[h], ctx) for h in order)
-    kept = tuple(elements[position[i]] for i in chosen)
+    codes, cayley = _tabulate(found, products, len(chosen))
+    kept = tuple(_mat(found[h], ctx) for h in chosen)
     grp = object.__new__(MatGroup)
-    vars(grp).update(elements=elements, ctx=ctx, _gens=kept, generating_set=kept, cayley=cayley)
+    vars(grp).update(codes=codes, ctx=ctx, _gens=kept, generating_set=kept, cayley=cayley)
     return grp
 
 
@@ -293,11 +325,10 @@ def distinct_closures(gen_sets: Iterable[Iterable[Mat2]], ctx: ModulusContext):
     A set whose closure passes DEFAULT_CAP elements is skipped. A closure
     equal to a group already yielded is dropped as soon as its walk ends,
     before its group is built: a match on the order and the hash of the
-    element set is confirmed element by element. The next set is drawn only
+    code set is confirmed on the sorted codes. The next set is drawn only
     when the next group is asked for, so a caller may stop early.
     """
-    # the element tuples of the groups yielded so far, by order and hash of the element set
-    seen = {}
+    seen = {}  # the codes of the groups yielded, by order and hash of the code set
     for gens in gen_sets:
         try:
             walk = _close_walk(gens, ctx, DEFAULT_CAP)
@@ -305,12 +336,10 @@ def distinct_closures(gen_sets: Iterable[Iterable[Mat2]], ctx: ModulusContext):
             continue
         found = walk[1]
         twins = seen.setdefault((len(found), hash(frozenset(found))), [])
-        if twins:
-            keys = sorted(found)
-            if any(keys == list(map(_key, elements)) for elements in twins):
-                continue
+        if twins and tuple(sorted(found)) in twins:
+            continue
         grp = _build(walk, ctx)
-        twins.append(grp.elements)
+        twins.append(grp.codes)
         yield grp
 
 
@@ -338,34 +367,59 @@ class _PowerWalk(NamedTuple):
 
 
 class MatGroup:
-    """A finite subgroup of GL2(Z/p^nZ), held as its sorted element tuple."""
+    """A finite subgroup of GL2(Z/p^nZ), held as the sorted codes of its elements."""
 
     def __init__(self, elements: tuple, ctx: ModulusContext, gens: tuple = ()):
-        self.elements = tuple(sorted(set(elements), key=_key))
+        if any(g.ctx != ctx for g in elements):
+            raise ValueError("element modulus mismatch")
+        self.codes = tuple(sorted({_code(_key(g), ctx.modulus) for g in elements}))
         self.ctx = ctx
         self._gens = tuple(gens)
 
+    @classmethod
+    def from_codes(cls, codes: Iterable[int], ctx: ModulusContext, gens: tuple = ()) -> "MatGroup":
+        """The group of the given element codes, in any order and with repeats."""
+        grp = cls((), ctx, gens)
+        grp.codes = tuple(sorted(set(codes)))
+        return grp
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, MatGroup) and self.ctx == other.ctx and self.elements == other.elements
+        return isinstance(other, MatGroup) and self.ctx == other.ctx and self.codes == other.codes
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self.elements))
+        return hash((self.ctx, self.codes))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, m: Mat2) -> bool:
-        return m in self._index
+        x, N = _key(m), self.ctx.modulus
+        return max(x) < N and _code(x, N) in self._position
 
     def __repr__(self) -> str:
-        return f"MatGroup(order={len(self.elements)}, mod={self.ctx.modulus})"
+        return f"MatGroup(order={len(self.codes)}, mod={self.ctx.modulus})"
 
     @cached_property
-    def _index(self) -> dict:
-        return {m: i for i, m in enumerate(self.elements)}
+    def elements(self) -> tuple:
+        """The elements as Mat2 values in canonical order, built on first read."""
+        ctx, N = self.ctx, self.ctx.modulus
+        rows = (divmod(code, N * N) for code in self.codes)
+        return tuple(Mat2._reduced(*divmod(top, N), *divmod(bottom, N), ctx) for top, bottom in rows)
+
+    @cached_property
+    def _position(self) -> dict:
+        """The position of each element in codes, by code."""
+        return dict(zip(self.codes, range(len(self.codes))))
+
+    def position(self, m: Mat2) -> int:
+        """The position of m in elements; KeyError if m is not one of them."""
+        x, N = _key(m), self.ctx.modulus
+        if max(x) >= N:
+            raise KeyError(m)
+        return self._position[_code(x, N)]
 
     @cached_property
     def identity(self) -> Mat2:
@@ -388,42 +442,40 @@ class MatGroup:
     @cached_property
     def _walk(self) -> tuple:
         """(generating_set, cayley) from one closure walk over the elements."""
-        keys = [_key(g) for g in self.elements]
-        chosen, found, products = _grow_span(
-            itertools.chain(map(_key, self._gens), keys), self.ctx.modulus, math.inf
-        )
-        if len(found) != len(keys):
+        N = self.ctx.modulus
+        gens = (_code(_key(g), N) for g in self._gens)
+        chosen, found, products = _grow_span(itertools.chain(gens, self.codes), N, math.inf)
+        if len(found) != len(self.codes):
             raise ValueError("the elements are not closed under multiplication")
-        _, position, cayley = _tabulate(found, products, len(chosen))
-        return tuple(self.elements[position[i]] for i in chosen), cayley
+        return tuple(_mat(found[h], self.ctx) for h in chosen), _tabulate(found, products, len(chosen))[1]
 
     @cached_property
     def _power_walk(self) -> "_PowerWalk":
         """Every cyclic subgroup and every element order, from one power walk.
 
-        The walk runs on plain (a, b, c, d) tuples in canonical order and
-        skips every element already reached as a generator, so each <g> is
-        walked once, from its least generator g. Of its powers g^u, those
-        with u prime to m = |<g>| generate <g> and have order m; the others
-        generate smaller subgroups, which are therefore not maximal. Every
-        element x lies in <x>, so the maximal subgroups cover the group.
+        The walk runs in canonical order and skips every element already
+        reached as a generator, so each <g> is walked once, from its least
+        generator g. Of its powers g^u, those with u prime to m = |<g>|
+        generate <g> and have order m; the others generate smaller
+        subgroups, which are therefore not maximal. Every element x lies in
+        <x>, so the maximal subgroups cover the group.
         """
         N = self.ctx.modulus
-        keys = list(map(_key, self.elements))
-        position = {x: i for i, x in enumerate(keys)}
-        orders = array("I", bytes(4 * len(keys)))
-        inside = bytearray(len(keys))
+        position = self._position
+        one = position.get(_code((1, 0, 0, 1), N))
+        orders = array("I", bytes(4 * len(position)))
+        inside = bytearray(len(position))
         walks = []
-        for i, (a, b, c, d) in enumerate(keys):
+        for i, code in enumerate(self.codes):
             if orders[i]:
                 continue
+            a, b, c, d = x, y, z, w = _entries(code, N)
             if (a * d - b * c) % self.ctx.p == 0:
                 raise ValueError("a singular matrix is not a group element")
             powers = [i]
-            x, y, z, w = a, b, c, d
-            while (x, y, z, w) != (1, 0, 0, 1):
+            while powers[-1] != one:
                 x, y, z, w = (x * a + y * c) % N, (x * b + y * d) % N, (z * a + w * c) % N, (z * b + w * d) % N
-                j = position.get((x, y, z, w))
+                j = position.get(((x * N + y) * N + z) * N + w)
                 if j is None:
                     raise ValueError("the elements are not closed under multiplication")
                 powers.append(j)
@@ -436,7 +488,7 @@ class MatGroup:
             walks.append(powers)
         walks.sort(key=lambda powers: (len(powers), sorted(powers)))
         flat, ends, is_maximal = array("I"), array("I"), bytearray()
-        covered = bytearray(len(keys))
+        covered = bytearray(len(position))
         for powers in walks:
             flat.extend(powers)
             ends.append(len(flat))
@@ -456,22 +508,21 @@ class MatGroup:
         Conjugation by t carries <g> onto <tgt^-1>, maximal when <g> is, so
         the classes are the orbits of the maximal subgroups under
         conjugation by the generating set: each least generator is
-        conjugated by every generator on plain (a, b, c, d) tuples, found
-        by binary search in the sorted elements, mapped through the power
-        walk's positions to the maximal subgroup it generates, and the two
-        subgroups are joined by union-find. Each class is represented by
-        its first member in the order of the power walk.
+        conjugated by every generator, found by its code, mapped to the
+        maximal subgroup it generates (an element of its order in it), and
+        the two subgroups are joined by union-find. Each class is
+        represented by its first member in the order of the power walk.
         """
         N = self.ctx.modulus
-        elements = self.elements
-        maximal = self._power_walk.maximal
-        # owner[j] is the maximal subgroup that elements[j] generates, if any
+        position = self._position
+        walk = self._power_walk
+        maximal = walk.maximal
+        # owner[j] is the maximal subgroup that element j generates, if any
         missing = len(maximal)
-        owner = array("I", [missing]) * len(elements)
+        owner = array("I", [missing]) * len(position)
         for i, powers in enumerate(maximal):
-            m = len(powers)
-            for u, j in enumerate(powers, 1):
-                if math.gcd(u, m) == 1:
+            for j in powers:
+                if walk.orders[j] == len(powers):
                     owner[j] = i
         conjugators = [(_key(t), _key(t.inv())) for t in self.generating_set]
         root = list(range(len(maximal)))
@@ -482,11 +533,10 @@ class MatGroup:
             return i
 
         for i, powers in enumerate(maximal):
-            g = _key(elements[powers[0]])
+            g = _entries(self.codes[powers[0]], N)
             for t, t_inv in conjugators:
-                x = _product(_product(t, g, N), t_inv, N)
-                j = bisect_left(elements, x, key=_key)
-                if j == len(elements) or _key(elements[j]) != x or owner[j] == missing:
+                j = position.get(_code(_product(_product(t, g, N), t_inv, N), N))
+                if j is None or owner[j] == missing:
                     raise RuntimeError("a conjugate of a maximal cyclic subgroup is not maximal")
                 # the smaller index becomes the root, so roots come first in their class
                 a, b = sorted((find(i), find(owner[j])))
@@ -581,28 +631,22 @@ def reduce_mod(group: MatGroup, m: int) -> MatGroup:
     if m == group.ctx.n:
         return group
     sub = ModulusContext(group.ctx.p, m)
-    elems = {Mat2(g.a, g.b, g.c, g.d, sub) for g in group.elements}
+    N, M = group.ctx.modulus, sub.modulus
+    codes = (_code([e % M for e in _entries(c, N)], M) for c in group.codes)
     gens = tuple(Mat2(g.a, g.b, g.c, g.d, sub) for g in group._gens)
-    return MatGroup(tuple(elems), sub, gens)
+    return MatGroup.from_codes(codes, sub, gens)
 
 
 def special_subgroups(group: MatGroup):
     """(diagonal part, upper-unipotent part, lower-unipotent part), each a MatGroup."""
-    ctx = group.ctx
-    diag = [g for g in group if g.is_diagonal()]
-    upp = [g for g in group if g.is_unipotent_upper()]
-    low = [g for g in group if g.is_unipotent_lower()]
-    return (
-        MatGroup(tuple(diag), ctx),
-        MatGroup(tuple(upp), ctx),
-        MatGroup(tuple(low), ctx),
-    )
+    tests = (Mat2.is_diagonal, Mat2.is_unipotent_upper, Mat2.is_unipotent_lower)
+    return tuple(MatGroup([g for g in group if test(g)], group.ctx) for test in tests)
 
 
 def _cyclic_group(group: MatGroup, powers: array) -> MatGroup:
     """The subgroup at the given positions, generated by the first of them."""
-    elements = group.elements
-    return MatGroup(tuple(elements[j] for j in powers), group.ctx, (elements[powers[0]],))
+    codes = group.codes
+    return MatGroup.from_codes(map(codes.__getitem__, powers), group.ctx, (_mat(codes[powers[0]], group.ctx),))
 
 
 def cyclic_subgroups(group: MatGroup) -> list:
@@ -630,10 +674,11 @@ def _is_solvable(group: MatGroup) -> bool:
     """Whether the derived series G > G' > G'' > ... reaches the trivial group.
 
     Each term is the normal closure of the commutators of the previous
-    term's generators, closed on plain tuples: the commutators generate a
-    subgroup, which is extended by the conjugates of its generators under
-    the previous term's until none falls outside it. A group is solvable
-    exactly when the series does not stop shrinking above the trivial group.
+    term's generators, formed on plain tuples and closed on codes: the
+    commutators generate a subgroup, which is extended by the conjugates of
+    its generators under the previous term's until none falls outside it. A
+    group is solvable exactly when the series does not stop shrinking above
+    the trivial group.
     """
     N = group.ctx.modulus
     gens, order = list(map(_key, group.generating_set)), len(group)
@@ -641,10 +686,11 @@ def _is_solvable(group: MatGroup) -> bool:
         pairs = [(x, _inverse(x, N)) for x in gens]
         new = [_product(_product(x, y, N), _product(xi, yi, N), N) for x, xi in pairs for y, yi in pairs]
         while True:
-            kept, found, _ = _grow_span(new, N, order)
-            new = [found[h] for h in kept]
+            kept, found, _ = _grow_span([_code(x, N) for x in new], N, order)
+            new = [_entries(found[h], N) for h in kept]
             members = set(found)
-            outside = {_product(_product(x, h, N), xi, N) for x, xi in pairs for h in new} - members
+            outside = {_product(_product(x, h, N), xi, N) for x, xi in pairs for h in new}
+            outside = [x for x in outside if _code(x, N) not in members]
             if not outside:
                 break
             new += outside
@@ -699,7 +745,7 @@ def enumerate_subgroups(group: MatGroup) -> list:
                 if len(found[ext]) != len(ext):
                     raise RuntimeError("a cyclic extension is not the union of its cosets")
                 queue.append((ext, found[ext]))
-    subgroups = sorted(found.values(), key=lambda h: (len(h), h.elements))
+    subgroups = sorted(found.values(), key=lambda h: (len(h), h.codes))
     if len(subgroups[-1]) != len(group):
         raise RuntimeError("the cyclic extension walk missed the solvable group itself")
     return subgroups
@@ -710,9 +756,10 @@ def conjugate(group: MatGroup, t: Mat2) -> MatGroup:
     if not t.is_invertible():
         raise NonInvertibleConjugator(f"conjugator {t.row_list()} is not invertible")
     ti = t.inv()
-    elems = tuple(t * g * ti for g in group.elements)
+    N, x, y = group.ctx.modulus, _key(t), _key(ti)
+    codes = (_code(_product(_product(x, _entries(c, N), N), y, N), N) for c in group.codes)
     gens = tuple(t * g * ti for g in group._gens)
-    return MatGroup(elems, group.ctx, gens)
+    return MatGroup.from_codes(codes, group.ctx, gens)
 
 
 def _projective_line_reps(p: int, N: int):

@@ -6,7 +6,9 @@ import re
 
 import pytest
 
+from cohomlab import cli
 from cohomlab.cli import main
+from cohomlab.matgrp import Mat2
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -171,6 +173,33 @@ def test_compute_family_output_pinned(tmp_path, capsys, p, m):
     doc = json.loads(out)
     assert doc["h1loc"] == [p] and len(doc["witnesses"]) == 1 and len(doc["witnesses"][0]) == 2 * p * p
     assert hashlib.sha256(out.encode()).hexdigest() == FAMILY_SHA256[p, m]
+
+
+# `compute` on large groups, with the flags it runs with in the benchmark:
+# GL2(Z/9), and two p = 5 groups of level 2 with H1 = [5, 5, 5] and H1 = 0.
+LARGE_COMPUTES = {
+    "gl2-z9": ([[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[2, 0], [0, 1]]], 3, 3888, ["--local"]),
+    "order-3125": ([[[1, 0], [0, 6]], [[1, 1], [0, 1]], [[1, 0], [5, 1]]], 5, 3125, ["--local"]),
+    "order-5000": ([[[6, 20], [15, 16]], [[0, 19], [13, 0]], [[16, 5], [20, 21]]], 5, 5000, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_COMPUTES))
+def test_compute_builds_no_matrix_per_element(tmp_path, capsys, monkeypatch, name):
+    # Every Mat2 comes from __init__, which runs __post_init__, or from
+    # Mat2._reduced; both are counted while compute runs on the group.
+    gens, p, order, flags = LARGE_COMPUTES[name]
+    built, groups = [], []
+    post_init, reduced, load = Mat2.__post_init__, Mat2._reduced.__func__, cli.load_group_spec
+    monkeypatch.setattr(Mat2, "__post_init__", lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(Mat2, "_reduced", classmethod(lambda cls, *args: built.append(1) or reduced(cls, *args)))
+    monkeypatch.setattr(cli, "load_group_spec", lambda *args: groups.append(load(*args)) or groups[-1])
+    spec = write_spec(tmp_path, {"p": p, "n": 2, "generators": gens})
+    code, out, _ = run_cli(capsys, "compute", spec, *flags)
+    assert code == 0 and json.loads(out)["h1loc"] == []
+    assert len(groups[0]) == order
+    assert "elements" not in vars(groups[0])
+    assert 0 < len(built) < 50
 
 
 def test_compute_out_file_and_csv(tmp_path, capsys):

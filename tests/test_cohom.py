@@ -339,7 +339,7 @@ def tuple_row_propagate(group, action):
     r = action.rank
     N = action.ctx.modulus
     elements = group.elements
-    start = group._index[group.identity]
+    start = group.position(group.identity)
     coeff = [None] * len(elements)
     coeff[start] = ((0,) * (r * k),) * r
     frontier = [start]

@@ -6,8 +6,11 @@ that is feasible.
 """
 
 import functools
+import hashlib
 import itertools
 import signal
+from array import array
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,6 +269,158 @@ def test_cayley_table_matches_literal_products():
 def test_generating_set_rejects_elements_that_are_not_a_group():
     with pytest.raises(ValueError, match="not closed"):
         MatGroup((Mat2.identity(Z9), Mat2(1, 1, 0, 1, Z9)), Z9).generating_set
+
+
+# ---------------------------------------------------------------------------
+# element codes
+# ---------------------------------------------------------------------------
+
+
+def tuple_grow_span(candidates, N, cap):
+    """The closure walk on plain (a, b, c, d) tuples, each product formed by
+    four multiplications mod N: an independent reference for the walk on
+    codes and row tables in matgrp._grow_span, with the same candidate
+    order, kept generators and products."""
+    ident = (1, 0, 0, 1)
+    found = [ident]
+    number = {ident: 0}
+    gens = []
+    products = array("I")
+
+    def step(h, first):
+        x, y, z, w = found[h]
+        for i in range(first, k):
+            a, b, c, d = gens[i]
+            m = ((x * a + y * c) % N, (x * b + y * d) % N, (z * a + w * c) % N, (z * b + w * d) % N)
+            j = number.get(m)
+            if j is None:
+                if len(found) >= cap:
+                    raise CapExceeded(f"group closure exceeded cap of {cap} elements")
+                j = number[m] = len(found)
+                found.append(m)
+                products.extend(blank)
+                fresh.append(j)
+            products[h * k + i] = j
+
+    for g in candidates:
+        if g in number:
+            continue
+        gens.append(g)
+        k = len(gens)
+        blank = array("I", bytes(4 * k))
+        wider = blank * len(found)
+        for i in range(k - 1):
+            wider[i::k] = products[i :: k - 1]
+        products = wider
+        fresh = []
+        for h in range(len(found)):
+            step(h, k - 1)
+        while fresh:
+            step(fresh.pop(), 0)
+    return [number[g] for g in gens], found, products
+
+
+@st.composite
+def generator_lists(draw):
+    """A modulus and up to four invertible (a, b, c, d) tuples mod it."""
+    p, n = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 1), (5, 2), (7, 2)]))
+    N = p**n
+    entries = st.tuples(*[st.integers(0, N - 1)] * 4).filter(lambda x: (x[0] * x[3] - x[1] * x[2]) % p)
+    return N, draw(st.lists(entries, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_lists())
+def test_code_walk_matches_tuple_walk(drawn):
+    N, gens = drawn
+    codes = [matgrp._code(x, N) for x in gens]
+    try:
+        want = tuple_grow_span(gens, N, 600)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            matgrp._grow_span(codes, N, 600)
+        return
+    chosen, found, products = matgrp._grow_span(codes, N, 600)
+    assert chosen == want[0]
+    assert [matgrp._entries(code, N) for code in found] == want[1]
+    assert products == want[2]
+
+
+@pytest.mark.parametrize("N", [2, 9, 25, 65521**2, 2**32])
+def test_codes_sort_as_entry_tuples(N):
+    # at N = 2^32 the codes pass 2^64 (2^128 at the top), so Python ints are needed
+    edges = [0, 1, 2, N // 2, N - 2, N - 1]
+    tuples = sorted({tuple(e % N for e in x) for x in itertools.product(edges, repeat=4)})
+    codes = [matgrp._code(x, N) for x in tuples]
+    assert codes == sorted(codes) and len(set(codes)) == len(codes)
+    assert [matgrp._entries(code, N) for code in codes] == tuples
+    assert matgrp._code((1, 0, 0, 1), N) == N**3 + 1
+
+
+def test_groups_built_either_way_compare_and_hash_equal():
+    for name, grp in _table_groups():
+        again = MatGroup(grp.elements, grp.ctx)
+        assert again == grp and hash(again) == hash(grp), name
+        assert again.codes == grp.codes and again.elements == grp.elements, name
+        assert MatGroup.from_codes(reversed(grp.codes), grp.ctx) == grp, name
+    assert close_group([Mat2(1, 1, 0, 1, Z9)], Z9) != close_group([Mat2(1, 3, 0, 1, Z9)], Z9)
+    assert close_group([], Z3) != close_group([], Z9)
+    # entries past the modulus would alias another element's code
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        MatGroup((Mat2(1, 0, 0, 10, ModulusContext(3, 3)),), Z9)
+
+
+def test_elements_are_built_on_first_read():
+    grp = close_group([Mat2(1, 1, 0, 1, Z9), Mat2(2, 0, 0, 1, Z9)], Z9)
+    assert "elements" not in vars(grp)
+    assert Mat2(1, 2, 0, 1, Z9) in grp and Mat2(1, 0, 1, 1, Z9) not in grp
+    assert Mat2(1, 0, 0, 10, ModulusContext(3, 3)) not in grp
+    assert len(cyclic_subgroups(grp)) > 1 and grp._class_representatives
+    assert "elements" not in vars(grp)
+    assert [(g.a, g.b, g.c, g.d) for g in grp.elements] == [matgrp._entries(code, 9) for code in grp.codes]
+    assert [grp.position(g) for g in grp.elements] == list(range(len(grp)))
+    for outside in (Mat2(1, 0, 1, 1, Z9), Mat2(1, 0, 0, 10, ModulusContext(3, 3))):
+        with pytest.raises(KeyError):
+            grp.position(outside)
+
+
+def test_mat2_is_slotted():
+    m = Mat2(1, 2, 3, 4, Z9)
+    assert not hasattr(m, "__dict__")
+    with pytest.raises(AttributeError):
+        m.a = 0
+    assert m == Mat2(10, 11, 12, 13, Z9) and hash(m) == hash(Mat2(10, 11, 12, 13, Z9))
+    assert Mat2(1, 2, 3, 4, Z9) < Mat2(1, 2, 4, 0, Z9) and Mat2(0, 8, 8, 8, Z9) < m
+
+
+def _digest(groups, tables=True):
+    """sha256 over each group's element entries, generating set and, with
+    tables, Cayley table, in order."""
+    entries = attrgetter("a", "b", "c", "d")
+    h = hashlib.sha256()
+    for grp in groups:
+        row = [list(map(entries, grp.elements)), list(map(entries, grp.generating_set))]
+        if tables:
+            row.append(list(grp.cayley))
+        h.update(repr(row).encode())
+    return h.hexdigest()
+
+
+SYLOW3_GL2_Z9 = [Mat2(1, 1, 0, 1, Z9), Mat2(1, 0, 3, 1, Z9), Mat2.diagonal(4, 1, Z9), Mat2.diagonal(1, 4, Z9)]
+
+
+@pytest.mark.parametrize(
+    "make, count, digest",
+    [
+        (lambda: full_gl2(Z4), 234, "3083af94c8cece681505d41e965388f28ee4010ff368296e6d84e18d27f924f2"),
+        (lambda: close_group(SYLOW3_GL2_Z9, Z9), 342, "a0318728c6dcd80e58de6a9b552f413ff2955c9d3eb8404a1e979e97499311b4"),
+    ],
+    ids=["gl2-z4", "sylow3-gl2-z9"],
+)
+def test_subgroups_elements_generators_and_tables_pinned(make, count, digest):
+    subs = enumerate_subgroups(make())
+    assert len(subs) == count
+    assert _digest(subs) == digest
 
 
 # ---------------------------------------------------------------------------
