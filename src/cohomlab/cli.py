@@ -58,6 +58,9 @@ def load_group_spec(path: str, cap: int) -> MatGroup:
     missing = {"p", "n", "generators"} - set(data)
     if missing:
         raise ValueError(f"group spec is missing keys: {sorted(missing)}")
+    unknown = set(data) - {"p", "n", "generators"}
+    if unknown:
+        raise ValueError(f"group spec has unknown keys: {sorted(unknown)}")
     p, n, gens = data["p"], data["n"], data["generators"]
     ctx = ModulusContext(p, n)
     if not isinstance(gens, list):

@@ -49,13 +49,15 @@ they are computed independently.
 
 Value tables, one module element per group element in canonical order, are
 built only for the public cocycle_space, coboundary_space and
-locally_trivial_subspace, and for the witnesses of a nonzero L/B1. Only
-they, L and the restriction path read coeff, which stays packed until then;
-h1_loc unpacks it once for its B1 and L tables. is_locally_trivial checks
-each witness one maximal cyclic subgroup <g> at a time: one solve
-Z_g = (g - I)v, then Z_h = (h - I)v multiplied out for each h in <g>,
-which the first fact guarantees for a cocycle. An element that a table
-not a cocycle leaves unproven is tested on its own.
+locally_trivial_subspace, and for the witnesses of a nonzero L/B1, as
+combinations of the packed columns of coeff (_tables). Only they, L and the
+restriction path read coeff, which stays packed until then. A witness is
+checked by solves of generator size and passes over the elements:
+is_coboundary solves on the generating set and compares the coboundary
+with Z everywhere; is_locally_trivial solves Z_g = (g - I)v once per
+maximal cyclic subgroup <g> and runs w <- g.w + Z_g through (g^u - I)v,
+which Z_{g^u} equals for a cocycle by the first fact. An element that a
+table not a cocycle leaves unproven is tested on its own.
 """
 
 from __future__ import annotations
@@ -73,7 +75,10 @@ from .matgrp import Mat2, MatGroup, _code, _entries, _key, close_group, special_
 from .zmod import (
     ModulusContext,
     Submodule,
+    _layout,
     _left_kernel,
+    _pack,
+    _slots,
     _words,
     annihilator,
     image_contains,
@@ -333,12 +338,6 @@ class _Coefficients:
     def __init__(self, packed: list, r: int, rk: int, size: int):
         self.packed, self.r, self.rk, self.size = packed, r, rk, size
 
-    def __len__(self) -> int:
-        return len(self.packed)
-
-    def __iter__(self):
-        return iter(self.at(range(len(self.packed))))
-
     def at(self, indices) -> list:
         """The matrices of the listed elements, unpacked together."""
         r, rk = self.r, self.rk
@@ -432,12 +431,26 @@ def _locally_trivial(group: MatGroup, action: ModuleAction, coeff, rows) -> Subm
     return kernel([*rows, *local], r * len(group.generating_set), action.ctx)
 
 
-def _tables(group: MatGroup, action: ModuleAction, coeff, sub: Submodule) -> Submodule:
-    """A submodule of M^k carried to value tables in M^|G|, iterating coeff once."""
-    N = action.ctx.modulus
-    crows = [crow for m in coeff for crow in m]
-    tables = [[sum(map(mul, crow, z)) % N for crow in crows] for z in sub.generators]
-    return Submodule.span(tables, action.rank * len(group), action.ctx)
+def _tables(group: MatGroup, action: ModuleAction, coeff: _Coefficients, sub: Submodule) -> Submodule:
+    """A submodule of M^k carried to value tables in M^|G|: the table of z
+    is sum_j z_j col_j over the rk columns of the stacked coeff[h], each
+    packed into one int of r|G| slots of zmod._layout. The Barrett
+    reduction after each term is exact: every slot is below N + (N-1)^2 < N^2.
+    """
+    N, count = action.ctx.modulus, action.rank * len(group)
+    lay = _layout(N, count)
+    _, size, s, m, qmask = lay[:5]
+    words = _words(coeff.packed, coeff.r * coeff.rk, coeff.size)
+    columns = [_pack(words[j :: coeff.rk], lay) for j in range(coeff.rk)]
+    tables = []
+    for z in sub.generators:
+        x = 0
+        for c, col in zip(z, columns):
+            if c:
+                x += c * col
+                x -= ((x * m >> s) & qmask) * N
+        tables.append(x)
+    return Submodule.span(_slots(tables, size, count), count, action.ctx)
 
 
 def cocycle_space(group: MatGroup, action: Optional[ModuleAction] = None) -> Submodule:
@@ -492,9 +505,8 @@ def h1_loc(
     loc = _locally_trivial(group, action, coeff, rows) if h1_inv else None
     if loc is None or not quotient_invariants(loc, b1):
         return CohomologyReport(z1_inv, b1_inv, h1_inv, (), ())
-    matrices = list(coeff)
-    b1_full = _tables(group, action, matrices, b1)
-    loc_inv, raw_wits = quotient_decomposition(_tables(group, action, matrices, loc), b1_full)
+    b1_full = _tables(group, action, coeff, b1)
+    loc_inv, raw_wits = quotient_decomposition(_tables(group, action, coeff, loc), b1_full)
     witnesses = []
     for w in raw_wits:
         zc = Cocycle.from_flat(group, action, b1_full.coset_reduce(w))
@@ -571,30 +583,36 @@ def is_cocycle(z: Cocycle) -> bool:
 
 
 def is_coboundary(z: Cocycle) -> Optional[tuple]:
-    """A vector v with Z_g = g.v - v for all g, or None."""
-    action = z.action
-    rows = [row for x in _all_entries(z.group) for row in _minus_identity(action, x)]
-    return solve_linear(rows, action.rank, z.flatten(), action.ctx)
+    """A vector v with Z_g = g.v - v for all g, or None: a solution of
+    (s - I)v = Z_s on the generating set, kr x r, that matches Z at every
+    element. Solutions differ by vectors the group fixes, whose coboundary
+    is 0, so this is exact for any table, a cocycle or not."""
+    group, action = z.group, z.action
+    gens = group.generating_set
+    rows = [row for s in gens for row in _minus_identity(action, _key(s))]
+    v = solve_linear(rows, action.rank, [e for s in gens for e in z.value_of(s)], action.ctx)
+    return v if v is not None and coboundary_of(group, v, action).values == z.values else None
 
 
 def is_locally_trivial(z: Cocycle) -> bool:
     """Whether each single value Z_g lies in the image of g - I: one solve
-    per maximal cyclic subgroup, and a membership test for each element
-    that no solve proves (module docstring)."""
-    action, entries, values = z.action, _all_entries(z.group), z.values
-    N = action.ctx.modulus
-    proven = bytearray(len(entries))
-    for powers in z.group._power_walk.maximal:
-        v = solve_linear(_minus_identity(action, entries[powers[0]]), action.rank, values[powers[0]], action.ctx)
-        if v is None:
+    Z_g = (g - I)v per maximal cyclic subgroup <g>, then w <- g.w + Z_g runs
+    through (g^u - I)v and proves each power with Z_{g^u} = w. An element no
+    power proves, only possible in a table not a cocycle, is tested alone."""
+    group, action, values = z.group, z.action, z.values
+    N, G, r, codes = action.ctx.modulus, group.ctx.modulus, action.rank, group.codes
+    proven = bytearray(len(values))
+    for powers in group._power_walk.maximal:
+        g, zg = _entries(codes[powers[0]], G), values[powers[0]]
+        if solve_linear(_minus_identity(action, g), r, zg, action.ctx) is None:
             return False
+        rows, w = action._act_entries(g), (0,) * r
         for h in powers:
-            rows = action._act_entries(entries[h])
-            if values[h] == tuple((sum(map(mul, row, v)) - e) % N for row, e in zip(rows, v)):
-                proven[h] = 1
-    return all(
-        proven[i] or image_contains(_minus_identity(action, x), action.rank, values[i], action.ctx)
-        for i, x in enumerate(entries)
+            w = tuple((sum(map(mul, row, w)) + e) % N for row, e in zip(rows, zg))
+            proven[h] |= values[h] == w
+    return all(proven) or all(
+        proven[i] or image_contains(_minus_identity(action, _entries(code, G)), r, values[i], action.ctx)
+        for i, code in enumerate(codes)
     )
 
 

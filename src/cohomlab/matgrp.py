@@ -396,8 +396,8 @@ class MatGroup:
         return iter(self.elements)
 
     def __contains__(self, m: Mat2) -> bool:
-        x, N = _key(m), self.ctx.modulus
-        return max(x) < N and _code(x, N) in self._position
+        """Whether m is an element; a matrix over another modulus never is."""
+        return m.ctx == self.ctx and _code(_key(m), self.ctx.modulus) in self._position
 
     def __repr__(self) -> str:
         return f"MatGroup(order={len(self.codes)}, mod={self.ctx.modulus})"
@@ -415,11 +415,11 @@ class MatGroup:
         return dict(zip(self.codes, range(len(self.codes))))
 
     def position(self, m: Mat2) -> int:
-        """The position of m in elements; KeyError if m is not one of them."""
-        x, N = _key(m), self.ctx.modulus
-        if max(x) >= N:
+        """The position of m in elements; KeyError if m is not one of them,
+        as a matrix over another modulus never is."""
+        if m.ctx != self.ctx:
             raise KeyError(m)
-        return self._position[_code(x, N)]
+        return self._position[_code(_key(m), self.ctx.modulus)]
 
     @cached_property
     def identity(self) -> Mat2:

@@ -135,6 +135,17 @@ def test_compute_rejects_malformed_specs(tmp_path, capsys, monkeypatch):
     assert code == 2 and "at least 1" in err
 
 
+def test_compute_rejects_unknown_spec_keys(tmp_path, capsys):
+    # a misspelt or extra key is an input error naming the keys, not ignored
+    base = {"p": 3, "n": 2, "generators": [[[1, 1], [0, 1]]]}
+    for extra, named in (({"extra": 1}, "['extra']"), ({"gens": [], "N": 9}, "['N', 'gens']")):
+        spec = write_spec(tmp_path, {**base, **extra})
+        code, out, err = run_cli(capsys, "compute", spec)
+        assert (code, out) == (2, "")
+        assert f"unknown keys: {named}" in err
+    assert run_cli(capsys, "compute", write_spec(tmp_path, base))[0] == 0
+
+
 def test_compute_conditions_need_level_two(tmp_path, capsys):
     spec = write_spec(tmp_path, {"p": 3, "n": 1, "generators": []})
     code, _, err = run_cli(capsys, "compute", spec, "--conditions")

@@ -9,6 +9,7 @@ from those runs.
 """
 
 import itertools
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -377,9 +378,28 @@ def assert_engine_matches_reference(group, action):
     z1 = zmod.kernel(list(rows), dim, action.ctx)
     assert eng.z1 == z1
     assert eng.rows == zmod.annihilator(z1).generators
-    assert len(eng.coeff) == len(group)
-    assert all(len(m) == action.rank and all(len(row) == dim for row in m) for m in eng.coeff)
-    assert _tables(group, action, eng.coeff, eng.z1) == _tables(group, action, coeff, z1)
+    matrices = eng.coeff.at(range(len(group)))
+    assert len(matrices) == len(group)
+    assert all(len(m) == action.rank and all(len(row) == dim for row in m) for m in matrices)
+    assert_tables_match_reference(group, action, eng, coeff)
+
+
+def per_entry_tables(group, action, coeff, sub):
+    """Reference: the value tables of sub with every entry a separate sum,
+    coeff a list of r x rk tuple matrices in canonical element order."""
+    N = action.ctx.modulus
+    crows = [crow for m in coeff for crow in m]
+    tables = [[sum(map(mul, crow, z)) % N for crow in crows] for z in sub.generators]
+    return Submodule.span(tables, action.rank * len(group), action.ctx)
+
+
+def assert_tables_match_reference(group, action, eng, coeff):
+    """The packed tables of Z1, B1 and L equal the per-entry reference read
+    from coeff, whose matrices may come from another walk: the value of a
+    cocycle at an element does not depend on the walk."""
+    loc = cohom._locally_trivial(group, action, eng.coeff, eng.rows)
+    for sub in (eng.z1, eng.b1, loc):
+        assert _tables(group, action, eng.coeff, sub) == per_entry_tables(group, action, coeff, sub)
 
 
 @settings(max_examples=25, deadline=None)
@@ -429,6 +449,28 @@ def test_packed_propagation_on_both_sides_of_each_slot_width(p, n, width):
         assert_engine_matches_reference(grp, ModuleAction.standard(ctx))
     assert h1(signed) == ([] if p % 2 else h1(spread))
     assert_engine_matches_reference(special_subgroups(signed)[0], ModuleAction.line_of(ctx, 1))
+
+
+@pytest.mark.parametrize(
+    "p, n, size", [(3, 1, 1), (3, 2, 2), (2, 13, 4), (2, 30, 8), (3, 20, 16), (65521, 2, 16), (2, 32, 16)]
+)
+def test_packed_tables_at_each_layout_slot_width(p, n, size):
+    ctx = ModulusContext(p, n)
+    N = ctx.modulus
+    signed = close_group([Mat2(0, 1, 1, 0, ctx), Mat2.diagonal(N - 1, 1, ctx)], ctx)
+    a, b = N // 3, 5 + N // 2
+    spread = conjugate(signed, Mat2(1, a, b, 1 + a * b, ctx))
+    trivial = MatGroup((Mat2.identity(ctx),), ctx)
+    for grp in (signed, spread, trivial):
+        assert zmod._layout(N, 2 * len(grp))[1] == size
+        eng = cohomology_engine(grp)
+        matrices = eng.coeff.at(range(len(grp)))
+        assert_tables_match_reference(grp, eng.action, eng, matrices)
+        # tables are defined on all of M^k: a submodule with entries spread
+        # over Z/N sums terms near N^2, past 64 bits in 128-bit slots
+        rk = eng.z1.ambient_rank
+        dense = Submodule.span([[1, *range(N - 1, N - rk, -1)][:rk]], rk, ctx)
+        assert _tables(grp, eng.action, eng.coeff, dense) == per_entry_tables(grp, eng.action, matrices, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +557,64 @@ def witness_check_cases():
     for label, grp, action in groups:
         cases += [(label, Cocycle.from_flat(grp, action, flat)) for flat in cocycle_space(grp, action).generators]
     return cases
+
+
+def full_system_is_coboundary(z):
+    """Reference: one solve of (g - I)v = Z_g stacked over every element."""
+    action = z.action
+    rows = [row for g in z.group.elements for row in minus_identity(action, g)]
+    return zmod.solve_linear(rows, action.rank, z.flatten(), action.ctx)
+
+
+def is_coboundary_of(z, v):
+    """Whether Z_g = g.v - v at every element, read through act_rows."""
+    N = z.action.ctx.modulus
+    return all(
+        value == tuple(sum(map(mul, row, v)) % N for row in minus_identity(z.action, g))
+        for g, value in zip(z.group.elements, z.values)
+    )
+
+
+def test_coboundary_check_matches_the_full_system():
+    # the cocycle space generators of witness_check_cases, and the
+    # coboundary space generators of the same groups and actions
+    cases = witness_check_cases()
+    spaces = dict.fromkeys((z.group, z.action) for _, z in cases)
+    for grp, action in spaces:
+        flats = coboundary_space(grp, action).generators
+        cases += [("coboundary", Cocycle.from_flat(grp, action, flat)) for flat in flats]
+    cases.append(("trivial", Cocycle.zero(TRIVIAL9)))
+    outcomes = {}
+    for label, z in cases:
+        v = is_coboundary(z)
+        assert (v is None) == (full_system_is_coboundary(z) is None), label
+        assert v is None or is_coboundary_of(z, v), label
+        outcomes.setdefault(v is None, label)
+    assert set(outcomes) == {True, False}
+
+
+def test_coboundary_check_reads_every_element():
+    # A table equal to a coboundary on the generating set but moved at one
+    # other element is not a cocycle: the generator solve succeeds, and only
+    # the check at every element turns it down.
+    gl2 = close_group([Mat2(1, 1, 0, 1, Z3), Mat2(2, 0, 0, 1, Z3), Mat2(0, 2, 1, 0, Z3)], Z3)
+    moved_cases = 0
+    for grp in (gl2, make_example_group(3).group, make_example_group(5).group):
+        action = ModuleAction.standard(grp.ctx)
+        N = grp.ctx.modulus
+        cb = coboundary_of(grp, (1, 2), action)
+        assert is_coboundary_of(cb, is_coboundary(cb))
+        gens = {grp.position(s) for s in grp.generating_set}
+        for i in [i for i in range(len(grp)) if i not in gens][::7]:
+            values = list(cb.values)
+            values[i] = ((values[i][0] + 1) % N, values[i][1])
+            moved = Cocycle(grp, action, tuple(values))
+            assert is_coboundary(moved) is None and full_system_is_coboundary(moved) is None
+            moved_cases += 1
+    assert moved_cases > 10
+    # the trivial group has no generators: its one value must be zero
+    assert is_coboundary(Cocycle(TRIVIAL9, ModuleAction.standard(Z9), ((1, 0),))) is None
+    assert is_coboundary(Cocycle.zero(TRIVIAL9)) == (0, 0)
 
 
 def test_locally_trivial_matches_the_elementwise_test():
@@ -605,6 +705,13 @@ def test_restriction_of_example_cocycle():
         assert res.value_of(g) == (0, (3 * c) % 9)
     with pytest.raises(NotASubgroup):
         restriction(zc, close_group([Mat2(1, 1, 0, 1, Z9)], Z9))
+    # the same matrices over Z/3 are not elements of a group over Z/9
+    d3_mod3 = close_group([ex.delta3.reduce_to(1)], Z3)
+    assert {(g.a, g.b, g.c, g.d) for g in d3_mod3} <= {(g.a, g.b, g.c, g.d) for g in d3}
+    with pytest.raises(NotASubgroup):
+        restriction(zc, d3_mod3)
+    with pytest.raises(KeyError):
+        zc.value_of(Mat2.identity(Z3))
 
 
 def test_restriction_of_coboundary_is_coboundary():

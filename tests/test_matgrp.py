@@ -375,11 +375,14 @@ def test_elements_are_built_on_first_read():
     assert "elements" not in vars(grp)
     assert Mat2(1, 2, 0, 1, Z9) in grp and Mat2(1, 0, 1, 1, Z9) not in grp
     assert Mat2(1, 0, 0, 10, ModulusContext(3, 3)) not in grp
+    # a matrix over another modulus is never an element, even with the
+    # entries of one
+    assert Mat2(1, 0, 0, 1, Z3) not in grp and Mat2(1, 2, 0, 1, Z3) not in grp
     assert len(cyclic_subgroups(grp)) > 1 and grp._class_representatives
     assert "elements" not in vars(grp)
     assert [(g.a, g.b, g.c, g.d) for g in grp.elements] == [matgrp._entries(code, 9) for code in grp.codes]
     assert [grp.position(g) for g in grp.elements] == list(range(len(grp)))
-    for outside in (Mat2(1, 0, 1, 1, Z9), Mat2(1, 0, 0, 10, ModulusContext(3, 3))):
+    for outside in (Mat2(1, 0, 1, 1, Z9), Mat2(1, 0, 0, 10, ModulusContext(3, 3)), Mat2(1, 0, 0, 1, Z3)):
         with pytest.raises(KeyError):
             grp.position(outside)
 
