@@ -52,12 +52,12 @@ built only for the public cocycle_space, coboundary_space and
 locally_trivial_subspace, and for the witnesses of a nonzero L/B1, as
 combinations of the packed columns of coeff (_tables). Only they, L and the
 restriction path read coeff, which stays packed until then. A witness is
-checked by solves of generator size and passes over the elements:
-is_coboundary solves on the generating set and compares the coboundary
-with Z everywhere; is_locally_trivial solves Z_g = (g - I)v once per
-maximal cyclic subgroup <g> and runs w <- g.w + Z_g through (g^u - I)v,
-which Z_{g^u} equals for a cocycle by the first fact. An element that a
-table not a cocycle leaves unproven is tested on its own.
+checked by solves of generator size and walks through the maximal cyclic
+subgroups <g>, which cover G: is_coboundary solves on the generating set
+and compares Z with the coboundary, which coboundary_of forms by w <- g.w;
+is_locally_trivial solves Z_g = (g - I)v once per <g> and runs
+w <- g.w + Z_g through (g^u - I)v, which Z_{g^u} equals for a cocycle by
+the first fact. Values left unproven, only in a non-cocycle, are tested alone.
 """
 
 from __future__ import annotations
@@ -465,13 +465,15 @@ def coboundary_space(group: MatGroup, action: Optional[ModuleAction] = None) -> 
 
 
 def coboundary_of(group: MatGroup, v, action: Optional[ModuleAction] = None) -> Cocycle:
-    """The coboundary cocycle g -> g.v - v."""
+    """The coboundary cocycle g -> g.v - v, with w <- g.w through each maximal <g>."""
     action = _action_for(group, action)
-    N = action.ctx.modulus
-    vals = tuple(
-        tuple(sum(map(mul, row, v)) % N for row in _minus_identity(action, x)) for x in _all_entries(group)
-    )
-    return Cocycle(group, action, vals)
+    N, G, codes, vals = action.ctx.modulus, group.ctx.modulus, group.codes, [None] * len(group)
+    for powers in group._power_walk.maximal:
+        act, w = action._act_entries(_entries(codes[powers[0]], G)), v
+        for h in powers:
+            w = tuple(sum(map(mul, row, w)) % N for row in act)
+            vals[h] = tuple((a - b) % N for a, b in zip(w, v))
+    return Cocycle(group, action, tuple(vals))
 
 
 def locally_trivial_subspace(group: MatGroup, action: Optional[ModuleAction] = None) -> Submodule:

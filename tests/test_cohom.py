@@ -378,8 +378,8 @@ def assert_engine_matches_reference(group, action):
     z1 = zmod.kernel(list(rows), dim, action.ctx)
     assert eng.z1 == z1
     assert eng.rows == zmod.annihilator(z1).generators
+    assert len(eng.coeff.packed) == len(group)
     matrices = eng.coeff.at(range(len(group)))
-    assert len(matrices) == len(group)
     assert all(len(m) == action.rank and all(len(row) == dim for row in m) for m in matrices)
     assert_tables_match_reference(group, action, eng, coeff)
 
@@ -452,7 +452,7 @@ def test_packed_propagation_on_both_sides_of_each_slot_width(p, n, width):
 
 
 @pytest.mark.parametrize(
-    "p, n, size", [(3, 1, 1), (3, 2, 2), (2, 13, 4), (2, 30, 8), (3, 20, 16), (65521, 2, 16), (2, 32, 16)]
+    "p, n, size", [(3, 1, 1), (3, 2, 2), (2, 13, 4), (2, 30, 8), (3, 20, 16), (65521, 2, 16), (7, 6, 16), (2, 32, 16)]
 )
 def test_packed_tables_at_each_layout_slot_width(p, n, size):
     ctx = ModulusContext(p, n)
@@ -471,6 +471,11 @@ def test_packed_tables_at_each_layout_slot_width(p, n, size):
         rk = eng.z1.ambient_rank
         dense = Submodule.span([[1, *range(N - 1, N - rk, -1)][:rk]], rk, ctx)
         assert _tables(grp, eng.action, eng.coeff, dense) == per_entry_tables(grp, eng.action, matrices, dense)
+        assert _tables(grp, eng.action, eng.coeff, eng.b1) == coboundary_space(grp)
+    # the signed permutation group has Z^1 = (Z/N)^2, with one more Z/2 at p = 2
+    for grp in (signed, spread):
+        z1 = quotient_invariants(cocycle_space(grp), Submodule.zero(2 * len(grp), ctx))
+        assert z1 == ([2, N, N] if p == 2 else [N, N])
 
 
 # ---------------------------------------------------------------------------
