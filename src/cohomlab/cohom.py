@@ -13,9 +13,13 @@ slots, SIMD within a register (Lamport, "Multiple byte processing with
 full-word instructions", CACM 1975): an edge adds one shifted int and
 reduces every entry mod p^n at once with a carry mask. The columns of the
 constraint rows go to the Z1 elimination as arrays of machine words.
-cohomology_engine builds these once per group and action, and h1_loc and
-h1_loc_via_restrictions accept it to share the work. Quotients reduce to
-the invariant-factor machinery in zmod.
+B1 comes first, from the generators alone, and the walk stops early when
+the kernel K_t of the constraints of its first t nodes has the order of
+B1: every cocycle meets every constraint, so B1 <= Z1 <= K_t, and equal
+orders force B1 = Z1 = K_t. The coefficients then finish the walk on first
+read. cohomology_engine builds all this once per group and action, and
+h1_loc and h1_loc_via_restrictions accept it to share the work. Quotients
+reduce to the invariant-factor machinery in zmod.
 
 The locally trivial subspace is computed in two independent ways, each a
 kernel of more rows on M^k stacked onto the annihilator of Z1. Both visit
@@ -65,7 +69,6 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from operator import lshift, mul
 from typing import NamedTuple, Optional
@@ -79,6 +82,7 @@ from .zmod import (
     _left_kernel,
     _pack,
     _slots,
+    _span_order,
     _words,
     annihilator,
     image_contains,
@@ -237,8 +241,14 @@ def _slot_width(N: int) -> int:
     return next(width for width in (8, 16, 32, 64) if width >= N.bit_length() + 2)
 
 
-def _propagate(group: MatGroup, action: ModuleAction):
-    """Coefficient matrices coeff[h] and the constraint columns of the cocycle space.
+# _propagate checks for Z^1 = B^1 after _FIRST_CHECK nodes of the walk and
+# after each doubling of that count while it is at most |G| / _CHECK_SHARE.
+_FIRST_CHECK = 16
+_CHECK_SHARE = 8
+
+
+def _propagate(group: MatGroup, action: ModuleAction, b1: Submodule):
+    """Coefficient matrices coeff[h] and Z^1, from the constraints of the walk.
 
     A cocycle is determined by its values on the generating set S, stacked
     into one vector x in M^k. Starting from value 0 at the identity, the
@@ -246,14 +256,54 @@ def _propagate(group: MatGroup, action: ModuleAction):
     value at h*s_i as coeff[h] x with act(h) added into block i, so the
     value at every element is coeff[h] x for an r x rk matrix coeff[h],
     listed in canonical element order. The products h*s_i come from the
-    group's Cayley table, walked breadth first from the identity, which
-    keeps the tree shallow and its revisits few. Each revisit of an
-    already-valued element g yields the constraint coeff[h] x + act(h) x_i
-    = coeff[g] x, one row per row of the difference. Every pair (h, s)
-    with s in S is visited, and those relations imply the full relation
-    Z_{hg} = Z_h + h.Z_g by induction on the length of g as a word in S:
+    group's Cayley table, walked breadth first from the identity
+    (_Coefficients.walk). Each revisit of an already-valued element g
+    yields the constraint coeff[h] x + act(h) x_i = coeff[g] x, one row per
+    row of the difference. Every pair (h, s) with s in S is visited, and
+    those relations imply the full relation Z_{hg} = Z_h + h.Z_g by
+    induction on the length of g as a word in S:
     Z_{h(gs)} = Z_{hg} + hg.Z_s = Z_h + h.(Z_g + g.Z_s) = Z_h + h.Z_{gs}.
     So Z^1 is the kernel of the rows.
+
+    The walk stops once the kernel K of the rows so far has the order of
+    B^1, which forces Z^1 = B^1 = K (module docstring). |K| is N^rk over
+    the order of the column span of the rows (zmod._span_order of the rk
+    columns), checked at the node counts of _FIRST_CHECK, so the checks
+    cost a small share of a walk that never stops.
+
+    Returns (coeff, z1): coeff as packed _Coefficients, z1 as a submodule
+    of M^k, from the left kernel of the columns of the stacked rows, the
+    kernel of the rows as kernel() would find it from the transpose.
+    """
+    coeff = _Coefficients(group, action)
+    rk, ctx = coeff.rk, action.ctx
+    row_mask = (1 << 8 * coeff.size * rk) - 1
+    row_shifts = [8 * coeff.size * rk * a for a in range(coeff.r)]
+    differences = set()
+
+    def columns():
+        """The rk columns of the distinct nonzero constraint rows, as arrays
+        of words: each difference is cut into its r rows of rk slots."""
+        rows = {(d >> shift) & row_mask for d in differences for shift in row_shifts}
+        rows.discard(0)
+        words = _words(list(rows), rk, coeff.size)
+        return [words[j::rk] for j in range(rk)], len(rows)
+
+    done, target = _FIRST_CHECK, ctx.modulus**rk // b1.cardinality()
+    while _CHECK_SHARE * done <= len(group):
+        coeff.walk(done, differences)
+        if _span_order(*columns(), ctx) == target:
+            return coeff, b1
+        done *= 2
+    coeff.walk(len(group), differences)
+    cols, count = columns()
+    return coeff, Submodule.span(_left_kernel(cols, count, ctx), rk, ctx)
+
+
+class _Coefficients:
+    """The matrices coeff[h] of the walk, each held as one packed int of
+    r x rk slots and cut into r row tuples only when read. A walk that
+    _propagate stopped early is finished on the first read of packed.
 
     Each matrix is packed into one int, entry (a, j) in slot a * rk + j of
     a width-bit slot (_slot_width), so an edge costs one add of act(h),
@@ -264,84 +314,83 @@ def _propagate(group: MatGroup, action: ModuleAction):
     never carries into the next slot, so subtracting N times those top
     bits shifted to the slot bottoms leaves every slot in [0, N). A
     difference is formed as x + N*ones - have, whose slots lie in
-    (0, 2N) with no borrow between them, and reduced the same way. The
-    distinct differences are cut into their r rows, each an int of rk
-    slots, and the distinct nonzero rows are the constraints.
-
-    Returns (coeff, columns, count): coeff as packed _Coefficients, and
-    the rk columns of the matrix stacking the count constraint rows, each
-    an array of width-bit words. The left kernel of the columns is the
-    kernel of the rows, as kernel() would find it from the transpose.
+    (0, 2N) with no borrow between them, and reduced the same way.
     """
-    k = len(group.generating_set)
-    table = group.cayley
-    r = action.rank
-    N = action.ctx.modulus
-    rk = r * k
-    width = _slot_width(N)
-    top = width - 1
-    ones = ((1 << width * r * rk) - 1) // ((1 << width) - 1)
-    bias = ones * ((1 << top) - N)
-    lift = ones * N
-    row_mask = (1 << width * rk) - 1
-    row_shifts = [width * rk * a for a in range(r)]
-    place = [width * (a * rk + b) for a in range(r) for b in range(r)]
-    shifts = [width * r * i for i in range(k)]
-    codes, G = group.codes, group.ctx.modulus
-    start = bisect_left(codes, _code((1, 0, 0, 1), G))
-    coeff = [None] * len(codes)
-    coeff[start] = 0
-    queue = deque([start])
-    differences = set()
 
-    def packed(entries: tuple) -> int:
-        return sum(map(lshift, itertools.chain.from_iterable(action._act_entries(entries)), place))
+    def __init__(self, group: MatGroup, action: ModuleAction):
+        self.group, self.action = group, action
+        self.r, self.rk = action.rank, action.rank * len(group.generating_set)
+        self.size = _slot_width(action.ctx.modulus) // 8
+        codes = group.codes
+        start = bisect_left(codes, _code((1, 0, 0, 1), group.ctx.modulus))
+        self._coeff = [None] * len(codes)
+        self._coeff[start] = 0
+        self._order = [start]
+        self._nodes = iter(self._order)
+        self.done = 0
 
-    # act(h) packed. When rows repeat (|G| > 2 G^2), it is the sum of the
-    # packed actions of the two rows of h, each cached by its row code (a
-    # code is top_row * G^2 + bottom_row, a row code x * G + y; see
-    # matgrp._code): the action reduces each entry on its own.
-    by_rows = len(codes) > 2 * G * G
-    upper = functools.cache(lambda row: packed((*divmod(row, G), 0, 0)))
-    lower = functools.cache(lambda row: packed((0, 0, *divmod(row, G))))
-    while queue:
-        h = queue.popleft()
-        base = coeff[h]
-        top_row, bottom_row = divmod(codes[h], G * G)
-        if by_rows:
-            act = upper(top_row) + lower(bottom_row)
-        else:
-            rows = action._act_entries((*divmod(top_row, G), *divmod(bottom_row, G)))
-            act = sum(map(lshift, itertools.chain.from_iterable(rows), place))
-        for g, shift in zip(table[h * k : h * k + k], shifts):
-            x = base + (act << shift)
-            x -= (((x + bias) >> top) & ones) * N
-            have = coeff[g]
-            if have is None:
-                coeff[g] = x
-                queue.append(g)
-            elif x != have:
-                x += lift - have
-                differences.add(x - (((x + bias) >> top) & ones) * N)
-    if None in coeff:
-        raise AssertionError("generator propagation failed to reach the whole group")
-    constraints = {(d >> shift) & row_mask for d in differences for shift in row_shifts}
-    constraints.discard(0)
-    words = _words(list(constraints), rk, width // 8)
-    return _Coefficients(coeff, r, rk, width // 8), [words[j::rk] for j in range(rk)], len(constraints)
+    @property
+    def packed(self) -> list:
+        if self.done < len(self._coeff):
+            self.walk(len(self._coeff))
+        return self._coeff
 
+    def walk(self, stop: int, differences: Optional[set] = None):
+        """Expand the nodes of the breadth-first walk up to number stop, in
+        the order they were reached; with a set, add to it the packed
+        difference of every revisit that disagrees. Breadth first keeps the
+        tree shallow and its revisits few."""
+        group, action = self.group, self.action
+        k, r, rk = len(group.generating_set), self.r, self.rk
+        table = group.cayley
+        N = action.ctx.modulus
+        width = 8 * self.size
+        top = width - 1
+        ones = ((1 << width * r * rk) - 1) // ((1 << width) - 1)
+        bias = ones * ((1 << top) - N)
+        lift = ones * N
+        place = [width * (a * rk + b) for a in range(r) for b in range(r)]
+        shifts = [width * r * i for i in range(k)]
+        codes, G = group.codes, group.ctx.modulus
+        coeff, order = self._coeff, self._order
 
-class _Coefficients:
-    """The matrices coeff[h] of _propagate, each held as one packed int of
-    r x rk slots and cut into r row tuples only when read."""
+        def packed(entries: tuple) -> int:
+            return sum(map(lshift, itertools.chain.from_iterable(action._act_entries(entries)), place))
 
-    def __init__(self, packed: list, r: int, rk: int, size: int):
-        self.packed, self.r, self.rk, self.size = packed, r, rk, size
+        # act(h) packed. When rows repeat (|G| > 2 G^2), it is the sum of the
+        # packed actions of the two rows of h, each cached by its row code (a
+        # code is top_row * G^2 + bottom_row, a row code x * G + y; see
+        # matgrp._code): the action reduces each entry on its own.
+        by_rows = len(codes) > 2 * G * G
+        upper = functools.cache(lambda row: packed((*divmod(row, G), 0, 0)))
+        lower = functools.cache(lambda row: packed((0, 0, *divmod(row, G))))
+        for h in itertools.islice(self._nodes, stop - self.done):
+            base = coeff[h]
+            top_row, bottom_row = divmod(codes[h], G * G)
+            if by_rows:
+                act = upper(top_row) + lower(bottom_row)
+            else:
+                rows = action._act_entries((*divmod(top_row, G), *divmod(bottom_row, G)))
+                act = sum(map(lshift, itertools.chain.from_iterable(rows), place))
+            for g, shift in zip(table[h * k : h * k + k], shifts):
+                x = base + (act << shift)
+                x -= (((x + bias) >> top) & ones) * N
+                have = coeff[g]
+                if have is None:
+                    coeff[g] = x
+                    order.append(g)
+                elif x != have and differences is not None:
+                    x += lift - have
+                    differences.add(x - (((x + bias) >> top) & ones) * N)
+        # done == len(order) means every reached node is expanded
+        self.done = min(stop, len(order))
+        if self.done == len(order) < len(coeff):
+            raise AssertionError("generator propagation failed to reach the whole group")
 
     def at(self, indices) -> list:
         """The matrices of the listed elements, unpacked together."""
-        r, rk = self.r, self.rk
-        packed = [self.packed[h] for h in indices]
+        r, rk, coeff = self.r, self.rk, self.packed
+        packed = [coeff[h] for h in indices]
         flat = _words(packed, r * rk, self.size).tolist()
         rows = [tuple(flat[i * rk : i * rk + rk]) for i in range(len(packed) * r)]
         return list(zip(*[iter(rows)] * r))
@@ -371,8 +420,9 @@ class Engine(NamedTuple):
     """The spaces of one group and action in generator coordinates.
 
     coeff comes from propagating the cocycle relation, packed until read,
-    with coeff[i] the matrix of group.elements[i]; z1 and b1 are Z^1 and B^1 as submodules
-    of M^k. rows generate the annihilator of Z^1, at most kr of them: since
+    with coeff[i] the matrix of group.elements[i]; when the walk stopped
+    early because Z^1 = B^1, coeff finishes it on first read. z1 and b1
+    are Z^1 and B^1 as submodules of M^k. rows generate the annihilator of Z^1, at most kr of them: since
     annihilators are reflexive, their kernel is Z^1, so a subspace of Z^1
     is cut out by stacking further rows onto these. Build one with
     cohomology_engine and pass it to h1_loc and h1_loc_via_restrictions to
@@ -388,16 +438,15 @@ class Engine(NamedTuple):
 
 
 def cohomology_engine(group: MatGroup, action: Optional[ModuleAction] = None) -> Engine:
-    """Propagate once and cut out Z^1 and B^1 in generator coordinates.
+    """Cut out B^1, then propagate to cut out Z^1, in generator coordinates.
 
     B^1 is spanned by the coboundaries of the basis vectors e_j, whose
-    values at the generators s are (s - I) e_j.
+    values at the generators s are (s - I) e_j. Its order is what lets
+    the walk stop early (_propagate).
     """
     action = _action_for(group, action)
-    coeff, columns, count = _propagate(group, action)
-    dim = action.rank * len(group.generating_set)
-    z1 = Submodule.span(_left_kernel(columns, count, action.ctx), dim, action.ctx)
     b1 = _coboundary_span(map(_key, group.generating_set), action)
+    coeff, z1 = _propagate(group, action, b1)
     return Engine(group, action, coeff, annihilator(z1).generators, z1, b1)
 
 
@@ -541,7 +590,10 @@ def h1_loc_via_restrictions(
     test. An engine from cohomology_engine(group, action) may be passed to
     reuse its work.
     """
-    _, action, coeff, rows, _, b1 = _engine(group, action, engine)
+    _, action, coeff, rows, z1, b1 = _engine(group, action, engine)
+    # B^1 <= L <= Z^1 collapses when H^1 vanishes, as in h1_loc
+    if z1 == b1:
+        return []
     dim = b1.ambient_rank
     ctx = action.ctx
     codes, G = group.codes, group.ctx.modulus

@@ -53,7 +53,8 @@ DEFAULT_CAP = 5000
 
 @dataclass(frozen=True, order=True, slots=True)
 class Mat2:
-    """2x2 matrix over Z/p^nZ, entries reduced on construction."""
+    """2x2 matrix over Z/p^nZ, entries reduced on construction. Equal when
+    the entries and the modulus agree; ordered by the entries alone."""
 
     a: int
     b: int
@@ -87,6 +88,16 @@ class Mat2:
         put(m, "d", d)
         put(m, "ctx", ctx)
         return m
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Mat2:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d, self.ctx.modulus) == (
+            other.a, other.b, other.c, other.d, other.ctx.modulus
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.d, self.ctx.modulus))
 
     def row_list(self):
         return [[self.a, self.b], [self.c, self.d]]

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from cohomlab import cli
+from cohomlab import cli, cohom, zmod
 from cohomlab.cli import main
 from cohomlab.matgrp import Mat2
 
@@ -211,6 +211,32 @@ def test_compute_builds_no_matrix_per_element(tmp_path, capsys, monkeypatch, nam
     assert len(groups[0]) == order
     assert "elements" not in vars(groups[0])
     assert 0 < len(built) < 50
+
+
+@pytest.mark.parametrize("name", ["family-p5", "gl2-z9", "order-3125"])
+def test_compute_packs_only_reduced_rows(tmp_path, capsys, monkeypatch, name):
+    # _howell re-packs a row with an entry outside [0, N) as int(e) % N, so
+    # a caller that skips a reduction would stay exact and only lose time;
+    # a RuntimeError escapes that fallback and fails the run instead.
+    pack = zmod._pack
+
+    def reduced_only(row, lay):
+        N = lay[5] & ((1 << lay[0]) - 1)  # lay[5] holds N in every slot
+        if not all(0 <= e < N for e in row):
+            raise RuntimeError(f"row with an entry outside [0, {N}) packed")
+        return pack(row, lay)
+
+    monkeypatch.setattr(zmod, "_pack", reduced_only)
+    monkeypatch.setattr(cohom, "_pack", reduced_only)
+    if name == "family-p5":
+        spec = example_family_spec(tmp_path, 5)
+    else:
+        gens, p, _, _ = LARGE_COMPUTES[name]
+        spec = write_spec(tmp_path, {"p": p, "n": 2, "generators": gens})
+    code, out, _ = run_cli(capsys, "compute", spec, "--local")
+    assert code == 0 and json.loads(out)["localAgreement"]
+    with pytest.raises(RuntimeError, match="outside"):
+        zmod.Submodule.span([[1, 9]], 2, zmod.ModulusContext(3, 2))
 
 
 def test_compute_out_file_and_csv(tmp_path, capsys):

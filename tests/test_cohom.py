@@ -49,6 +49,8 @@ from cohomlab.experiments import (
     brute_locally_trivial_tables,
     brute_quotient_invariants,
     full_diagonal_group,
+    sample_level2_groups,
+    verify_oracle_equivalence,
 )
 from cohomlab.matgrp import (
     Mat2,
@@ -159,12 +161,7 @@ def draw_small_group(data):
     return grp
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.data())
-def test_random_small_groups_match_brute(data):
-    grp = draw_small_group(data)
-    if grp is None:
-        return
+def assert_small_group_matches_brute(grp):
     ctx = grp.ctx
     action = ModuleAction.standard(ctx)
     tables = brute_cocycle_tables(grp, action)
@@ -187,6 +184,95 @@ def test_random_small_groups_match_brute(data):
         zc = Cocycle.from_flat(grp, action, loc.generators[0])
         bc = Cocycle.from_flat(grp, action, b1.generators[0])
         assert is_locally_trivial(zc.add(bc))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_random_small_groups_match_brute(data):
+    grp = draw_small_group(data)
+    if grp is not None:
+        assert_small_group_matches_brute(grp)
+
+
+# ---------------------------------------------------------------------------
+# the early stop of the walk once the constraints pin Z^1 to B^1
+# ---------------------------------------------------------------------------
+
+
+def stop_early_everywhere(mp):
+    """Check after 1, 2, 4, ... nodes up to |G|, so the stop fires on small groups."""
+    mp.setattr(cohom, "_FIRST_CHECK", 1)
+    mp.setattr(cohom, "_CHECK_SHARE", 1)
+
+
+def never_stop_early(mp):
+    mp.setattr(cohom, "_FIRST_CHECK", 1 << 40)
+
+
+def record_stops(mp):
+    """Wrap _propagate; the returned list gets (|G|, nodes walked) per engine."""
+    walks, propagate = [], cohom._propagate
+
+    def recorded(group, action, b1):
+        coeff, z1 = propagate(group, action, b1)
+        walks.append((len(group), coeff.done))
+        return coeff, z1
+
+    mp.setattr(cohom, "_propagate", recorded)
+    return walks
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_early_stop_random_small_groups_match_brute(data):
+    grp = draw_small_group(data)
+    if grp is not None:
+        with pytest.MonkeyPatch.context() as mp:
+            stop_early_everywhere(mp)
+            assert_small_group_matches_brute(grp)
+
+
+def test_early_stop_oracle_agrees(monkeypatch):
+    stop_early_everywhere(monkeypatch)
+    walks = record_stops(monkeypatch)
+    verdict = verify_oracle_equivalence()
+    assert verdict.passed, [c for c in verdict.checks if not c.ok]
+    assert any(done < order for order, done in walks)
+
+
+def large_h1_zero_groups():
+    gens = [Mat2(1, 1, 0, 1, Z9), Mat2(1, 0, 1, 1, Z9), Mat2(2, 0, 0, 1, Z9)]
+    order5000 = [Mat2(6, 20, 15, 16, Z25), Mat2(0, 19, 13, 0, Z25), Mat2(16, 5, 20, 21, Z25)]
+    return close_group(gens, Z9), close_group(order5000, Z25)
+
+
+def test_early_stop_matches_the_full_walk(monkeypatch):
+    # GL2(Z/9), the order-5000 group and the candidates of the main-theorem search at p = 3
+    example = make_example_group(3).group
+    groups = [*large_h1_zero_groups(), example]
+    groups += [g for g in sample_level2_groups(3, 0, 80) if g != example]
+    assert len(groups) == 82
+    engines = [cohomology_engine(g) for g in groups]
+    stopped = [eng.coeff.done < len(g) for g, eng in zip(groups, engines)]
+    assert stopped[:2] == [True, True] and sum(stopped) > 2
+    never_stop_early(monkeypatch)
+    for g, eng in zip(groups, engines):
+        full = cohomology_engine(g)
+        assert full.coeff.done == len(g)
+        assert (eng.z1, eng.b1, eng.rows) == (full.z1, full.b1, full.rows)
+
+
+def test_early_stop_spaces_and_lazy_completion(monkeypatch):
+    gl2 = large_h1_zero_groups()[0]
+    eng = cohomology_engine(gl2)
+    assert eng.z1 == eng.b1 and eng.coeff.done < len(gl2)
+    # the restriction path answers from z1 == b1 and leaves the walk unfinished
+    assert h1_loc_via_restrictions(gl2, engine=eng) == [] and eng.coeff.done < len(gl2)
+    b1 = coboundary_space(gl2)
+    assert cocycle_space(gl2) == locally_trivial_subspace(gl2) == b1 and b1.cardinality() == 81
+    assert len(eng.coeff.packed) == eng.coeff.done == len(gl2)
+    never_stop_early(monkeypatch)
+    assert eng.coeff.packed == cohomology_engine(gl2).coeff.packed
 
 
 def literal_restriction_quotient(grp, action):
@@ -293,9 +379,12 @@ def test_restriction_path_eliminates_twice_per_conjugacy_class(monkeypatch):
         return howell(*args, **kwargs)
 
     monkeypatch.setattr(zmod, "_howell", counted)
-    gens = [Mat2(1, 1, 0, 1, Z9), Mat2(1, 0, 1, 1, Z9), Mat2(2, 0, 0, 1, Z9)]
-    for grp, want in ((make_example_group(5).group, 11), (close_group(gens, Z9), 35)):
+    sylow = close_group(
+        [Mat2(1, 1, 0, 1, Z9), Mat2(1, 0, 3, 1, Z9), Mat2.diagonal(4, 1, Z9), Mat2.diagonal(1, 4, Z9)], Z9
+    )
+    for grp, want in ((make_example_group(5).group, 11), (sylow, 51)):
         engine = cohomology_engine(grp)
+        assert engine.z1 != engine.b1
         maximal = maximal_cyclic_subgroups(grp)
         assert len(maximal) < len(cyclic_subgroups(grp))
         reps = grp._class_representatives
@@ -304,6 +393,11 @@ def test_restriction_path_eliminates_twice_per_conjugacy_class(monkeypatch):
         h1_loc_via_restrictions(grp, engine=engine)
         # two per class representative, then the cut-out (two) and the quotient (one)
         assert len(calls) == 2 * len(reps) + 3 == want
+    # H^1(GL2(Z/9)) = 0, so Z^1 = B^1 = L and no elimination is needed
+    gl2 = large_h1_zero_groups()[0]
+    engine = cohomology_engine(gl2)
+    calls.clear()
+    assert h1_loc_via_restrictions(gl2, engine=engine) == [] and not calls
 
 
 def test_engine_forms_no_matrix_products(monkeypatch):

@@ -396,6 +396,14 @@ def test_mat2_is_slotted():
     assert Mat2(1, 2, 3, 4, Z9) < Mat2(1, 2, 4, 0, Z9) and Mat2(0, 8, 8, 8, Z9) < m
 
 
+def test_mat2_equality_and_hash_see_the_modulus():
+    mod3, mod9 = Mat2.identity(Z3), Mat2.identity(Z9)
+    assert mod3 != mod9 and not mod3 == mod9 and hash(mod3) != hash(mod9)
+    assert len({mod3, mod9}) == 2 and {mod3: 3, mod9: 9}[mod3] == 3
+    # the order stays on the entries alone
+    assert not mod3 < mod9 and not mod9 < mod3 and Mat2(0, 1, 1, 0, Z9) < mod3
+
+
 def _digest(groups, tables=True):
     """sha256 over each group's element entries, generating set and, with
     tables, Cayley table, in order."""
