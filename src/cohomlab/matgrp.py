@@ -5,14 +5,15 @@ N = p^n, [[a, b], [c, d]] has code ((a*N + b)*N + c)*N + d, so codes sort
 as the (a, b, c, d) tuples do. Mat2 is the public value type;
 MatGroup.elements builds one Mat2 per element only when first read.
 
-The closure walk numbers each code as it is found and forms every product
-h * s_i of an element with a kept generator exactly once, as two lookups in
-a row table of s_i, and records it as an integer, which gives each group
-its Cayley table: close_group stores the table of its own walk, and a group
-built from an element list gets it from the same lazy walk that picks its
-generating set. cohom propagates cocycles over that table, with no matrix
-products. distinct_closures closes a run of generator sets and drops a
-repeated group before it is built.
+The closure walk is Dimino's: the span grows by whole right cosets of the
+group generated so far, each coset the product of a stored one with a
+generator, formed in one batch; past N^2 products a batch costs two
+lookups per code in the generator's row tables. It picks the generating
+set, of close_group and of a group built from an element list alike. Every
+group gets its Cayley table the same way, on first read, from its sorted
+codes and generating set; cohom propagates cocycles over that table, with
+no matrix products. distinct_closures closes a run of generator sets and
+drops a repeated group before it is built.
 
 A second lazy walk on codes, the power walk, visits every cyclic subgroup
 once from its least generator. It gives cyclic_subgroups,
@@ -213,96 +214,89 @@ def _product(x: tuple, y: tuple, N: int) -> tuple:
     return ((a * e + b * g) % N, (a * f + b * h) % N, (c * e + d * g) % N, (c * f + d * h) % N)
 
 
+def _row_tables(a: int, b: int, c: int, d: int, N: int) -> tuple:
+    """The row tables of right multiplication by [[a, b], [c, d]]: lo maps
+    the row code x*N + y of (x, y) to that of (x, y)*[[a, b], [c, d]], and
+    hi to that times N^2, its share of a code as the top row."""
+    NN = N * N
+    lo = [(x * a + y * c) % N * N + (x * b + y * d) % N for x in range(N) for y in range(N)]
+    return [u * NN for u in lo], lo
+
+
+class _Right:
+    """Right multiplication of codes by one matrix, a batch at a time: from
+    the entries until a batch would bring the codes so multiplied to N^2,
+    then by two lookups per code, one per row, in row tables built once
+    (_row_tables) at about the cost of the direct work before them. A small
+    group at a large modulus never builds them."""
+
+    __slots__ = ("entries", "N", "direct", "tables")
+
+    def __init__(self, code: int, N: int):
+        self.entries, self.N, self.direct, self.tables = _entries(code, N), N, 0, None
+
+    def __call__(self, block: list) -> list:
+        """The codes of block, each times the matrix, in order."""
+        N, NN = self.N, self.N * self.N
+        if self.tables is None:
+            self.direct += len(block)
+            if self.direct < NN:
+                a, b, c, d = self.entries
+                out = []
+                for top, bottom in map(divmod, block, itertools.repeat(NN)):
+                    x, y = divmod(top, N)
+                    z, w = divmod(bottom, N)
+                    upper = (x * a + y * c) % N * N + (x * b + y * d) % N
+                    out.append(upper * NN + (z * a + w * c) % N * N + (z * b + w * d) % N)
+                return out
+            self.tables = _row_tables(*self.entries, N)
+        hi, lo = self.tables
+        return [hi[top] + lo[bottom] for top, bottom in map(divmod, block, itertools.repeat(NN))]
+
+
 def _grow_span(candidates: Iterable[int], N: int, cap: float) -> tuple:
-    """Greedy generating set of the candidates and the group it generates.
+    """Greedy generating set of the candidates and the group it generates,
+    by Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
+    Groups, LNCS 559, 1991), on codes.
 
-    Elements are codes, numbered in the order they are found; the identity
-    is 0. A candidate outside the span so far is kept, and the span is
-    closed under right multiplication by the kept generators: old elements
-    need only the new generator, new elements need all of them. In a finite
-    group this right closure is the subgroup they generate. Every product
-    h * s_i is formed once, from the entries or, in a span larger than N^2,
-    from the table of s_i that maps the row code x*N + y to the code of
-    (x, y)*s_i, filled as rows are reached; its number is recorded in
-    products[h * k + i], with k the number kept.
+    A candidate outside the span H so far is kept, and the span grows by
+    right cosets of H: for each coset H*r found and each kept generator t,
+    when r*t is new the coset H*(r*t), the block H*r times t, is appended,
+    multiplied in one batch (_Right). The cosets are closed under the
+    generators, so in a finite group they make up the group generated.
+    CapExceeded is raised before a coset would take the span past cap.
 
-    Returns (numbers of the kept candidates, codes by number, products).
+    Returns (the kept candidates, the codes of the span, each once).
     """
-    ident, NN = _code((1, 0, 0, 1), N), N * N
+    ident = _code((1, 0, 0, 1), N)
     found = [ident]
-    number = {ident: 0}
-    gens, tables = [], []
-    products = array("I")
-
-    def step(h, first):
-        """Form h * s_i for i >= first; queue each new element in fresh."""
-        top, bottom = divmod(found[h], NN)
-        # rows repeat, and the tables pay, only once the span has more
-        # elements than there are row codes; until then multiply directly
-        tabled = len(found) > NN
-        if not tabled:
-            x, y = divmod(top, N)
-            z, w = divmod(bottom, N)
-        for i in range(first, k):
-            rows, a, b, c, d = tables[i]
-            if not tabled:
-                t = (x * a + y * c) % N * N + (x * b + y * d) % N
-                u = (z * a + w * c) % N * N + (z * b + w * d) % N
-            else:
-                t = rows.get(top)
-                if t is None:
-                    p, q = divmod(top, N)
-                    t = rows[top] = (p * a + q * c) % N * N + (p * b + q * d) % N
-                u = rows.get(bottom)
-                if u is None:
-                    p, q = divmod(bottom, N)
-                    u = rows[bottom] = (p * a + q * c) % N * N + (p * b + q * d) % N
-            m = t * NN + u
-            j = number.get(m)
-            if j is None:
-                if len(found) >= cap:
-                    raise CapExceeded(f"group closure exceeded cap of {cap} elements")
-                j = number[m] = len(found)
-                found.append(m)
-                products.extend(blank)
-                fresh.append(j)
-            products[h * k + i] = j
-
+    # a dict: at 5000 codes a set has grown to 32768 slots, a dict to 8192
+    members = {ident: None}
+    kept, gens = [], []
     for g in candidates:
-        if g in number:
+        if g in members:
             continue
-        gens.append(g)
-        tables.append(({}, *_entries(g, N)))
-        k = len(gens)
-        # the table gains a column for g: restride it from k - 1 to k
-        blank = array("I", bytes(4 * k))
-        wider = blank * len(found)
-        for i in range(k - 1):
-            wider[i::k] = products[i :: k - 1]
-        products = wider
-        fresh = []
-        for h in range(len(found)):
-            step(h, k - 1)
-        while fresh:
-            step(fresh.pop(), 0)
-    return [number[g] for g in gens], found, products
-
-
-def _tabulate(found: list, products: array, k: int) -> tuple:
-    """The found codes sorted, and the products renumbered by sorted
-    position into the Cayley table."""
-    order = sorted(range(len(found)), key=found.__getitem__)
-    position = sorted(range(len(found)), key=order.__getitem__)
-    renumbered = list(map(position.__getitem__, products))
-    cayley = array("I", bytes(4 * len(products)))
-    for i in range(k):
-        cayley[i::k] = array("I", map(renumbered[i::k].__getitem__, order))
-    return tuple(map(found.__getitem__, order)), cayley
+        kept.append(g)
+        gens.append(_Right(g, N))
+        size = len(found)  # |H|; found[start : start + size] is the coset H*r
+        cosets = [(ident, 0)]
+        for r, start in cosets:
+            for times in gens:
+                [rt] = times([r])
+                if rt in members:
+                    continue
+                if len(found) + size > cap:
+                    raise CapExceeded(f"group closure exceeded cap of {cap} elements")
+                cosets.append((rt, len(found)))
+                # H starts with the identity, so H*(r*t) starts with r*t
+                block = [rt, *times(found[start + 1 : start + size])]
+                members.update(zip(block, itertools.repeat(None)))
+                found += block
+    return kept, found
 
 
 def _close_walk(gens: Iterable[Mat2], ctx: ModulusContext, cap: float) -> tuple:
-    """Check the generators and run the closure walk on them; returns what
-    _grow_span returns."""
+    """Check the generators and return _grow_span of them."""
     gens = list(gens)
     for g in gens:
         if g.ctx != ctx:
@@ -312,22 +306,19 @@ def _close_walk(gens: Iterable[Mat2], ctx: ModulusContext, cap: float) -> tuple:
     return _grow_span([_code(_key(g), ctx.modulus) for g in gens], ctx.modulus, cap)
 
 
-def _build(walk: tuple, ctx: ModulusContext) -> "MatGroup":
-    """The group a closure walk found: its codes sorted, the kept
-    generators as its generating set, its products as its Cayley table."""
-    chosen, found, products = walk
-    codes, cayley = _tabulate(found, products, len(chosen))
-    kept = tuple(_mat(found[h], ctx) for h in chosen)
+def _build(kept: list, found: list, ctx: ModulusContext) -> "MatGroup":
+    """The group a closure walk found: its codes sorted, and the kept
+    generators as its generating set."""
+    gens = tuple(_mat(g, ctx) for g in kept)
     grp = object.__new__(MatGroup)
-    vars(grp).update(codes=codes, ctx=ctx, _gens=kept, generating_set=kept, cayley=cayley)
+    vars(grp).update(codes=tuple(sorted(found)), ctx=ctx, _gens=gens, generating_set=gens)
     return grp
 
 
 def close_group(gens: Iterable[Mat2], ctx: ModulusContext, cap: int = DEFAULT_CAP) -> "MatGroup":
     """Closure of the generators, capped at cap elements; the generators
-    the walk keeps become the group's generating set, and the products it
-    forms become the group's Cayley table."""
-    return _build(_close_walk(gens, ctx, cap), ctx)
+    the walk keeps become the group's generating set."""
+    return _build(*_close_walk(gens, ctx, cap), ctx)
 
 
 def distinct_closures(gen_sets: Iterable[Iterable[Mat2]], ctx: ModulusContext):
@@ -336,20 +327,20 @@ def distinct_closures(gen_sets: Iterable[Iterable[Mat2]], ctx: ModulusContext):
     A set whose closure passes DEFAULT_CAP elements is skipped. A closure
     equal to a group already yielded is dropped as soon as its walk ends,
     before its group is built: a match on the order and the hash of the
-    code set is confirmed on the sorted codes. The next set is drawn only
+    code set is confirmed on the sorted codes. A group yielded gets its
+    Cayley table only when it is first read. The next set is drawn only
     when the next group is asked for, so a caller may stop early.
     """
     seen = {}  # the codes of the groups yielded, by order and hash of the code set
     for gens in gen_sets:
         try:
-            walk = _close_walk(gens, ctx, DEFAULT_CAP)
+            kept, found = _close_walk(gens, ctx, DEFAULT_CAP)
         except CapExceeded:
             continue
-        found = walk[1]
         twins = seen.setdefault((len(found), hash(frozenset(found))), [])
         if twins and tuple(sorted(found)) in twins:
             continue
-        grp = _build(walk, ctx)
+        grp = _build(kept, found, ctx)
         twins.append(grp.codes)
         yield grp
 
@@ -438,27 +429,35 @@ class MatGroup:
 
     @cached_property
     def generating_set(self) -> tuple:
-        """A small generating tuple: stored generators first, then greedy fill."""
-        return self._walk[0]
+        """A small generating tuple: stored generators first, then greedy fill,
+        from one closure walk (_grow_span) over the elements."""
+        N = self.ctx.modulus
+        gens = (_code(_key(g), N) for g in self._gens)
+        try:
+            kept, found = _grow_span(itertools.chain(gens, self.codes), N, len(self.codes))
+        except CapExceeded:
+            found = ()
+        if len(found) != len(self.codes):
+            raise ValueError("the elements are not closed under multiplication")
+        return tuple(_mat(g, self.ctx) for g in kept)
 
     @cached_property
     def cayley(self) -> array:
         """Right multiplication by the generators, as a flat table of positions.
 
         cayley[h * k + i] is the position of elements[h] * generating_set[i]
-        in elements, with k = len(generating_set).
+        in elements, with k = len(generating_set). Built on first read, for
+        every group alike, a column per generator t: the positions in the
+        order that sorts the codes times t^-1 (one batch of _Right). The
+        product at sorted place j is codes[j], at the position of codes[j] * t.
         """
-        return self._walk[1]
-
-    @cached_property
-    def _walk(self) -> tuple:
-        """(generating_set, cayley) from one closure walk over the elements."""
-        N = self.ctx.modulus
-        gens = (_code(_key(g), N) for g in self._gens)
-        chosen, found, products = _grow_span(itertools.chain(gens, self.codes), N, math.inf)
-        if len(found) != len(self.codes):
-            raise ValueError("the elements are not closed under multiplication")
-        return tuple(_mat(found[h], self.ctx) for h in chosen), _tabulate(found, products, len(chosen))[1]
+        N, codes = self.ctx.modulus, self.codes
+        k = len(self.generating_set)
+        table = array("I", bytes(4 * len(codes) * k))
+        for i, g in enumerate(self.generating_set):
+            back = _Right(_code(_inverse(_key(g), N), N), N)(codes)
+            table[i::k] = array("I", sorted(range(len(codes)), key=back.__getitem__))
+        return table
 
     @cached_property
     def _power_walk(self) -> "_PowerWalk":
@@ -697,8 +696,8 @@ def _is_solvable(group: MatGroup) -> bool:
         pairs = [(x, _inverse(x, N)) for x in gens]
         new = [_product(_product(x, y, N), _product(xi, yi, N), N) for x, xi in pairs for y, yi in pairs]
         while True:
-            kept, found, _ = _grow_span([_code(x, N) for x in new], N, order)
-            new = [_entries(found[h], N) for h in kept]
+            kept, found = _grow_span([_code(x, N) for x in new], N, order)
+            new = [_entries(g, N) for g in kept]
             members = set(found)
             outside = {_product(_product(x, h, N), xi, N) for x, xi in pairs for h in new}
             outside = [x for x in outside if _code(x, N) not in members]

@@ -13,7 +13,7 @@ from array import array
 from operator import attrgetter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cohomlab import matgrp
 from cohomlab.errors import CapExceeded, NonInvertibleConjugator, NonInvertibleGenerator, NotAUnit
@@ -202,6 +202,16 @@ def test_close_group_cap():
     assert len(close_group([sigma], Z9, cap=9)) == 9
     with pytest.raises(CapExceeded):
         close_group([sigma], Z9, cap=8)
+    # the span grows by whole cosets; the cap is still exact
+    family = make_example_group(5)
+    for gens, order in (
+        ([Mat2(1, 1, 0, 1, Z9), Mat2(1, 0, 1, 1, Z9), Mat2(2, 0, 0, 1, Z9)], 3888),
+        ([family.delta1, family.delta2, family.delta3], 50),
+    ):
+        ctx = gens[0].ctx
+        assert len(close_group(gens, ctx, cap=order)) == order
+        with pytest.raises(CapExceeded):
+            close_group(gens, ctx, cap=order - 1)
 
 
 def test_close_group_keeps_only_needed_generators():
@@ -269,6 +279,11 @@ def test_cayley_table_matches_literal_products():
 def test_generating_set_rejects_elements_that_are_not_a_group():
     with pytest.raises(ValueError, match="not closed"):
         MatGroup((Mat2.identity(Z9), Mat2(1, 1, 0, 1, Z9)), Z9).generating_set
+    # the walk stops as soon as the span outgrows the elements, and an empty
+    # set lacks the identity that every span holds
+    for codes in ((matgrp._code((1, 1, 0, 1), 9),), ()):
+        with pytest.raises(ValueError, match="not closed"):
+            MatGroup.from_codes(codes, Z9).generating_set
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +292,12 @@ def test_generating_set_rejects_elements_that_are_not_a_group():
 
 
 def tuple_grow_span(candidates, N, cap):
-    """The closure walk on plain (a, b, c, d) tuples, each product formed by
-    four multiplications mod N: an independent reference for the walk on
-    codes and row tables in matgrp._grow_span, with the same candidate
-    order, kept generators and products."""
+    """The closure walk on plain (a, b, c, d) tuples, one element at a time,
+    each product formed by four multiplications mod N: an independent
+    reference for the coset walk on codes and row tables in
+    matgrp._grow_span. Returns the numbers of the kept candidates, the
+    elements by number in the order found, and products[h * k + i], the
+    number of element h times kept generator i."""
     ident = (1, 0, 0, 1)
     found = [ident]
     number = {ident: 0}
@@ -322,28 +339,73 @@ def tuple_grow_span(candidates, N, cap):
 
 @st.composite
 def generator_lists(draw):
-    """A modulus and up to four invertible (a, b, c, d) tuples mod it."""
+    """A prime p, an exponent n and up to four invertible (a, b, c, d)
+    tuples mod p^n."""
     p, n = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 1), (5, 2), (7, 2)]))
     N = p**n
     entries = st.tuples(*[st.integers(0, N - 1)] * 4).filter(lambda x: (x[0] * x[3] - x[1] * x[2]) % p)
-    return N, draw(st.lists(entries, max_size=4))
+    return p, n, draw(st.lists(entries, max_size=4))
 
 
-@settings(max_examples=60, deadline=None)
-@given(generator_lists())
-def test_code_walk_matches_tuple_walk(drawn):
-    N, gens = drawn
-    codes = [matgrp._code(x, N) for x in gens]
-    try:
-        want = tuple_grow_span(gens, N, 600)
-    except CapExceeded:
-        with pytest.raises(CapExceeded):
-            matgrp._grow_span(codes, N, 600)
-        return
-    chosen, found, products = matgrp._grow_span(codes, N, 600)
-    assert chosen == want[0]
-    assert [matgrp._entries(code, N) for code in found] == want[1]
-    assert products == want[2]
+def test_code_walk_matches_tuple_walk(monkeypatch):
+    # the walk on codes finds the elements in its own order, so the two walks
+    # are compared on the sorted elements, the kept generators and the
+    # Cayley table renumbered by sorted position
+    built, sides = [], set()
+    row_tables = matgrp._row_tables
+    monkeypatch.setattr(matgrp, "_row_tables", lambda *args: built.append(args) or row_tables(*args))
+
+    @settings(max_examples=60, deadline=None)
+    @given(generator_lists())
+    # order 49 below N^2 = 2401: every product is formed from the entries
+    @example((7, 2, [(1, 1, 0, 1)]))
+    # GL2(Z/4), order 96 above N^2 = 16: the generators' row tables are built
+    @example((2, 2, [(1, 1, 0, 1), (1, 0, 1, 1), (3, 0, 0, 1)]))
+    def check(drawn):
+        p, n, gens = drawn
+        N = p**n
+        codes = [matgrp._code(x, N) for x in gens]
+        try:
+            chosen, found, products = tuple_grow_span(gens, N, 600)
+        except CapExceeded:
+            with pytest.raises(CapExceeded):
+                matgrp._grow_span(codes, N, 600)
+            return
+        built.clear()
+        kept, walked = matgrp._grow_span(codes, N, 600)
+        if kept:
+            sides.add("tables" if built else "direct")
+        assert [matgrp._entries(g, N) for g in kept] == [found[h] for h in chosen]
+        assert len(walked) == len(set(walked)) == len(found)
+        grp = matgrp._build(kept, walked, ModulusContext(p, n))
+        order = sorted(range(len(found)), key=found.__getitem__)
+        position = {h: i for i, h in enumerate(order)}
+        assert [matgrp._entries(code, N) for code in grp.codes] == [found[h] for h in order]
+        k = len(chosen)
+        assert list(grp.cayley) == [position[products[h * k + i]] for h in order for i in range(k)]
+
+    check()
+    assert sides == {"tables", "direct"}
+
+
+def test_walk_at_a_large_modulus_builds_no_row_table(monkeypatch):
+    built = []
+    row_tables = matgrp._row_tables
+    monkeypatch.setattr(matgrp, "_row_tables", lambda *args: built.append(args) or row_tables(*args))
+    # at N = 9 the walk on GL2(Z/9) outgrows N^2 = 81 direct products per
+    # generator, and builds tables of 81 entries
+    assert len(_gl2_z9()) == 3888
+    assert built and all(len(table) == 81 for args in built for table in row_tables(*args))
+    built.clear()
+    # at N = 2^32 a table would have 2^64 entries; a group of order 8 and
+    # its Cayley table are formed from the entries alone
+    ctx = ModulusContext(2, 32)
+    N = ctx.modulus
+    signed = close_group([Mat2(0, 1, 1, 0, ctx), Mat2.diagonal(N - 1, 1, ctx)], ctx)
+    spread = conjugate(signed, Mat2(1, N // 3, 5 + N // 2, 1 + (N // 3) * (5 + N // 2), ctx))
+    for grp in (signed, spread):
+        assert len(grp) == 8 and len(grp.cayley) == 8 * len(grp.generating_set) == 16
+    assert built == []
 
 
 @pytest.mark.parametrize("N", [2, 9, 25, 65521**2, 2**32])
