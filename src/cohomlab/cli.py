@@ -49,10 +49,24 @@ def resolve_cap(explicit: Optional[int]) -> int:
     return cap
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key, whose last value json would
+    keep, is an input error."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"group spec repeats the key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_group_spec(path: str, cap: int) -> MatGroup:
     """Parse and validate a GroupSpecFile, then close its generators."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError("group spec is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("group spec must be a JSON object")
     missing = {"p", "n", "generators"} - set(data)

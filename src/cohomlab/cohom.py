@@ -2,17 +2,19 @@
 
 A cocycle is fixed by its values on a generating set of k elements, so the
 engine works in generator coordinates M^k. Propagating the cocycle relation
-in right-multiplication form, Z_{hs} = Z_h + h.Z_s, from the identity over
-the group's Cayley table writes the value at every g as a matrix coeff[g]
-applied to the generator values, with no matrix products, and every
-revisit of an element gives constraint rows. The relations at (h, s) with s
-a generator imply the full relation, so Z1 is the kernel of those rows; B1
-is spanned by the generator values (s - I)e_j of the coboundaries. The walk
-is breadth first, and it holds each coeff[g] as one int of fixed-width
-slots, SIMD within a register (Lamport, "Multiple byte processing with
-full-word instructions", CACM 1975): an edge adds one shifted int and
-reduces every entry mod p^n at once with a carry mask. The columns of the
-constraint rows go to the Z1 elimination as arrays of machine words.
+in right-multiplication form, Z_{hs} = Z_h + h.Z_s, from the identity
+writes the value at every g as a matrix coeff[g] applied to the generator
+values, and every revisit of an element gives constraint rows. The
+relations at (h, s) with s a generator imply the full relation, so Z1 is
+the kernel of those rows; B1 is spanned by the generator values
+(s - I)e_j of the coboundaries. The walk is breadth first on element
+codes: it multiplies the nodes it has reached but not expanded by each
+generator in one batch (matgrp._Right), so it forms only the products it
+expands. It holds each coeff[g] as one int of fixed-width slots, SIMD
+within a register (Lamport, "Multiple byte processing with full-word
+instructions", CACM 1975): an edge adds one shifted int and reduces every
+entry mod p^n at once with a carry mask. The columns of the constraint
+rows go to the Z1 elimination as arrays of machine words.
 B1 comes first, from the generators alone, and the walk stops early when
 the kernel K_t of the constraints of its first t nodes has the order of
 B1: every cocycle meets every constraint, so B1 <= Z1 <= K_t, and equal
@@ -68,13 +70,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from operator import lshift, mul
 from typing import NamedTuple, Optional
 
 from .errors import HypothesisViolated, NotASubgroup, StabilizerMismatch
-from .matgrp import Mat2, MatGroup, _code, _entries, _key, close_group, special_subgroups
+from .matgrp import Mat2, MatGroup, _code, _entries, _key, _Right, close_group, special_subgroups
 from .zmod import (
     ModulusContext,
     Submodule,
@@ -254,14 +255,15 @@ def _propagate(group: MatGroup, action: ModuleAction, b1: Submodule):
     into one vector x in M^k. Starting from value 0 at the identity, the
     relation in right-multiplication form, Z_{hs} = Z_h + h.Z_s, gives the
     value at h*s_i as coeff[h] x with act(h) added into block i, so the
-    value at every element is coeff[h] x for an r x rk matrix coeff[h],
-    listed in canonical element order. The products h*s_i come from the
-    group's Cayley table, walked breadth first from the identity
-    (_Coefficients.walk). Each revisit of an already-valued element g
-    yields the constraint coeff[h] x + act(h) x_i = coeff[g] x, one row per
-    row of the difference. Every pair (h, s) with s in S is visited, and
-    those relations imply the full relation Z_{hg} = Z_h + h.Z_g by
-    induction on the length of g as a word in S:
+    value at every element is coeff[h] x for an r x rk matrix coeff[h].
+    The walk goes breadth first from the identity and forms the products
+    h*s_i of its frontier itself, on codes (_Coefficients.walk), so a walk
+    that stops early multiplies only the nodes it expanded. Each revisit
+    of an already-valued element g yields the constraint
+    coeff[h] x + act(h) x_i = coeff[g] x, one row per row of the
+    difference. Every pair (h, s) with s in S is visited, and those
+    relations imply the full relation Z_{hg} = Z_h + h.Z_g by induction on
+    the length of g as a word in S:
     Z_{h(gs)} = Z_{hg} + hg.Z_s = Z_h + h.(Z_g + g.Z_s) = Z_h + h.Z_{gs}.
     So Z^1 is the kernel of the rows.
 
@@ -301,8 +303,8 @@ def _propagate(group: MatGroup, action: ModuleAction, b1: Submodule):
 
 
 class _Coefficients:
-    """The matrices coeff[h] of the walk, each held as one packed int of
-    r x rk slots and cut into r row tuples only when read. A walk that
+    """The matrices coeff[h] of the walk by element code, each one packed
+    int of r x rk slots, cut into r row tuples only when read. A walk that
     _propagate stopped early is finished on the first read of packed.
 
     Each matrix is packed into one int, entry (a, j) in slot a * rk + j of
@@ -321,28 +323,25 @@ class _Coefficients:
         self.group, self.action = group, action
         self.r, self.rk = action.rank, action.rank * len(group.generating_set)
         self.size = _slot_width(action.ctx.modulus) // 8
-        codes = group.codes
-        start = bisect_left(codes, _code((1, 0, 0, 1), group.ctx.modulus))
-        self._coeff = [None] * len(codes)
-        self._coeff[start] = 0
-        self._order = [start]
-        self._nodes = iter(self._order)
-        self.done = 0
+        G = group.ctx.modulus
+        self._times = [_Right(_code(_key(s), G), G) for s in group.generating_set]
+        start = _code((1, 0, 0, 1), G)
+        self._coeff, self._order, self.done = {start: 0}, [start], 0
 
-    @property
+    @functools.cached_property
     def packed(self) -> list:
-        if self.done < len(self._coeff):
-            self.walk(len(self._coeff))
-        return self._coeff
+        """coeff[h] of every element in canonical order, once the walk is done."""
+        self.walk(len(self.group))
+        return list(map(self._coeff.__getitem__, self.group.codes))
 
     def walk(self, stop: int, differences: Optional[set] = None):
         """Expand the nodes of the breadth-first walk up to number stop, in
         the order they were reached; with a set, add to it the packed
         difference of every revisit that disagrees. Breadth first keeps the
-        tree shallow and its revisits few."""
+        tree shallow and its revisits few. The unexpanded nodes
+        order[done:stop] are multiplied by each generator in one batch."""
         group, action = self.group, self.action
-        k, r, rk = len(group.generating_set), self.r, self.rk
-        table = group.cayley
+        r, rk = self.r, self.rk
         N = action.ctx.modulus
         width = 8 * self.size
         top = width - 1
@@ -350,8 +349,8 @@ class _Coefficients:
         bias = ones * ((1 << top) - N)
         lift = ones * N
         place = [width * (a * rk + b) for a in range(r) for b in range(r)]
-        shifts = [width * r * i for i in range(k)]
-        codes, G = group.codes, group.ctx.modulus
+        shifts = [width * r * i for i in range(len(self._times))]
+        G = group.ctx.modulus
         coeff, order = self._coeff, self._order
 
         def packed(entries: tuple) -> int:
@@ -361,30 +360,31 @@ class _Coefficients:
         # packed actions of the two rows of h, each cached by its row code (a
         # code is top_row * G^2 + bottom_row, a row code x * G + y; see
         # matgrp._code): the action reduces each entry on its own.
-        by_rows = len(codes) > 2 * G * G
+        by_rows = len(group) > 2 * G * G
         upper = functools.cache(lambda row: packed((*divmod(row, G), 0, 0)))
         lower = functools.cache(lambda row: packed((0, 0, *divmod(row, G))))
-        for h in itertools.islice(self._nodes, stop - self.done):
-            base = coeff[h]
-            top_row, bottom_row = divmod(codes[h], G * G)
-            if by_rows:
-                act = upper(top_row) + lower(bottom_row)
-            else:
-                rows = action._act_entries((*divmod(top_row, G), *divmod(bottom_row, G)))
-                act = sum(map(lshift, itertools.chain.from_iterable(rows), place))
-            for g, shift in zip(table[h * k : h * k + k], shifts):
-                x = base + (act << shift)
-                x -= (((x + bias) >> top) & ones) * N
-                have = coeff[g]
-                if have is None:
-                    coeff[g] = x
-                    order.append(g)
-                elif x != have and differences is not None:
-                    x += lift - have
-                    differences.add(x - (((x + bias) >> top) & ones) * N)
+        while self.done < min(stop, len(order)):
+            chunk = order[self.done : stop]
+            self.done += len(chunk)
+            for h, products in zip(chunk, zip(*[times(chunk) for times in self._times])):
+                base = coeff[h]
+                top_row, bottom_row = divmod(h, G * G)
+                if by_rows:
+                    act = upper(top_row) + lower(bottom_row)
+                else:
+                    act = packed((*divmod(top_row, G), *divmod(bottom_row, G)))
+                for g, shift in zip(products, shifts):
+                    x = base + (act << shift)
+                    x -= (((x + bias) >> top) & ones) * N
+                    have = coeff.get(g)
+                    if have is None:
+                        coeff[g] = x
+                        order.append(g)
+                    elif x != have and differences is not None:
+                        x += lift - have
+                        differences.add(x - (((x + bias) >> top) & ones) * N)
         # done == len(order) means every reached node is expanded
-        self.done = min(stop, len(order))
-        if self.done == len(order) < len(coeff):
+        if self.done == len(order) < len(group):
             raise AssertionError("generator propagation failed to reach the whole group")
 
     def at(self, indices) -> list:
@@ -552,9 +552,10 @@ def h1_loc(
     z1_inv = tuple(quotient_invariants(z1, zero))
     b1_inv = tuple(quotient_invariants(b1, zero))
     h1_inv = tuple(quotient_invariants(z1, b1))
-    # B^1 <= L <= Z^1 collapses when H^1 vanishes, no need to compute L
+    # B^1 <= L <= Z^1 collapses when H^1 vanishes, no need to compute L;
+    # Howell generators are canonical, so L/B^1 vanishes exactly when L == B^1
     loc = _locally_trivial(group, action, coeff, rows) if h1_inv else None
-    if loc is None or not quotient_invariants(loc, b1):
+    if loc is None or loc == b1:
         return CohomologyReport(z1_inv, b1_inv, h1_inv, (), ())
     b1_full = _tables(group, action, coeff, b1)
     loc_inv, raw_wits = quotient_decomposition(_tables(group, action, coeff, loc), b1_full)

@@ -7,13 +7,13 @@ MatGroup.elements builds one Mat2 per element only when first read.
 
 The closure walk is Dimino's: the span grows by whole right cosets of the
 group generated so far, each coset the product of a stored one with a
-generator, formed in one batch; past N^2 products a batch costs two
-lookups per code in the generator's row tables. It picks the generating
-set, of close_group and of a group built from an element list alike. Every
-group gets its Cayley table the same way, on first read, from its sorted
-codes and generating set; cohom propagates cocycles over that table, with
-no matrix products. distinct_closures closes a run of generator sets and
-drops a repeated group before it is built.
+generator, formed in one batch (_Right); past N^2 products a batch costs
+two lookups per code in the generator's row tables. It picks the
+generating set, of close_group and of a group built from an element list
+alike. No group stores its products: the cocycle walk in cohom multiplies
+its own frontier of codes through _Right, a batch per generator.
+distinct_closures closes a run of generator sets and drops a repeated
+group before it is built.
 
 A second lazy walk on codes, the power walk, visits every cyclic subgroup
 once from its least generator. It gives cyclic_subgroups,
@@ -327,8 +327,7 @@ def distinct_closures(gen_sets: Iterable[Iterable[Mat2]], ctx: ModulusContext):
     A set whose closure passes DEFAULT_CAP elements is skipped. A closure
     equal to a group already yielded is dropped as soon as its walk ends,
     before its group is built: a match on the order and the hash of the
-    code set is confirmed on the sorted codes. A group yielded gets its
-    Cayley table only when it is first read. The next set is drawn only
+    code set is confirmed on the sorted codes. The next set is drawn only
     when the next group is asked for, so a caller may stop early.
     """
     seen = {}  # the codes of the groups yielded, by order and hash of the code set
@@ -440,24 +439,6 @@ class MatGroup:
         if len(found) != len(self.codes):
             raise ValueError("the elements are not closed under multiplication")
         return tuple(_mat(g, self.ctx) for g in kept)
-
-    @cached_property
-    def cayley(self) -> array:
-        """Right multiplication by the generators, as a flat table of positions.
-
-        cayley[h * k + i] is the position of elements[h] * generating_set[i]
-        in elements, with k = len(generating_set). Built on first read, for
-        every group alike, a column per generator t: the positions in the
-        order that sorts the codes times t^-1 (one batch of _Right). The
-        product at sorted place j is codes[j], at the position of codes[j] * t.
-        """
-        N, codes = self.ctx.modulus, self.codes
-        k = len(self.generating_set)
-        table = array("I", bytes(4 * len(codes) * k))
-        for i, g in enumerate(self.generating_set):
-            back = _Right(_code(_inverse(_key(g), N), N), N)(codes)
-            table[i::k] = array("I", sorted(range(len(codes)), key=back.__getitem__))
-        return table
 
     @cached_property
     def _power_walk(self) -> "_PowerWalk":

@@ -124,6 +124,10 @@ def test_compute_rejects_malformed_specs(tmp_path, capsys, monkeypatch):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert run_cli(capsys, "compute", str(broken))[0] == 2
+    # nesting deep enough to exhaust the parser's recursion is an input error
+    broken.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run_cli(capsys, "compute", str(broken))
+    assert (code, out) == (2, "") and "nested too deeply" in err
     assert run_cli(capsys, "compute", str(tmp_path / "missing.json"))[0] == 2
     # a closure cap below 1 is malformed input, not an exhausted budget
     spec = example_family_spec(tmp_path)
@@ -144,6 +148,22 @@ def test_compute_rejects_unknown_spec_keys(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert f"unknown keys: {named}" in err
     assert run_cli(capsys, "compute", write_spec(tmp_path, base))[0] == 0
+
+
+def test_compute_rejects_repeated_spec_keys(tmp_path, capsys):
+    # json keeps the last of two equal keys; a spec naming one twice is an
+    # input error naming the key
+    spec = tmp_path / "repeated.json"
+    for text, named in (
+        ('{"p": 3, "n": 2, "generators": [[[1, 1], [0, 1]]], "p": 5}', "'p'"),
+        ('{"generators": [], "p": 3, "generators": [], "n": 1}', "'generators'"),
+    ):
+        spec.write_text(text)
+        code, out, err = run_cli(capsys, "compute", str(spec))
+        assert (code, out) == (2, "")
+        assert f"repeats the key {named}" in err
+    spec.write_text('{"p": 3, "n": 2, "generators": [[[1, 1], [0, 1]]]}')
+    assert run_cli(capsys, "compute", str(spec))[0] == 0
 
 
 def test_compute_conditions_need_level_two(tmp_path, capsys):

@@ -63,7 +63,7 @@ from cohomlab.matgrp import (
     maximal_cyclic_subgroups,
     special_subgroups,
 )
-from cohomlab import cohom, zmod
+from cohomlab import cohom, matgrp, zmod
 from cohomlab.zmod import ModulusContext, Submodule, quotient_invariants
 
 Z2 = ModulusContext(2, 1)
@@ -275,6 +275,20 @@ def test_early_stop_spaces_and_lazy_completion(monkeypatch):
     assert eng.coeff.packed == cohomology_engine(gl2).coeff.packed
 
 
+def test_walk_multiplies_only_the_nodes_it_expands(monkeypatch):
+    # each expanded node is multiplied by every generator, once, and no other
+    # code is: GL2(Z/9) stops after 128 of its 3888 nodes, the order-5000
+    # group after 16, and reading coeff.packed finishes the walk
+    counted, call = [], matgrp._Right.__call__
+    monkeypatch.setattr(matgrp._Right, "__call__", lambda self, block: counted.append(len(block)) or call(self, block))
+    for grp, stop in zip(large_h1_zero_groups(), (128, 16)):
+        k = len(grp.generating_set)
+        counted.clear()
+        eng = cohomology_engine(grp)
+        assert eng.z1 == eng.b1 and eng.coeff.done == stop and sum(counted) == stop * k
+        assert len(eng.coeff.packed) == eng.coeff.done == len(grp) and sum(counted) == len(grp) * k
+
+
 def literal_restriction_quotient(grp, action):
     """L/B^1 by definition: cocycle tables whose restriction to every <g> is a coboundary."""
     cyclics = set()
@@ -410,7 +424,6 @@ def test_engine_forms_no_matrix_products(monkeypatch):
     gl2 = close_group(gens, Z9)
     borel = close_group([gens[0], gens[2], Mat2(1, 0, 0, 2, Z9)], Z9)
     conj = conjugate(borel, Mat2(1, 2, 4, 1, Z9))
-    assert "cayley" not in vars(conj)
     want = [spaces(gl2), spaces(borel)]
 
     def no_products(self, other):
@@ -420,7 +433,6 @@ def test_engine_forms_no_matrix_products(monkeypatch):
     with pytest.raises(AssertionError, match="Mat2.mul called"):
         gens[0] * gens[1]
     got = [spaces(gl2), spaces(conj)]
-    assert "cayley" in vars(conj)
     assert got == want
     assert want[0] == ([9, 9], [])
 
@@ -429,8 +441,8 @@ def tuple_row_propagate(group, action):
     """Reference propagation: the depth-first walk on tuple rows that the
     packed breadth-first walk replaced. Returns coeff[h] as r x rk tuples
     and the set of distinct constraint rows."""
-    k = len(group.generating_set)
-    table = group.cayley
+    gens = group.generating_set
+    k = len(gens)
     r = action.rank
     N = action.ctx.modulus
     elements = group.elements
@@ -450,7 +462,7 @@ def tuple_row_propagate(group, action):
                 for j, a in enumerate(arow, i * r):
                     row[j] = (row[j] + a) % N
                 cand.append(tuple(row))
-            g = table[h * k + i]
+            g = group.position(elements[h] * gens[i])
             have = coeff[g]
             if have is None:
                 coeff[g] = tuple(cand)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cohomlab import matgrp
+from cohomlab.cohom import cohomology_engine
 from cohomlab.errors import CapExceeded, NonInvertibleConjugator, NonInvertibleGenerator, NotAUnit
 from cohomlab.experiments import full_diagonal_group
 from cohomlab.matgrp import (
@@ -239,7 +240,7 @@ def _gl2_z9():
     return close_group([Mat2(1, 1, 0, 1, Z9), Mat2(1, 0, 1, 1, Z9), Mat2(2, 0, 0, 1, Z9)], Z9)
 
 
-def _table_groups():
+def _named_groups():
     """(name, group) pairs: closed groups, then groups built from element lists."""
     gl2 = _gl2_z9()
     family = make_example_group(5).group
@@ -257,14 +258,9 @@ def _table_groups():
     ]
 
 
-def test_cayley_table_matches_literal_products():
-    for name, grp in _table_groups():
+def test_elements_equal_hash_and_sort_like_constructed_matrices():
+    for name, grp in _named_groups():
         elements, gens = grp.elements, grp.generating_set
-        k = len(gens)
-        assert len(grp.cayley) == len(elements) * k, name
-        for h, x in enumerate(elements):
-            for i, s in enumerate(gens):
-                assert elements[grp.cayley[h * k + i]] == x * s, (name, x, s)
         assert close_group(gens, grp.ctx) == grp, name
         # elements built by the walk equal, hash and sort like constructed ones
         fresh = [Mat2(g.a, g.b, g.c, g.d, grp.ctx) for g in elements]
@@ -350,7 +346,8 @@ def generator_lists(draw):
 def test_code_walk_matches_tuple_walk(monkeypatch):
     # the walk on codes finds the elements in its own order, so the two walks
     # are compared on the sorted elements, the kept generators and the
-    # Cayley table renumbered by sorted position
+    # products of every element with every kept generator (_Right on the
+    # sorted codes) renumbered by sorted position
     built, sides = [], set()
     row_tables = matgrp._row_tables
     monkeypatch.setattr(matgrp, "_row_tables", lambda *args: built.append(args) or row_tables(*args))
@@ -382,7 +379,11 @@ def test_code_walk_matches_tuple_walk(monkeypatch):
         position = {h: i for i, h in enumerate(order)}
         assert [matgrp._entries(code, N) for code in grp.codes] == [found[h] for h in order]
         k = len(chosen)
-        assert list(grp.cayley) == [position[products[h * k + i]] for h in order for i in range(k)]
+        columns = [matgrp._Right(g, N)(list(grp.codes)) for g in kept]
+        by_code = {code: i for i, code in enumerate(grp.codes)}
+        assert [by_code[column[j]] for j in range(len(order)) for column in columns] == [
+            position[products[h * k + i]] for h in order for i in range(k)
+        ]
 
     check()
     assert sides == {"tables", "direct"}
@@ -398,13 +399,14 @@ def test_walk_at_a_large_modulus_builds_no_row_table(monkeypatch):
     assert built and all(len(table) == 81 for args in built for table in row_tables(*args))
     built.clear()
     # at N = 2^32 a table would have 2^64 entries; a group of order 8 and
-    # its Cayley table are formed from the entries alone
+    # the cocycle walk over it multiply from the entries alone
     ctx = ModulusContext(2, 32)
     N = ctx.modulus
     signed = close_group([Mat2(0, 1, 1, 0, ctx), Mat2.diagonal(N - 1, 1, ctx)], ctx)
     spread = conjugate(signed, Mat2(1, N // 3, 5 + N // 2, 1 + (N // 3) * (5 + N // 2), ctx))
     for grp in (signed, spread):
-        assert len(grp) == 8 and len(grp.cayley) == 8 * len(grp.generating_set) == 16
+        assert len(grp) == 8 and len(grp.generating_set) == 2
+        assert len(cohomology_engine(grp).coeff.packed) == 8
     assert built == []
 
 
@@ -420,7 +422,7 @@ def test_codes_sort_as_entry_tuples(N):
 
 
 def test_groups_built_either_way_compare_and_hash_equal():
-    for name, grp in _table_groups():
+    for name, grp in _named_groups():
         again = MatGroup(grp.elements, grp.ctx)
         assert again == grp and hash(again) == hash(grp), name
         assert again.codes == grp.codes and again.elements == grp.elements, name
@@ -466,15 +468,12 @@ def test_mat2_equality_and_hash_see_the_modulus():
     assert not mod3 < mod9 and not mod9 < mod3 and Mat2(0, 1, 1, 0, Z9) < mod3
 
 
-def _digest(groups, tables=True):
-    """sha256 over each group's element entries, generating set and, with
-    tables, Cayley table, in order."""
+def _digest(groups):
+    """sha256 over each group's element entries and generating set, in order."""
     entries = attrgetter("a", "b", "c", "d")
     h = hashlib.sha256()
     for grp in groups:
         row = [list(map(entries, grp.elements)), list(map(entries, grp.generating_set))]
-        if tables:
-            row.append(list(grp.cayley))
         h.update(repr(row).encode())
     return h.hexdigest()
 
@@ -485,8 +484,8 @@ SYLOW3_GL2_Z9 = [Mat2(1, 1, 0, 1, Z9), Mat2(1, 0, 3, 1, Z9), Mat2.diagonal(4, 1,
 @pytest.mark.parametrize(
     "make, count, digest",
     [
-        (lambda: full_gl2(Z4), 234, "3083af94c8cece681505d41e965388f28ee4010ff368296e6d84e18d27f924f2"),
-        (lambda: close_group(SYLOW3_GL2_Z9, Z9), 342, "a0318728c6dcd80e58de6a9b552f413ff2955c9d3eb8404a1e979e97499311b4"),
+        (lambda: full_gl2(Z4), 234, "8d422f762e1b7f319e6d82c76dde850f4d25cfc92f51a73b4154917856d67542"),
+        (lambda: close_group(SYLOW3_GL2_Z9, Z9), 342, "5d92207fb574118e465c20449e331fab271a7c1fd0c26993138a5f692d5b2820"),
     ],
     ids=["gl2-z4", "sylow3-gl2-z9"],
 )
