@@ -15,10 +15,10 @@ within a register (Lamport, "Multiple byte processing with full-word
 instructions", CACM 1975): an edge adds one shifted int and reduces every
 entry mod p^n at once with a carry mask. The columns of the constraint
 rows go to the Z1 elimination as arrays of machine words.
-B1 comes first, from the generators alone, and the walk stops early when
-the kernel K_t of the constraints of its first t nodes has the order of
-B1: every cocycle meets every constraint, so B1 <= Z1 <= K_t, and equal
-orders force B1 = Z1 = K_t. The coefficients then finish the walk on first
+B1 comes first, from the generators alone, and the walk stops early once
+the kernel K_t of the constraints of its first t nodes lies in B1, K_t <=
+B1: every cocycle meets every constraint, so B1 <= Z1 <= K_t, and K_t <=
+B1 forces B1 = Z1 = K_t. The coefficients then finish the walk on first
 read. cohomology_engine builds all this once per group and action, and
 h1_loc and h1_loc_via_restrictions accept it to share the work. Quotients
 reduce to the invariant-factor machinery in zmod.
@@ -83,7 +83,6 @@ from .zmod import (
     _left_kernel,
     _pack,
     _slots,
-    _span_order,
     _words,
     annihilator,
     image_contains,
@@ -267,39 +266,35 @@ def _propagate(group: MatGroup, action: ModuleAction, b1: Submodule):
     Z_{h(gs)} = Z_{hg} + hg.Z_s = Z_h + h.(Z_g + g.Z_s) = Z_h + h.Z_{gs}.
     So Z^1 is the kernel of the rows.
 
-    The walk stops once the kernel K of the rows so far has the order of
-    B^1, which forces Z^1 = B^1 = K (module docstring). |K| is N^rk over
-    the order of the column span of the rows (zmod._span_order of the rk
-    columns), checked at the node counts of _FIRST_CHECK, so the checks
-    cost a small share of a walk that never stops.
+    Each check takes the kernel K of the rows so far as the left kernel of
+    their rk columns, as kernel() would find it from the transpose, and
+    the walk stops once K <= B^1, which forces Z^1 = B^1 = K (module
+    docstring): every generator of K lies in B^1. The checks come at the
+    node counts of _FIRST_CHECK, so they cost a small share of a walk that
+    never stops; the last one follows the whole walk, and its K is Z^1.
 
     Returns (coeff, z1): coeff as packed _Coefficients, z1 as a submodule
-    of M^k, from the left kernel of the columns of the stacked rows, the
-    kernel of the rows as kernel() would find it from the transpose.
+    of M^k.
     """
     coeff = _Coefficients(group, action)
     rk, ctx = coeff.rk, action.ctx
     row_mask = (1 << 8 * coeff.size * rk) - 1
     row_shifts = [8 * coeff.size * rk * a for a in range(coeff.r)]
-    differences = set()
-
-    def columns():
-        """The rk columns of the distinct nonzero constraint rows, as arrays
-        of words: each difference is cut into its r rows of rk slots."""
+    differences, done = set(), _FIRST_CHECK
+    while True:
+        last = _CHECK_SHARE * done > len(group)
+        coeff.walk(len(group) if last else done, differences)
+        # the rk columns of the distinct nonzero constraint rows, as arrays
+        # of words: each difference is cut into its r rows of rk slots
         rows = {(d >> shift) & row_mask for d in differences for shift in row_shifts}
         rows.discard(0)
         words = _words(list(rows), rk, coeff.size)
-        return [words[j::rk] for j in range(rk)], len(rows)
-
-    done, target = _FIRST_CHECK, ctx.modulus**rk // b1.cardinality()
-    while _CHECK_SHARE * done <= len(group):
-        coeff.walk(done, differences)
-        if _span_order(*columns(), ctx) == target:
+        raw = _left_kernel([words[j::rk] for j in range(rk)], len(rows), ctx)
+        if last:
+            return coeff, Submodule.span(raw, rk, ctx)
+        if all(map(b1.contains, raw)):
             return coeff, b1
         done *= 2
-    coeff.walk(len(group), differences)
-    cols, count = columns()
-    return coeff, Submodule.span(_left_kernel(cols, count, ctx), rk, ctx)
 
 
 class _Coefficients:
@@ -713,23 +708,14 @@ def action_image(group: MatGroup, action: Optional[ModuleAction] = None):
     return q, image_action, proj
 
 
-def inflation(
-    y: Cocycle,
-    group: MatGroup,
-    stabilizer: MatGroup,
-    action: Optional[ModuleAction] = None,
-) -> Cocycle:
+def inflation(y: Cocycle, group: MatGroup, action: Optional[ModuleAction] = None) -> Cocycle:
     """Pull a cocycle on the faithful quotient back to the full group.
 
-    The value at g is the value of y at the image of g; requires the given
-    stabilizer to be exactly the kernel of the action.
+    The value at g is the value of y at the image of g, so the group
+    divided out is the pointwise stabilizer of the action; y must live on
+    the quotient action_image(group, action) with its action.
     """
     action = _action_for(group, action)
-    actual = pointwise_stabilizer(group, action)
-    if stabilizer != actual:
-        raise StabilizerMismatch(
-            f"given stabilizer has order {len(stabilizer)}, the pointwise stabilizer has order {len(actual)}"
-        )
     q, image_action, proj = action_image(group, action)
     if y.group != q or y.action != image_action:
         raise StabilizerMismatch("cocycle is not defined on the faithful quotient of this action")
@@ -747,16 +733,17 @@ def _require(cond: bool, message: str):
         raise HypothesisViolated(message)
 
 
-def normalize_locally_trivial_cocycle(z: Cocycle, rho: Mat2, parts) -> Cocycle:
+def normalize_locally_trivial_cocycle(z: Cocycle, rho: Mat2) -> Cocycle:
     """Shift a locally trivial cocycle to the triangular normal form.
 
     Under the hypotheses (rho diagonal in the group, first entry 1, order
     at least 3; group generated by its diagonal and strictly-unipotent
-    parts), subtracting the coboundary that kills the diagonal restriction
-    leaves a cohomologous cocycle vanishing on the subgroup generated by
-    the diagonal and upper parts, whose value on the normalized lower
-    generator [[1,0],[p^j,1]] is (0, p^j * beta). Every step is verified
-    and a failed step reports which hypothesis it contradicts.
+    parts, which matgrp.special_subgroups finds), subtracting the
+    coboundary that kills the diagonal restriction leaves a cohomologous
+    cocycle vanishing on the subgroup generated by the diagonal and upper
+    parts, whose value on the normalized lower generator [[1,0],[p^j,1]]
+    is (0, p^j * beta). Every step is verified and a failed step reports
+    which hypothesis it contradicts.
     """
     group, action = z.group, z.action
     _require(action.rank == 2 and action.ctx == group.ctx, "normal form needs the full rank-2 module")
@@ -766,12 +753,7 @@ def normalize_locally_trivial_cocycle(z: Cocycle, rho: Mat2, parts) -> Cocycle:
     _require(rho.is_diagonal(), "distinguished element is not diagonal")
     _require(rho.a == 1, "first diagonal entry is not 1")
     _require(rho.order() >= 3, f"diagonal element has order {rho.order()} < 3")
-    diag, s_upper, s_lower = parts
-    d0, u0, l0 = special_subgroups(group)
-    _require(
-        (diag, s_upper, s_lower) == (d0, u0, l0),
-        "parts are not the group's diagonal and strictly-unipotent subgroups",
-    )
+    diag, s_upper, s_lower = special_subgroups(group)
     regen = close_group(
         [g for g in itertools.chain(diag, s_upper, s_lower)], group.ctx, cap=len(group) + 1
     )

@@ -38,7 +38,7 @@ class NotASubgroup(CohomLabError):
 
 
 class StabilizerMismatch(CohomLabError):
-    """Claimed pointwise stabilizer differs from the actual action kernel."""
+    """A cocycle to inflate is not defined on the faithful quotient of the action."""
 
 
 class HypothesisViolated(CohomLabError):

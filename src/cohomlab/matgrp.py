@@ -396,9 +396,10 @@ class MatGroup:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, m: Mat2) -> bool:
-        """Whether m is an element; a matrix over another modulus never is."""
-        return m.ctx == self.ctx and _code(_key(m), self.ctx.modulus) in self._position
+    def __contains__(self, m) -> bool:
+        """Whether m is an element; a matrix over another modulus, or
+        anything that is not a Mat2, never is."""
+        return isinstance(m, Mat2) and m.ctx == self.ctx and _code(_key(m), self.ctx.modulus) in self._position
 
     def __repr__(self) -> str:
         return f"MatGroup(order={len(self.codes)}, mod={self.ctx.modulus})"
@@ -417,8 +418,8 @@ class MatGroup:
 
     def position(self, m: Mat2) -> int:
         """The position of m in elements; KeyError if m is not one of them,
-        as a matrix over another modulus never is."""
-        if m.ctx != self.ctx:
+        as a matrix over another modulus or a non-Mat2 never is."""
+        if not isinstance(m, Mat2) or m.ctx != self.ctx:
             raise KeyError(m)
         return self._position[_code(_key(m), self.ctx.modulus)]
 

@@ -238,18 +238,6 @@ def _howell(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext):
     return work, r, size
 
 
-def _span_order(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext) -> int:
-    """The order of the span of the rows: the product of N / pivot over the
-    Howell rows of one elimination, each pivot read from the lowest nonzero
-    slot of its packed row without unpacking."""
-    work, r, size = _howell(rows, ncols, ctx)
-    W, order = 8 * size, 1
-    for x in work[:r]:
-        low = (x & -x).bit_length() - 1
-        order *= ctx.modulus // ((x >> (low - low % W)) & ((1 << W) - 1))
-    return order
-
-
 def _slots(packed: list, size: int, count: int, start: int = 0) -> list:
     """Slots start..count of each packed int of count slots, as lists."""
     n = count - start

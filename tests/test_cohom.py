@@ -289,6 +289,26 @@ def test_walk_multiplies_only_the_nodes_it_expands(monkeypatch):
         assert len(eng.coeff.packed) == eng.coeff.done == len(grp) and sum(counted) == len(grp) * k
 
 
+def test_z1_eliminations_per_engine(monkeypatch):
+    # every checkpoint of the walk is one left-kernel elimination of the
+    # constraint columns, and the last, after the whole walk, gives Z^1:
+    # GL2(Z/9) checks at 16, 32, 64 and 128 nodes and stops there, the
+    # order-5000 group stops at its first check, and the p = 11 and 13
+    # family groups (orders 242 and 338, H^1 != 0) check once and twice
+    # before the walk runs to the end. _propagate is the only caller of
+    # cohom._left_kernel while an engine is built.
+    calls, left_kernel = [], cohom._left_kernel
+    monkeypatch.setattr(cohom, "_left_kernel", lambda *args: calls.append(len(args[0])) or left_kernel(*args))
+    groups = [*large_h1_zero_groups(), make_example_group(11).group, make_example_group(13).group]
+    for grp, eliminations, done in zip(groups, (4, 1, 2, 3), (128, 16, 242, 338)):
+        calls.clear()
+        eng = cohomology_engine(grp)
+        assert (len(calls), eng.coeff.done) == (eliminations, done)
+        assert (eng.z1 == eng.b1) == (done < len(grp))
+        # one elimination of the rk constraint columns each
+        assert calls == [eng.z1.ambient_rank] * eliminations
+
+
 def literal_restriction_quotient(grp, action):
     """L/B^1 by definition: cocycle tables whose restriction to every <g> is a coboundary."""
     cyclics = set()
@@ -952,35 +972,39 @@ def test_pointwise_stabilizer_and_action_image():
 def test_inflation_identity_reindex():
     grp = SIGMA3
     action = ModuleAction.standard(Z3)
-    stab = MatGroup((Mat2.identity(Z3),), Z3)
     zc = Cocycle.from_flat(grp, action, cocycle_space(grp).generators[0])
-    infl = inflation(zc, grp, stab)
+    infl = inflation(zc, grp)
     assert infl.values == zc.values
 
 
 def test_inflation_through_reduction():
     ex = make_example_group(3)
     coarse = ModuleAction.standard(Z3)
-    stab = pointwise_stabilizer(ex.group, coarse)
     q, qact, proj = action_image(ex.group, coarse)
     y = Cocycle.zero(q, qact)
-    z = inflation(y, ex.group, stab, coarse)
+    z = inflation(y, ex.group, coarse)
     assert z.is_zero()
     ygens = cocycle_space(q, qact).generators
     if ygens:
         y2 = Cocycle.from_flat(q, qact, ygens[0])
-        z2 = inflation(y2, ex.group, stab, coarse)
+        z2 = inflation(y2, ex.group, coarse)
         assert is_cocycle(z2)
 
 
 def test_inflation_stabilizer_mismatch():
+    # a cocycle off the faithful quotient of the action: on the full group,
+    # on the quotient of another action, or on the quotient with another action
     ex = make_example_group(3)
     coarse = ModuleAction.standard(Z3)
     q, qact, proj = action_image(ex.group, coarse)
-    y = Cocycle.zero(q, qact)
-    wrong = MatGroup((Mat2.identity(Z9),), Z9)
-    with pytest.raises(StabilizerMismatch):
-        inflation(y, ex.group, wrong, coarse)
+    assert inflation(Cocycle.zero(q, qact), ex.group, coarse).is_zero()
+    for y, action in (
+        (Cocycle.zero(ex.group, coarse), coarse),
+        (Cocycle.zero(q, qact), None),
+        (Cocycle.zero(q, ModuleAction.line_of(Z3, 1)), coarse),
+    ):
+        with pytest.raises(StabilizerMismatch, match="faithful quotient"):
+            inflation(y, ex.group, action)
 
 
 def test_inflation_h1loc_equality_lemma():
@@ -1005,9 +1029,8 @@ def borel25():
 
 def test_normalize_zero_cocycle():
     grp, rho = borel25()
-    parts = special_subgroups(grp)
     z = Cocycle.zero(grp)
-    out = normalize_locally_trivial_cocycle(z, rho, parts)
+    out = normalize_locally_trivial_cocycle(z, rho)
     assert out.is_zero()
 
 
@@ -1015,7 +1038,7 @@ def test_normalize_coboundary_vanishes_on_upper_part():
     grp, rho = borel25()
     parts = special_subgroups(grp)
     cb = coboundary_of(grp, (3, 11))
-    out = normalize_locally_trivial_cocycle(cb, rho, parts)
+    out = normalize_locally_trivial_cocycle(cb, rho)
     d, su, sl = parts
     upper = close_group(list(d.elements) + list(su.elements), grp.ctx, cap=len(grp) + 1)
     assert not any(any(out.value_of(g)) for g in upper)
@@ -1025,18 +1048,9 @@ def test_normalize_coboundary_vanishes_on_upper_part():
 
 def test_normalize_rejects_small_order_rho():
     ex = make_example_group(3)
-    parts = special_subgroups(ex.group)
     z = Cocycle.zero(ex.group)
     with pytest.raises(HypothesisViolated):
-        normalize_locally_trivial_cocycle(z, ex.delta1, parts)
-
-
-def test_normalize_rejects_wrong_parts():
-    grp, rho = borel25()
-    d, su, sl = special_subgroups(grp)
-    z = Cocycle.zero(grp)
-    with pytest.raises(HypothesisViolated):
-        normalize_locally_trivial_cocycle(z, rho, (su, d, sl))
+        normalize_locally_trivial_cocycle(z, ex.delta1)
 
 
 def test_normalize_rejects_non_locally_trivial():
@@ -1052,7 +1066,7 @@ def test_normalize_rejects_non_locally_trivial():
     zc = Cocycle.from_flat(grp, ModuleAction.standard(Z3), noncob)
     rho = Mat2.identity(Z3)
     with pytest.raises(HypothesisViolated):
-        normalize_locally_trivial_cocycle(zc, rho, special_subgroups(grp))
+        normalize_locally_trivial_cocycle(zc, rho)
 
 
 def test_report_serialization_shape():

@@ -449,6 +449,11 @@ def test_elements_are_built_on_first_read():
     for outside in (Mat2(1, 0, 1, 1, Z9), Mat2(1, 0, 0, 10, ModulusContext(3, 3)), Mat2(1, 0, 0, 1, Z3)):
         with pytest.raises(KeyError):
             grp.position(outside)
+    # nor is anything that is not a Mat2
+    for outside in ("x", None, 0, (1, 0, 0, 1), [[1, 0], [0, 1]], grp.codes[0], grp):
+        assert outside not in grp
+        with pytest.raises(KeyError):
+            grp.position(outside)
 
 
 def test_mat2_is_slotted():
