@@ -15,7 +15,6 @@ import argparse
 import functools
 import io
 import json
-import os
 import sys
 from typing import Optional
 
@@ -33,20 +32,6 @@ from .experiments import (
 from .galoisdict import evaluate_main_theorem_conditions
 from .matgrp import DEFAULT_CAP, Mat2, MatGroup, close_group
 from .zmod import ModulusContext
-
-
-def resolve_cap(explicit: Optional[int]) -> int:
-    """The closure cap: the flag, else env COHOMLAB_CAP, else DEFAULT_CAP.
-
-    A cap below 1 is an input error, not a budget that ran out."""
-    if explicit is not None:
-        cap = explicit
-    else:
-        env = os.environ.get("COHOMLAB_CAP")
-        cap = DEFAULT_CAP if env is None else int(env)
-    if cap < 1:
-        raise ValueError(f"closure cap must be at least 1, got {cap}")
-    return cap
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -114,7 +99,10 @@ def _emit(doc: dict, csv_rows, out: Optional[str], fmt: str) -> None:
 
 
 def cmd_compute(args) -> int:
-    group = load_group_spec(args.spec, resolve_cap(args.cap))
+    if args.cap < 1:
+        # a cap below 1 is malformed input, not a budget that ran out
+        raise ValueError(f"closure cap must be at least 1, got {args.cap}")
+    group = load_group_spec(args.spec, args.cap)
     engine = cohomology_engine(group)
     report = h1_loc(group, engine=engine)
     doc = report.to_json_dict()
@@ -174,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("spec", help="path to a JSON file with keys p, n, generators")
     pc.add_argument("--local", action="store_true", help="cross-check via cyclic restrictions")
     pc.add_argument("--conditions", action="store_true", help="append the condition report (needs n >= 2)")
-    pc.add_argument("--cap", type=int, default=None, help="group closure cap (default env COHOMLAB_CAP or 5000)")
+    pc.add_argument("--cap", type=int, default=DEFAULT_CAP, help=f"group closure cap (default {DEFAULT_CAP})")
     pc.add_argument("--out", default=None, help="write the report to this path instead of stdout")
     pc.add_argument("--format", choices=("json", "csv"), default="json")
     pc.set_defaults(func=cmd_compute)

@@ -85,7 +85,6 @@ from .zmod import (
     _slots,
     _words,
     annihilator,
-    image_contains,
     kernel,
     quotient_decomposition,
     quotient_invariants,
@@ -661,7 +660,7 @@ def is_locally_trivial(z: Cocycle) -> bool:
             w = tuple((sum(map(mul, row, w)) + e) % N for row, e in zip(rows, zg))
             proven[h] |= values[h] == w
     return all(proven) or all(
-        proven[i] or image_contains(_minus_identity(action, _entries(code, G)), r, values[i], action.ctx)
+        proven[i] or solve_linear(_minus_identity(action, _entries(code, G)), r, values[i], action.ctx) is not None
         for i, code in enumerate(codes)
     )
 

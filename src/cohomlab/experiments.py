@@ -135,7 +135,9 @@ class _Run:
         self.checks.append(Check(description, _jsonable(expected), _jsonable(actual), expected == actual))
 
     def counterexample(self, group: MatGroup, reason: str):
-        cert = group.to_spec_dict()
+        # the greedy generators of the sorted elements, the same for every
+        # route that built the group
+        cert = MatGroup.from_codes(group.codes, group.ctx).to_spec_dict()
         cert["reason"] = reason
         self.counterexamples.append(cert)
 
@@ -532,8 +534,6 @@ def full_diagonal_group(ctx: ModulusContext) -> MatGroup:
         if u % p:
             gens.append(Mat2.diagonal(u, 1, ctx))
             gens.append(Mat2.diagonal(1, u, ctx))
-    if not gens:
-        gens = [Mat2.identity(ctx)]
     return close_group(gens, ctx, cap=max(DEFAULT_CAP, n * n))
 
 

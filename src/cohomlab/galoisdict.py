@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import WrongLevel
-from .matgrp import MatGroup, _fixes_line, _projective_line_reps, reduce_mod
+from .matgrp import MatGroup, reduce_mod, stable_lines
 from .zmod import Submodule, kernel
 
 
@@ -77,17 +77,11 @@ def stable_cyclic_submodules(group: MatGroup, order: int) -> list:
 
     A cyclic submodule of order p^k is <p^(n-k) w> for a primitive w (one
     with a unit coordinate), and only w mod p^k matters, since p^(n-k) maps
-    (Z/p^k)^2 isomorphically onto p^(n-k) (Z/p^n)^2. Two primitive vectors
-    span the same line iff they differ by a unit factor, so scaling the
-    first unit coordinate to 1 picks exactly one representative per line:
-    (1, y) for y mod p^k, or (p t, 1) for t mod p^(k-1) when the first
-    coordinate is not a unit. These are the p^(k-1)(p+1) points of the
-    projective line of Z/p^k, so each submodule is tested once.
-    Stability under a generating set implies stability under the group,
-    since g(h v) lies in g<v> = <g v> <= <v>, and p^(n-k) w is stable iff g
-    fixes the line of w mod p^k (matgrp._fixes_line), so a submodule is
-    built only for a stable line. The result is sorted by Howell generators,
-    which are canonical per submodule.
+    (Z/p^k)^2 isomorphically onto p^(n-k) (Z/p^n)^2. So p^(n-k) w is stable
+    iff the group fixes the line of w mod p^k, and a submodule is built only
+    for each stable line of matgrp.stable_lines, which raises
+    BudgetExceeded when there are too many lines to scan. The result is
+    sorted by Howell generators, which are canonical per submodule.
     """
     ctx = group.ctx
     p, n = ctx.p, ctx.n
@@ -98,13 +92,8 @@ def stable_cyclic_submodules(group: MatGroup, order: int) -> list:
         k += 1
     if q != 1 or k < 1 or k > n:
         raise ValueError(f"order must be a power of {p} between {p} and {ctx.modulus}")
-    gens = group.generating_set
-    scale, N = p ** (n - k), p**k
-    found = [
-        Submodule.span([[scale * x, scale * y]], 2, ctx)
-        for x, y in _projective_line_reps(p, N)
-        if all(_fixes_line(g, (x, y), N) for g in gens)
-    ]
+    scale = p ** (n - k)
+    found = [Submodule.span([[scale * x, scale * y]], 2, ctx) for x, y in stable_lines(group, k)]
     return sorted(found, key=lambda s: s.generators)
 
 

@@ -50,6 +50,9 @@ from .errors import (
 from .zmod import ModulusContext, _is_prime, unit_inverse
 
 DEFAULT_CAP = 5000
+# The most free lines a stable-line search scans (stable_lines); the p = 13
+# family at level 2 has 182, and a scan of this many takes about 0.1 s.
+LINE_BUDGET = 100000
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -306,42 +309,41 @@ def _close_walk(gens: Iterable[Mat2], ctx: ModulusContext, cap: float) -> tuple:
     return _grow_span([_code(_key(g), ctx.modulus) for g in gens], ctx.modulus, cap)
 
 
-def _build(kept: list, found: list, ctx: ModulusContext) -> "MatGroup":
-    """The group a closure walk found: its codes sorted, and the kept
+def _build(kept: list, codes: tuple, ctx: ModulusContext) -> "MatGroup":
+    """The group a closure walk found, from its sorted codes, with the kept
     generators as its generating set."""
     gens = tuple(_mat(g, ctx) for g in kept)
     grp = object.__new__(MatGroup)
-    vars(grp).update(codes=tuple(sorted(found)), ctx=ctx, _gens=gens, generating_set=gens)
+    vars(grp).update(codes=codes, ctx=ctx, _gens=gens, generating_set=gens)
     return grp
 
 
 def close_group(gens: Iterable[Mat2], ctx: ModulusContext, cap: int = DEFAULT_CAP) -> "MatGroup":
     """Closure of the generators, capped at cap elements; the generators
     the walk keeps become the group's generating set."""
-    return _build(*_close_walk(gens, ctx, cap), ctx)
+    kept, found = _close_walk(gens, ctx, cap)
+    return _build(kept, tuple(sorted(found)), ctx)
 
 
 def distinct_closures(gen_sets: Iterable[Iterable[Mat2]], ctx: ModulusContext):
     """The groups the generator sets generate, in order, each group once.
 
     A set whose closure passes DEFAULT_CAP elements is skipped. A closure
-    equal to a group already yielded is dropped as soon as its walk ends,
-    before its group is built: a match on the order and the hash of the
-    code set is confirmed on the sorted codes. The next set is drawn only
-    when the next group is asked for, so a caller may stop early.
+    whose sorted codes, the key of MatGroup equality, belong to a group
+    already yielded is dropped before its group is built. The next set is
+    drawn only when the next group is asked for, so a caller may stop early.
     """
-    seen = {}  # the codes of the groups yielded, by order and hash of the code set
+    seen = set()  # the codes of the groups yielded
     for gens in gen_sets:
         try:
             kept, found = _close_walk(gens, ctx, DEFAULT_CAP)
         except CapExceeded:
             continue
-        twins = seen.setdefault((len(found), hash(frozenset(found))), [])
-        if twins and tuple(sorted(found)) in twins:
+        codes = tuple(sorted(found))
+        if codes in seen:
             continue
-        grp = _build(kept, found, ctx)
-        twins.append(grp.codes)
-        yield grp
+        seen.add(codes)
+        yield _build(kept, codes, ctx)
 
 
 class _PowerWalk(NamedTuple):
@@ -776,28 +778,42 @@ def _fixes_line(g: Mat2, w: tuple, N: int) -> bool:
     return (second - first * y if x == 1 else first - second * x) % N == 0
 
 
-def find_triangularizing_conjugator(group: MatGroup):
-    """A matrix t with t*G*t^{-1} all upper (or all lower) triangular, or None.
+def stable_lines(group: MatGroup, k: int) -> list:
+    """The free lines of (Z/p^k)^2 that the group maps into themselves, for
+    1 <= k <= n, as their representatives w in _projective_line_reps order.
 
-    Searches the free lines in the order of _projective_line_reps for the
-    first one every generator fixes; the first basis vector of t^{-1} spans
-    it. The first line is that of (1, 0), so an upper-triangular group
-    returns (identity, "upper"); any other lower-triangular group returns
-    (identity, "lower"). Moduli above 25 raise BudgetExceeded.
+    Two primitive vectors span the same line iff they differ by a unit
+    factor, so scaling the first unit coordinate to 1 picks one w per line,
+    and there are p^(k-1)(p+1) of them. A line stable under a generating
+    set is stable under the group. The scan raises BudgetExceeded before it
+    starts when the line count exceeds LINE_BUDGET.
+    """
+    p, n = group.ctx.p, group.ctx.n
+    if not 1 <= k <= n:
+        raise ValueError(f"line level must lie in 1..{n}, got {k}")
+    N = p**k
+    count = N // p * (p + 1)
+    if count > LINE_BUDGET:
+        raise BudgetExceeded(f"stable-line search over the {count} free lines of (Z/{N})^2 exceeds budget {LINE_BUDGET}")
+    gens = group.generating_set
+    return [w for w in _projective_line_reps(p, N) if all(_fixes_line(g, w, N) for g in gens)]
+
+
+def find_triangularizing_conjugator(group: MatGroup) -> Optional[Mat2]:
+    """A matrix t with t*G*t^{-1} upper triangular, or None.
+
+    The first basis vector of t^{-1} spans the first free line of
+    (Z/p^n)^2 that the group fixes (stable_lines). The first line is that
+    of (1, 0), so an upper-triangular group returns the identity.
     """
     ctx = group.ctx
-    N = ctx.modulus
-    if N > 25:
-        raise BudgetExceeded(f"stable-line search over modulus {N} exceeds budget 25")
-    gens = group.generating_set
-    v = next((v for v in _projective_line_reps(ctx.p, N) if all(_fixes_line(g, v, N) for g in gens)), None)
-    if v is None:
+    lines = stable_lines(group, ctx.n)
+    if not lines:
         return None
-    if v != (1, 0) and all(g.is_lower() for g in gens):
-        return Mat2.identity(ctx), "lower"
+    v = lines[0]
     # complete v to a basis: t^{-1} has columns v and (0, 1), or (1, 0) when v = (pk, 1)
     t_inv = Mat2(v[0], 0, v[1], 1, ctx) if v[0] == 1 else Mat2(v[0], 1, v[1], 0, ctx)
     t = t_inv.inv()
-    if not all((t * g * t_inv).is_upper() for g in gens):
+    if not all((t * g * t_inv).is_upper() for g in group.generating_set):
         raise AssertionError("stable line did not triangularize")
-    return t, "upper"
+    return t

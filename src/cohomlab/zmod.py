@@ -364,11 +364,6 @@ def solve_linear(
     return tuple(-e % N for e in res[m:])
 
 
-def image_contains(rows: Sequence[Sequence[int]], ncols: int, b: Sequence[int], ctx: ModulusContext) -> bool:
-    """Whether b lies in the column span of the matrix (consistent with solve_linear)."""
-    return Submodule.span(_columns(rows, ncols), len(rows), ctx).contains(b)
-
-
 def annihilator(s: Submodule) -> Submodule:
     """{y : g . y = 0 for all g in s}. Annihilators are reflexive over Z/p^n."""
     return kernel(s.generators, s.ambient_rank, s.ctx)

@@ -134,9 +134,9 @@ def test_compute_rejects_malformed_specs(tmp_path, capsys, monkeypatch):
     for cap in ("0", "-1"):
         code, _, err = run_cli(capsys, "compute", spec, "--cap", cap)
         assert code == 2 and "at least 1" in err, cap
+    # the cap is read from the command line alone, never the environment
     monkeypatch.setenv("COHOMLAB_CAP", "-3")
-    code, _, err = run_cli(capsys, "compute", spec)
-    assert code == 2 and "at least 1" in err
+    assert run_cli(capsys, "compute", spec)[0] == 0
 
 
 def test_compute_rejects_unknown_spec_keys(tmp_path, capsys):
@@ -182,10 +182,10 @@ def test_compute_cap_exhaustion(tmp_path, capsys):
 
 def test_compute_cap_env_var(tmp_path, capsys, monkeypatch):
     spec = example_family_spec(tmp_path)
+    # the environment does not set the cap: only --cap does
     monkeypatch.setenv("COHOMLAB_CAP", "5")
-    assert run_cli(capsys, "compute", spec)[0] == 3
-    # explicit flag beats the environment
-    assert run_cli(capsys, "compute", spec, "--cap", "100")[0] == 0
+    assert run_cli(capsys, "compute", spec)[0] == 0
+    assert run_cli(capsys, "compute", spec, "--cap", "5")[0] == 3
 
 
 def test_compute_byte_identical_reruns(tmp_path, capsys):
@@ -365,3 +365,28 @@ def test_experiment_csv_format(capsys):
     assert lines[0] == "experiment,check,expected,actual,ok"
     assert len(lines) >= 15
     assert all(line.split(",")[0] == "example6" for line in lines[1:])
+
+
+def test_compute_rejects_generators_that_are_not_a_list(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"p": 3, "n": 1, "generators": {"a": [[1, 0], [0, 1]]}})
+    code, out, err = run_cli(capsys, "compute", spec)
+    assert (code, out) == (2, "") and "generators must be a list" in err
+
+
+def test_compute_local_disagreement_exits_one_with_the_report(tmp_path, capsys, monkeypatch):
+    # the two L/B1 definitions disagree: a property violation, reported in full
+    monkeypatch.setattr(cli, "h1_loc_via_restrictions", lambda group, engine: [9])
+    code, out, _ = run_cli(capsys, "compute", example_family_spec(tmp_path), "--local")
+    doc = json.loads(out)
+    assert code == 1
+    assert (doc["h1loc"], doc["h1locViaRestrictions"], doc["localAgreement"]) == ([3], [9], False)
+
+
+def test_compute_conditions_beyond_the_line_budget_exits_three(tmp_path, capsys):
+    # at p = 65521 the free lines of (Z/p^2)^2 number p(p + 1), a scan of
+    # about 1.6 h, so it is refused before it starts
+    p = 65521
+    spec = write_spec(tmp_path, {"p": p, "n": 2, "generators": [[[p * p - 1, 0], [0, 1]]]})
+    code, out, err = run_cli(capsys, "compute", spec, "--conditions")
+    assert (code, out) == (3, "")
+    assert f"the {p * (p + 1)} free lines" in err

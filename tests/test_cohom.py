@@ -667,7 +667,7 @@ def elementwise_is_locally_trivial(z):
     image of g - I."""
     action = z.action
     return all(
-        zmod.image_contains(minus_identity(action, g), action.rank, v, action.ctx)
+        zmod.solve_linear(minus_identity(action, g), action.rank, v, action.ctx) is not None
         for g, v in zip(z.group.elements, z.values)
     )
 
@@ -761,19 +761,12 @@ def test_locally_trivial_matches_the_elementwise_test():
 @pytest.mark.parametrize("p", [3, 5])
 def test_locally_trivial_solves_once_per_maximal_cyclic_subgroup(monkeypatch, p):
     ex = make_example_group(p)
-    calls = {"solve": 0, "member": 0}
-
-    def counted(key, fn):
-        def wrapped(*args):
-            calls[key] += 1
-            return fn(*args)
-
-        return wrapped
-
-    monkeypatch.setattr(cohom, "solve_linear", counted("solve", cohom.solve_linear))
-    monkeypatch.setattr(cohom, "image_contains", counted("member", cohom.image_contains))
+    calls = []
+    solve = cohom.solve_linear
+    monkeypatch.setattr(cohom, "solve_linear", lambda *args: calls.append(args) or solve(*args))
     assert is_locally_trivial(example_cocycle(ex))
-    assert calls == {"solve": 2 * p, "member": 0}
+    # one solve per maximal cyclic subgroup, and no element tested alone
+    assert len(calls) == 2 * p
     assert len(maximal_cyclic_subgroups(ex.group)) == 2 * p
 
 
@@ -782,30 +775,32 @@ def test_locally_trivial_falls_back_on_a_moved_value(monkeypatch):
     # relation, so the solve of a maximal cyclic subgroup through that
     # element no longer proves it, and the element gets its own test. A
     # value moved within Im(h - I) passes it, one moved out of it fails.
-    fallback = []
-    member = cohom.image_contains
+    # Every solve past the one per maximal cyclic subgroup is such a test.
+    solved = []
+    solve = cohom.solve_linear
 
     def recorded(*args):
-        fallback.append(member(*args))
-        return fallback[-1]
+        solved.append(solve(*args))
+        return solved[-1]
 
-    monkeypatch.setattr(cohom, "image_contains", recorded)
+    monkeypatch.setattr(cohom, "solve_linear", recorded)
     results = set()
     for p in (3, 5):
         z = example_cocycle(make_example_group(p))
         N = z.action.ctx.modulus
+        maximal = len(maximal_cyclic_subgroups(z.group))
         for i, h in enumerate(z.group.elements):
             minus = minus_identity(z.action, h)
             steps = [col for col in zip(*minus) if any(col)]
-            steps += [e for e in ((1, 0), (0, 1)) if not zmod.image_contains(minus, 2, e, z.action.ctx)]
+            steps += [e for e in ((1, 0), (0, 1)) if solve(minus, 2, e, z.action.ctx) is None]
             for step in steps:
                 values = list(z.values)
                 values[i] = tuple((a + b) % N for a, b in zip(values[i], step))
                 moved = Cocycle(z.group, z.action, tuple(values))
                 want = elementwise_is_locally_trivial(moved)
-                fallback.clear()
+                solved.clear()
                 assert is_locally_trivial(moved) == want, (p, h, step)
-                results.update(fallback)
+                results.update(x is not None for x in solved[maximal:])
     assert results == {True, False}
 
 
@@ -1076,3 +1071,18 @@ def test_report_serialization_shape():
     assert set(d) == {"z1", "b1", "h1", "h1loc", "witnesses"}
     assert d["h1loc"] and all(isinstance(x, int) for x in d["h1loc"])
     assert all(len(v) == 2 for w in d["witnesses"] for v in w)
+
+
+@pytest.mark.parametrize("rank, coord, message", [(3, 0, "rank must be 1 or 2"), (1, 2, "coord must be 0 or 1")])
+def test_module_action_rejects_bad_rank_and_coord(rank, coord, message):
+    with pytest.raises(ValueError, match=message):
+        ModuleAction(Z9, rank, coord)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [(((0, 0), (0, 0)), "one value per group element"), (((0,),), "value rank does not match")],
+)
+def test_cocycle_rejects_bad_values(values, message):
+    with pytest.raises(ValueError, match=message):
+        Cocycle(TRIVIAL9, ModuleAction.standard(Z9), values)

@@ -8,6 +8,7 @@ import pytest
 from cohomlab.cohom import ModuleAction
 from cohomlab.errors import BudgetExceeded
 from cohomlab.experiments import (
+    _Run,
     _curated_mod4_groups,
     ExperimentVerdict,
     Check,
@@ -259,3 +260,17 @@ def test_brute_helpers_match_known_cyclic_case():
     assert len(z) == 9 and len(b) == 3
     assert b <= z
     assert brute_quotient_invariants(z, b, ctx) == [3]
+
+
+def test_certificate_does_not_depend_on_the_generator_order():
+    # one group closed from two generator orders keeps two generating sets,
+    # but its certificate carries the greedy generators of its sorted elements
+    Z3 = ModulusContext(3, 1)
+    a, b = Mat2.diagonal(2, 1, Z3), Mat2.diagonal(1, 2, Z3)
+    first, second = close_group([a, b], Z3), close_group([b, a], Z3)
+    assert first == second and first.generating_set != second.generating_set
+    run = _Run("certificates", {}, 1000)
+    run.counterexample(first, "reason")
+    run.counterexample(second, "reason")
+    assert run.counterexamples[0] == run.counterexamples[1]
+    assert run.counterexamples[0]["generators"] == [[[1, 0], [0, 2]], [[2, 0], [0, 1]]]

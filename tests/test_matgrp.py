@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cohomlab import matgrp
 from cohomlab.cohom import cohomology_engine
-from cohomlab.errors import CapExceeded, NonInvertibleConjugator, NonInvertibleGenerator, NotAUnit
+from cohomlab.errors import BudgetExceeded, CapExceeded, NonInvertibleConjugator, NonInvertibleGenerator, NotAUnit
 from cohomlab.experiments import full_diagonal_group
 from cohomlab.matgrp import (
     DEFAULT_CAP,
@@ -37,7 +37,7 @@ from cohomlab.matgrp import (
     smallest_nonsquare,
     special_subgroups,
 )
-from cohomlab.zmod import ModulusContext
+from cohomlab.zmod import ModulusContext, _is_prime
 
 Z2 = ModulusContext(2, 1)
 Z3 = ModulusContext(3, 1)
@@ -374,7 +374,7 @@ def test_code_walk_matches_tuple_walk(monkeypatch):
             sides.add("tables" if built else "direct")
         assert [matgrp._entries(g, N) for g in kept] == [found[h] for h in chosen]
         assert len(walked) == len(set(walked)) == len(found)
-        grp = matgrp._build(kept, walked, ModulusContext(p, n))
+        grp = matgrp._build(kept, tuple(sorted(walked)), ModulusContext(p, n))
         order = sorted(range(len(found)), key=found.__getitem__)
         position = {h: i for i, h in enumerate(order)}
         assert [matgrp._entries(code, N) for code in grp.codes] == [found[h] for h in order]
@@ -759,27 +759,65 @@ def test_conjugate_rejects_singular():
         conjugate(g, Mat2(3, 0, 0, 1, Z9))
 
 
+def is_upper_group(grp):
+    return all(g.is_upper() for g in grp)
+
+
 def test_triangularizing_conjugator_upper_cases():
     sigma = close_group([Mat2(1, 1, 0, 1, Z3)], Z3)
-    assert find_triangularizing_conjugator(sigma) == (Mat2.identity(Z3), "upper")
+    assert find_triangularizing_conjugator(sigma) == Mat2.identity(Z3)
     diag = close_group([Mat2(2, 0, 0, 1, Z3), Mat2(1, 0, 0, 2, Z3)], Z3)
-    assert find_triangularizing_conjugator(diag) == (Mat2.identity(Z3), "upper")
+    assert find_triangularizing_conjugator(diag) == Mat2.identity(Z3)
 
 
 def test_triangularizing_conjugator_lower_case():
+    # the first fixed line is that of (0, 1), so the swap makes it upper
     lower = close_group([Mat2(1, 0, 1, 1, Z3), Mat2(2, 0, 0, 1, Z3)], Z3)
-    t, kind = find_triangularizing_conjugator(lower)
-    assert kind == "lower" and t == Mat2.identity(Z3)
+    t = find_triangularizing_conjugator(lower)
+    assert t == Mat2(0, 1, 1, 0, Z3) and is_upper_group(conjugate(lower, t))
+
+
+def hidden_upper_group(ctx):
+    """A conjugate of an upper-triangular group that is neither upper nor lower."""
+    base = close_group([Mat2(1, 1, 0, 1, ctx), Mat2(2, 0, 0, 1, ctx)], ctx)
+    hidden = conjugate(base, Mat2(1, 0, 1, 1, ctx))
+    assert not is_upper_group(hidden) and not all(g.is_lower() for g in hidden)
+    return hidden
 
 
 def test_triangularizing_conjugator_finds_hidden_conjugate():
-    base = close_group([Mat2(1, 1, 0, 1, Z9), Mat2(2, 0, 0, 1, Z9)], Z9)
-    u = Mat2(1, 0, 1, 1, Z9)
-    hidden = conjugate(base, u)
-    assert not all(g.is_upper() for g in hidden) and not all(g.is_lower() for g in hidden)
-    t, kind = find_triangularizing_conjugator(hidden)
-    conj = conjugate(hidden, t)
-    assert kind == "upper" and all(g.is_upper() for g in conj)
+    hidden = hidden_upper_group(Z9)
+    assert is_upper_group(conjugate(hidden, find_triangularizing_conjugator(hidden)))
+
+
+def test_triangularizing_conjugator_at_z27():
+    # the 36 lines of (Z/27)^2 lie within the line budget
+    hidden = hidden_upper_group(ModulusContext(3, 3))
+    assert is_upper_group(conjugate(hidden, find_triangularizing_conjugator(hidden)))
+
+
+def test_stable_lines_budget():
+    # F_p^2 has p + 1 free lines: the largest prime within the budget is
+    # scanned, and the smallest beyond it is refused before its scan starts
+    within = next(p for p in range(matgrp.LINE_BUDGET - 1, 1, -1) if _is_prime(p))
+    beyond = next(p for p in itertools.count(matgrp.LINE_BUDGET) if _is_prime(p))
+    assert len(matgrp.stable_lines(close_group([], ModulusContext(within, 1)), 1)) == within + 1
+    with pytest.raises(BudgetExceeded, match=f"the {beyond + 1} free lines"):
+        matgrp.stable_lines(close_group([], ModulusContext(beyond, 1)), 1)
+
+
+def test_stable_lines_budget_counts_every_level(monkeypatch):
+    # (Z/9)^2 has 3 * 4 = 12 free lines and F_3^2 has 4
+    trivial = close_group([], Z9)
+    monkeypatch.setattr(matgrp, "LINE_BUDGET", 12)
+    assert len(matgrp.stable_lines(trivial, 2)) == 12
+    monkeypatch.setattr(matgrp, "LINE_BUDGET", 11)
+    with pytest.raises(BudgetExceeded, match="the 12 free lines"):
+        matgrp.stable_lines(trivial, 2)
+    assert matgrp.stable_lines(trivial, 1) == [(1, 0), (1, 1), (1, 2), (0, 1)]
+    for k in (0, 3):
+        with pytest.raises(ValueError):
+            matgrp.stable_lines(trivial, k)
 
 
 def test_triangularizing_conjugator_none_for_gl2_f3():
@@ -799,7 +837,37 @@ def test_triangularizing_conjugator_exhaustive_mod3():
             for t in all_t
         )
         assert (got is not None) == brute
-        if got is not None:
-            t, kind = got
-            conj = conjugate(grp, t)
-            assert all(g.is_upper() for g in conj) if kind == "upper" else all(g.is_lower() for g in conj)
+        assert got is None or is_upper_group(conjugate(grp, got))
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+
+def test_mul_rejects_mixed_moduli():
+    with pytest.raises(ValueError, match="mixed moduli"):
+        Mat2(1, 1, 0, 1, Z3).mul(Mat2(1, 1, 0, 1, Z9))
+
+
+def test_close_group_rejects_a_generator_of_another_modulus():
+    with pytest.raises(ValueError, match="generator modulus mismatch"):
+        close_group([Mat2(1, 1, 0, 1, Z9), Mat2(1, 1, 0, 1, Z3)], Z9)
+
+
+def test_triple_of_rejects_a_non_member():
+    ex = make_example_group(3)
+    with pytest.raises(KeyError):
+        ex.triple_of(Mat2(1, 1, 0, 1, ex.group.ctx))
+
+
+def test_smallest_nonsquare_rejects_a_non_prime():
+    # 9 is not prime: no m below it has m^4 = -1 mod 9
+    with pytest.raises(ValueError, match="is p prime"):
+        smallest_nonsquare(9)
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_reduce_mod_rejects_a_level_out_of_range(level):
+    with pytest.raises(ValueError, match="out of range 1..2"):
+        reduce_mod(make_example_group(3).group, level)

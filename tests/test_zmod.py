@@ -24,7 +24,6 @@ from cohomlab.zmod import (
     _slots,
     _with_identity,
     annihilator,
-    image_contains,
     kernel,
     quotient_decomposition,
     quotient_invariants,
@@ -212,7 +211,7 @@ def test_canonical_row_form_idempotent_and_span_preserving(data):
 
 
 # ---------------------------------------------------------------------------
-# solve_linear / image_contains / kernel
+# solve_linear / kernel
 # ---------------------------------------------------------------------------
 
 
@@ -236,8 +235,6 @@ def test_solve_linear_dimension_mismatch():
     for b in ((1, 0, 0), (1,)):
         with pytest.raises(DimensionMismatch):
             solve_linear([[1, 0], [0, 1]], 2, b, Z9)
-        with pytest.raises(DimensionMismatch):
-            image_contains([[1, 0], [0, 1]], 2, b, Z9)
 
 
 def test_ragged_rows_raise():
@@ -248,8 +245,6 @@ def test_ragged_rows_raise():
             kernel(rows, 2, Z9)
         with pytest.raises(DimensionMismatch):
             solve_linear(rows, 2, (0, 0), Z9)
-        with pytest.raises(DimensionMismatch):
-            image_contains(rows, 2, (0, 0), Z9)
         with pytest.raises(DimensionMismatch):
             Submodule.span(rows, 2, Z9)
         with pytest.raises(DimensionMismatch):
@@ -289,14 +284,14 @@ def test_solve_and_kernel_match_enumeration(data):
     assert (x is not None) == bool(sols)
     if x is not None:
         assert x in sols
-    assert image_contains(m, cols, b, ctx) == bool(sols)
     assert set(kernel(m, cols, ctx).vectors()) == brute_kernel(m, cols, ctx)
 
 
 def test_image_contains_zero_cases():
+    # membership in the image of the zero matrix, read off solve_linear
     z = [[0, 0], [0, 0]]
-    assert image_contains(z, 2, (0, 0), Z9)
-    assert not image_contains(z, 2, (0, 3), Z9)
+    assert solve_linear(z, 2, (0, 0), Z9) is not None
+    assert solve_linear(z, 2, (0, 3), Z9) is None
 
 
 # ---------------------------------------------------------------------------
@@ -676,3 +671,10 @@ def test_submodule_rejects_vectors_of_the_wrong_length():
         with pytest.raises(DimensionMismatch):
             s.contains(v)
     assert s.coset_reduce((1, 2)) == (0, 2) and s.contains((4, 0))
+
+
+@pytest.mark.parametrize("other", [Submodule.zero(2, Z3), Submodule.zero(3, Z9)])
+def test_quotient_decomposition_rejects_different_ambient_modules(other):
+    # another modulus, or another rank over the same modulus
+    with pytest.raises(DimensionMismatch, match="different ambient modules"):
+        quotient_decomposition(Submodule.zero(2, Z9), other)
