@@ -135,6 +135,9 @@ EXPERIMENTS = {
 
 
 def cmd_experiment(args) -> int:
+    if args.budget_ms < 0:
+        # a negative budget is malformed input, not a budget that ran out
+        raise ValueError(f"wall-clock budget must be at least 0 ms, got {args.budget_ms}")
     run, reads = EXPERIMENTS[args.name]
     given = {flag: getattr(args, flag) for flag in ("p", "n", "m", "seed") if getattr(args, flag) is not None}
     unread = [flag for flag in given if flag not in reads]

@@ -20,8 +20,9 @@ the kernel K_t of the constraints of its first t nodes lies in B1, K_t <=
 B1: every cocycle meets every constraint, so B1 <= Z1 <= K_t, and K_t <=
 B1 forces B1 = Z1 = K_t. The coefficients then finish the walk on first
 read. cohomology_engine builds all this once per group and action, and
-h1_loc and h1_loc_via_restrictions accept it to share the work. Quotients
-reduce to the invariant-factor machinery in zmod.
+h1_loc and h1_loc_via_restrictions accept it to share the work. They and
+h1 read every invariant factor off a quotient of submodules of M^k, from
+the orders of Howell spans (zmod.quotient_invariants).
 
 The locally trivial subspace is computed in two independent ways, each a
 kernel of more rows on M^k stacked onto the annihilator of Z1. Both visit
@@ -57,7 +58,10 @@ Value tables, one module element per group element in canonical order, are
 built only for the public cocycle_space, coboundary_space and
 locally_trivial_subspace, and for the witnesses of a nonzero L/B1, as
 combinations of the packed columns of coeff (_tables). Only they, L and the
-restriction path read coeff, which stays packed until then. A witness is
+restriction path read coeff, which stays packed until then. The report of
+h1_loc builds its witnesses when they are first read: the Smith reduction
+of the table form of L/B1 (zmod.quotient_decomposition), whose invariants
+must equal those found in M^k, and the self-checks. A witness is
 checked by solves of generator size and walks through the maximal cyclic
 subgroups <g>, which cover G: is_coboundary solves on the generating set
 and compares Z with the coboundary, which coboundary_of forms by w <- g.w;
@@ -70,9 +74,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import lshift, mul
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import HypothesisViolated, NotASubgroup, StabilizerMismatch
 from .matgrp import Mat2, MatGroup, _code, _entries, _key, _Right, close_group, special_subgroups
@@ -212,13 +216,28 @@ class Cocycle:
 
 @dataclass(frozen=True)
 class CohomologyReport:
-    """Invariant factors of the four spaces plus explicit witnesses."""
+    """Invariant factors of the four spaces plus explicit witnesses.
+
+    The witnesses are built, and self-checked, on the first read of
+    h1loc_witnesses (so also by to_json_dict and ==): _witnesses is the
+    function of no arguments that builds them, and a report of a zero L/B^1
+    has none. Reports compare by everything they report.
+    """
 
     z1_invariants: tuple
     b1_invariants: tuple
     h1_invariants: tuple
     h1loc_invariants: tuple
-    h1loc_witnesses: tuple
+    _witnesses: Callable[[], tuple] = field(default=tuple, repr=False, compare=False)
+
+    @functools.cached_property
+    def h1loc_witnesses(self) -> tuple:
+        return self._witnesses()
+
+    def __eq__(self, other):
+        if not isinstance(other, CohomologyReport):
+            return NotImplemented
+        return self.to_json_dict() == other.to_json_dict()
 
     def to_json_dict(self) -> dict:
         return {
@@ -534,14 +553,16 @@ def h1(group: MatGroup, action: Optional[ModuleAction] = None) -> list:
 def h1_loc(
     group: MatGroup, action: Optional[ModuleAction] = None, engine: Optional[Engine] = None
 ) -> CohomologyReport:
-    """Invariant factors of L / B^1 with explicit witness cocycles.
+    """Invariant factors of L / B^1, with witness cocycles built on first read.
 
-    The witnesses come from value tables: the quotient of the table form of
-    L by the table form of the engine's B^1, which spans the same submodule
-    as coboundary_space, each generator reduced modulo B^1. An engine
-    from cohomology_engine(group, action) may be passed to reuse its work.
+    All four invariant lists come from quotients of submodules of M^k. The
+    witnesses need value tables, so they are left to the report, which
+    builds and checks them (_checked_witnesses) only when h1loc_witnesses
+    is read. An engine from cohomology_engine(group, action) may be passed
+    to reuse its work.
     """
-    _, action, coeff, rows, z1, b1 = _engine(group, action, engine)
+    eng = _engine(group, action, engine)
+    _, action, coeff, rows, z1, b1 = eng
     zero = Submodule.zero(z1.ambient_rank, action.ctx)
     z1_inv = tuple(quotient_invariants(z1, zero))
     b1_inv = tuple(quotient_invariants(b1, zero))
@@ -550,9 +571,23 @@ def h1_loc(
     # Howell generators are canonical, so L/B^1 vanishes exactly when L == B^1
     loc = _locally_trivial(group, action, coeff, rows) if h1_inv else None
     if loc is None or loc == b1:
-        return CohomologyReport(z1_inv, b1_inv, h1_inv, (), ())
-    b1_full = _tables(group, action, coeff, b1)
-    loc_inv, raw_wits = quotient_decomposition(_tables(group, action, coeff, loc), b1_full)
+        return CohomologyReport(z1_inv, b1_inv, h1_inv, ())
+    loc_inv = tuple(quotient_invariants(loc, b1))
+    return CohomologyReport(z1_inv, b1_inv, h1_inv, loc_inv, functools.partial(_checked_witnesses, eng, loc, loc_inv))
+
+
+def _checked_witnesses(eng: Engine, loc: Submodule, loc_inv: tuple) -> tuple:
+    """Witness cocycles of L / B^1, from value tables: the quotient of the
+    table form of L by the table form of the engine's B^1, which spans the
+    same submodule as coboundary_space, each generator reduced modulo B^1.
+    Raises unless the table side finds the invariants loc_inv of the
+    generator side, and unless every witness is locally trivial and no
+    coboundary."""
+    group, action, coeff = eng.group, eng.action, eng.coeff
+    b1_full = _tables(group, action, coeff, eng.b1)
+    table_inv, raw_wits = quotient_decomposition(_tables(group, action, coeff, loc), b1_full)
+    if tuple(table_inv) != loc_inv:
+        raise AssertionError(f"value tables give L/B^1 invariants {table_inv}, generator coordinates {list(loc_inv)}")
     witnesses = []
     for w in raw_wits:
         zc = Cocycle.from_flat(group, action, b1_full.coset_reduce(w))
@@ -561,7 +596,7 @@ def h1_loc(
         if is_coboundary(zc) is not None:
             raise AssertionError("witness reduced to a coboundary")
         witnesses.append(zc)
-    return CohomologyReport(z1_inv, b1_inv, h1_inv, tuple(loc_inv), tuple(witnesses))
+    return tuple(witnesses)
 
 
 def h1_loc_via_restrictions(

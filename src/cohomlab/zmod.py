@@ -13,9 +13,12 @@ one int of fixed-width slots (Lamport, CACM 1975), so a row operation is
 a few big-int operations that reduce every entry at once (Barrett,
 CRYPTO '86); callers unpack only the rows and columns they read.
 
-Quotients of finite modules are reported through their invariant factors,
-obtained by lifting a relation matrix to the integers (appending the
-p^n-multiple relations) and reducing it to diagonal Smith form.
+Quotients of finite modules are reported through their invariant factors.
+quotient_invariants reads them off the orders |p^j S + T| of Howell spans,
+n - 1 spans per quotient and no relation matrix; quotient_decomposition,
+which also returns a witness vector per factor, lifts the relation matrix
+to the integers (appending the p^n-multiple relations) and reduces it to
+diagonal Smith form, whose column basis gives the witnesses.
 
 Vectors are tuples of plain Python integers and matrices are sequences of
 such rows; p^n never leaves the exact range.
@@ -370,7 +373,7 @@ def annihilator(s: Submodule) -> Submodule:
 
 
 # ---------------------------------------------------------------------------
-# Integer-lift Smith reduction for quotient invariants.
+# Quotient invariants: Howell orders, and a Smith reduction for witnesses.
 # ---------------------------------------------------------------------------
 
 
@@ -435,17 +438,23 @@ def _smith_with_colbasis(rel_rows: list[list[int]], r: int):
     return diag, W
 
 
+def _check_quotient(s: Submodule, t: Submodule) -> None:
+    """Raise unless t is a submodule of s in the same ambient module."""
+    if s.ctx != t.ctx or s.ambient_rank != t.ambient_rank:
+        raise DimensionMismatch("submodules live in different ambient modules")
+    if not t.le(s):
+        raise NotASubmodule("second argument is not contained in the first")
+
+
 def quotient_decomposition(s: Submodule, t: Submodule):
     """Invariant factors of s/t plus witness vectors generating each factor.
 
     Presents s/t by the generators of s; the relation lattice (coefficient
     vectors landing in t, plus the p^n-multiple relations) is lifted to the
-    integers and brought to Smith diagonal form.
+    integers and brought to Smith diagonal form, whose column basis gives
+    the witnesses.
     """
-    if s.ctx != t.ctx or s.ambient_rank != t.ambient_rank:
-        raise DimensionMismatch("submodules live in different ambient modules")
-    if not t.le(s):
-        raise NotASubmodule("second argument is not contained in the first")
+    _check_quotient(s, t)
     gens_s = s.generators
     r = len(gens_s)
     if r == 0:
@@ -467,6 +476,30 @@ def quotient_decomposition(s: Submodule, t: Submodule):
 
 
 def quotient_invariants(s: Submodule, t: Submodule) -> list[int]:
-    """Invariant factors of s/t (powers of p > 1, in divisibility order)."""
-    invariants, _ = quotient_decomposition(s, t)
-    return invariants
+    """Invariant factors of s/t (powers of p > 1, in divisibility order).
+
+    If s/t is the sum of the Z/p^e_i, then p^j (s/t) = (p^j s + t)/t has
+    order p^(c_j) with c_j the sum of the max(e_i - j, 0), so c_(j-1) - c_j
+    counts the e_i >= j, and one more difference counts those equal to j.
+    The order of s + t = s gives c_0, that of p^n s + t = t gives c_n = 0,
+    and each 0 < j < n takes one Howell span: n - 1 spans, and no Smith
+    reduction.
+    """
+    _check_quotient(s, t)
+    ctx = s.ctx
+    p, N = ctx.p, ctx.modulus
+    orders = [s.cardinality()]
+    for j in range(1, ctx.n):
+        rows = [[p**j * e % N for e in g] for g in s.generators] + list(t.generators)
+        orders.append(Submodule.span(rows, s.ambient_rank, ctx).cardinality())
+    orders.append(t.cardinality())
+    # at_least[j - 1] is c_(j-1) - c_j, the number of factors p^e with e >= j
+    at_least = []
+    for big, small in zip(orders, orders[1:]):
+        q, e = big // small, 0
+        while q > 1:
+            q //= p
+            e += 1
+        at_least.append(e)
+    at_least.append(0)
+    return [p ** (j + 1) for j in range(ctx.n) for _ in range(at_least[j] - at_least[j + 1])]

@@ -327,6 +327,14 @@ def test_experiment_budget_exhaustion(capsys):
     assert err
 
 
+def test_negative_experiment_budget_is_an_input_error(capsys):
+    # a negative budget is malformed input, like --cap 0; a budget of 0 ms
+    # is a budget that runs out at once (test_experiment_budget_exhaustion)
+    for budget in ("-5", "-1"):
+        code, out, err = run_cli(capsys, "experiment", "main-theorem", "--p", "3", "--budget-ms", budget)
+        assert (code, out) == (2, "") and err == f"error: wall-clock budget must be at least 0 ms, got {budget}\n"
+
+
 def test_budget_message_names_the_generator_set_in_progress(capsys):
     code, out, err = run_cli(capsys, "experiment", "main-theorem", "--p", "3", "--budget-ms", "1")
     assert code == 3

@@ -8,6 +8,7 @@ the action only through act_rows. Expected cardinalities below were frozen
 from those runs.
 """
 
+import functools
 import itertools
 from operator import mul
 
@@ -355,20 +356,78 @@ def test_shared_engine_gives_the_same_answers():
         h1_loc_via_restrictions(SIGMA3, engine=engine)
 
 
-def test_engine_b1_tables_are_the_coboundary_space():
-    # h1_loc reduces its witnesses modulo the table form of the engine's B^1,
-    # spanned from the generator values (s - I)e_j; coboundary_space spans
-    # the tables of every g - I directly. Both are canonical Howell spans.
+@functools.cache
+def small_census() -> tuple:
+    """Every subgroup of GL2(Z/4) and of the Sylow 3-subgroup of GL2(Z/9)."""
     Z4 = ModulusContext(2, 2)
     gl2_z4 = close_group([Mat2(1, 1, 0, 1, Z4), Mat2(0, 1, 1, 0, Z4), Mat2(3, 0, 0, 1, Z4)], Z4)
     sylow = close_group(
         [Mat2(1, 1, 0, 1, Z9), Mat2(1, 0, 3, 1, Z9), Mat2.diagonal(4, 1, Z9), Mat2.diagonal(1, 4, Z9)], Z9
     )
-    subgroups = enumerate_subgroups(gl2_z4) + enumerate_subgroups(sylow)
+    subgroups = tuple(enumerate_subgroups(gl2_z4) + enumerate_subgroups(sylow))
     assert len(subgroups) == 234 + 342
-    for g in subgroups:
+    return subgroups
+
+
+def test_engine_b1_tables_are_the_coboundary_space():
+    # h1_loc reduces its witnesses modulo the table form of the engine's B^1,
+    # spanned from the generator values (s - I)e_j; coboundary_space spans
+    # the tables of every g - I directly. Both are canonical Howell spans.
+    for g in small_census():
         eng = cohomology_engine(g)
         assert _tables(g, eng.action, eng.coeff, eng.b1) == coboundary_space(g)
+
+
+def test_census_quotient_invariants_match_the_smith_route():
+    # h1_loc reads every invariant through quotient_invariants on M^k; the
+    # Smith route of quotient_decomposition must give the same factors
+    nonzero = 0
+    for g in small_census():
+        eng = cohomology_engine(g)
+        zero = Submodule.zero(eng.z1.ambient_rank, eng.action.ctx)
+        loc = cohom._locally_trivial(g, eng.action, eng.coeff, eng.rows) if eng.z1 != eng.b1 else eng.b1
+        nonzero += loc != eng.b1
+        for s, t in ((eng.z1, zero), (eng.b1, zero), (eng.z1, eng.b1), (loc, eng.b1)):
+            assert quotient_invariants(s, t) == zmod.quotient_decomposition(s, t)[0], g.to_spec_dict()
+    assert nonzero == 57 + 109
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that appends 1 to the returned list per call."""
+    calls, inner = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_h1_loc_builds_witnesses_on_first_read(monkeypatch):
+    grp = make_example_group(3).group
+    checks = counting(monkeypatch, cohom, "is_locally_trivial")
+    decompositions = counting(monkeypatch, cohom, "quotient_decomposition")
+    rep = h1_loc(grp)
+    assert rep.h1loc_invariants == (3,)
+    assert (len(checks), len(decompositions)) == (0, 0)
+    witnesses = rep.h1loc_witnesses
+    assert len(witnesses) == 1 and (len(checks), len(decompositions)) == (1, 1)
+    assert rep.h1loc_witnesses is witnesses and rep.to_json_dict()["witnesses"]
+    assert (len(checks), len(decompositions)) == (1, 1)
+    # a zero L/B^1 has no witnesses to build
+    assert h1_loc(SIGMA3).h1loc_witnesses == () and (len(checks), len(decompositions)) == (1, 1)
+
+
+def test_witnesses_check_the_table_invariants(monkeypatch):
+    decompose = zmod.quotient_decomposition
+    monkeypatch.setattr(cohom, "quotient_decomposition", lambda s, t: ([9], decompose(s, t)[1]))
+    rep = h1_loc(make_example_group(3).group)
+    assert rep.h1loc_invariants == (3,)
+    with pytest.raises(AssertionError, match=r"invariants \[9\], generator coordinates \[3\]"):
+        rep.h1loc_witnesses
+    with pytest.raises(AssertionError):
+        rep.to_json_dict()
 
 
 @pytest.mark.parametrize(

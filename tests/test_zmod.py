@@ -7,6 +7,7 @@ as literals where the operations under test could regress silently.
 
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from array import array
 
+from cohomlab import zmod
 from cohomlab.errors import DimensionMismatch, NotASubmodule, NotAUnit
 from cohomlab.zmod import (
     ModulusContext,
@@ -655,6 +657,61 @@ def test_quotient_invariants_match_enumeration(data):
         assert got[i + 1] % got[i] == 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_quotient_invariants_match_the_smith_route(data):
+    # the Howell-order route of quotient_invariants against the Smith
+    # diagonal of quotient_decomposition, including t = 0 and t = s
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    rank = data.draw(st.integers(min_value=1, max_value=6))
+    ctx = ModulusContext(p, n)
+    N = ctx.modulus
+    # entries p^v * u reach every valuation, so the quotients mix factor sizes
+    entry = st.builds(lambda v, u: p**v * u % N, st.integers(0, n), st.integers(0, N - 1))
+    s_rows = data.draw(st.lists(st.lists(entry, min_size=rank, max_size=rank), max_size=rank + 1))
+    s = Submodule.span(s_rows, rank, ctx)
+    kind = data.draw(st.sampled_from(["zero", "equal", "inside"]))
+    if kind == "zero":
+        t = Submodule.zero(rank, ctx)
+    elif kind == "equal":
+        t = s
+    else:
+        # multiples of combinations of the generators of s
+        t_rows = []
+        for _ in range(data.draw(st.integers(0, len(s.generators) + 1))):
+            coeffs = [data.draw(entry) for _ in s.generators]
+            t_rows.append([sum(c * g[i] for c, g in zip(coeffs, s.generators)) % N for i in range(rank)])
+        t = Submodule.span(t_rows, rank, ctx)
+    assert quotient_invariants(s, t) == quotient_decomposition(s, t)[0]
+
+
+def test_quotient_invariants_take_n_minus_one_spans_and_no_smith_reduction(monkeypatch):
+    def no_smith(*args):
+        raise AssertionError("quotient_invariants reached the Smith reduction")
+
+    monkeypatch.setattr(zmod, "_smith_with_colbasis", no_smith)
+    span = Submodule.span
+    calls = []
+
+    def counted(cls, *args):
+        calls.append(1)
+        return span(*args)
+
+    for n in (1, 2, 3, 5):
+        ctx = ModulusContext(3, n)
+        N = ctx.modulus
+        s = Submodule.span([[1, 0, 3], [0, 3, 1]], 3, ctx)
+        # 3 times the sum of the two rows of s
+        t = Submodule.span([[3, 9 % N, 12 % N]], 3, ctx)
+        monkeypatch.setattr(zmod.Submodule, "span", classmethod(counted))
+        calls.clear()
+        got = quotient_invariants(s, t)
+        monkeypatch.setattr(zmod.Submodule, "span", span)
+        assert len(calls) == n - 1, n
+        assert math.prod(got) == s.cardinality() // t.cardinality()
+
+
 def test_submodule_coset_reduce_canonical():
     s = Submodule.span([[3, 0], [0, 3]], 2, Z9)
     reps = {s.coset_reduce((a, b)) for a in range(9) for b in range(9)}
@@ -675,6 +732,7 @@ def test_submodule_rejects_vectors_of_the_wrong_length():
 
 @pytest.mark.parametrize("other", [Submodule.zero(2, Z3), Submodule.zero(3, Z9)])
 def test_quotient_decomposition_rejects_different_ambient_modules(other):
-    # another modulus, or another rank over the same modulus
-    with pytest.raises(DimensionMismatch, match="different ambient modules"):
-        quotient_decomposition(Submodule.zero(2, Z9), other)
+    # another modulus, or another rank over the same modulus, on both routes
+    for quotient in (quotient_decomposition, quotient_invariants):
+        with pytest.raises(DimensionMismatch, match="different ambient modules"):
+            quotient(Submodule.zero(2, Z9), other)
