@@ -221,7 +221,8 @@ class CohomologyReport:
     The witnesses are built, and self-checked, on the first read of
     h1loc_witnesses (so also by to_json_dict and ==): _witnesses is the
     function of no arguments that builds them, and a report of a zero L/B^1
-    has none. Reports compare by everything they report.
+    has none. Once they are built the report lets that function go, and
+    with it the engine it holds. Reports compare by everything they report.
     """
 
     z1_invariants: tuple
@@ -232,7 +233,9 @@ class CohomologyReport:
 
     @functools.cached_property
     def h1loc_witnesses(self) -> tuple:
-        return self._witnesses()
+        witnesses = self._witnesses()
+        object.__setattr__(self, "_witnesses", tuple)
+        return witnesses
 
     def __eq__(self, other):
         if not isinstance(other, CohomologyReport):
@@ -343,9 +346,12 @@ class _Coefficients:
 
     @functools.cached_property
     def packed(self) -> list:
-        """coeff[h] of every element in canonical order, once the walk is done."""
+        """coeff[h] of every element in canonical order, once the walk is
+        done; the walk's own state is dropped then, and done kept."""
         self.walk(len(self.group))
-        return list(map(self._coeff.__getitem__, self.group.codes))
+        packed = list(map(self._coeff.__getitem__, self.group.codes))
+        del self._coeff, self._order, self._times
+        return packed
 
     def walk(self, stop: int, differences: Optional[set] = None):
         """Expand the nodes of the breadth-first walk up to number stop, in

@@ -162,18 +162,33 @@ def _tick_at(tick, where) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _relation_holds(group, action, table, idx=None):
-    """Whether the table satisfies Z_gh = Z_g + g.Z_h on all pairs; idx
-    maps each element to its position, built here when not given."""
+def _oracle_rows(action: ModuleAction, g: Mat2) -> tuple:
+    """The action of g on the module, as rows, formed from the entries of g:
+    the plane reduced to the module's level, or the diagonal entry of the
+    coordinate line. This repeats the rule of ModuleAction on purpose: the
+    oracle is the reference the engine is compared against, so it reads the
+    module from the matrices, never through the engine's action code."""
+    N = action.ctx.modulus
+    if action.rank == 2:
+        return ((g.a % N, g.b % N), (g.c % N, g.d % N))
+    if g.b % N or g.c % N:
+        raise ValueError("line actions are defined for diagonal matrices only")
+    return (((g.a, g.d)[action.coord] % N,),)
+
+
+def _moved(rows, v, n) -> tuple:
+    """g.v, from the rows of the action of g."""
+    return tuple(sum(a * x for a, x in zip(row, v)) % n for row in rows)
+
+
+def _relation_holds(group, action, table):
+    """Whether the table satisfies Z_gh = Z_g + g.Z_h on all |G|^2 pairs."""
     n = action.ctx.modulus
-    r = action.rank
-    idx = idx or {g: i for i, g in enumerate(group.elements)}
-    for g in group.elements:
-        rows = action.act_rows(g)
-        zg = table[idx[g]]
-        for h in group.elements:
-            zh = table[idx[h]]
-            want = tuple((zg[i] + sum(rows[i][t] * zh[t] for t in range(r))) % n for i in range(r))
+    idx = {g: i for i, g in enumerate(group.elements)}
+    for g, zg in zip(group.elements, table):
+        rows = _oracle_rows(action, g)
+        for h, zh in zip(group.elements, table):
+            want = tuple((a + b) % n for a, b in zip(zg, _moved(rows, zh, n)))
             if table[idx[g * h]] != want:
                 return False
     return True
@@ -182,60 +197,59 @@ def _relation_holds(group, action, table, idx=None):
 def brute_cocycle_tables(group: MatGroup, action: Optional[ModuleAction] = None) -> set:
     """Every cocycle value table, found without the linear-algebra path.
 
-    Small cases enumerate all |M|^|G| tables literally; otherwise all
-    assignments of generator values are propagated and the full relation
-    is re-verified on each surviving table.
+    Every assignment of values at the generators is propagated over the
+    group from Z_1 = 0 by Z_sh = Z_s + s.Z_h, and a table is kept only if
+    the relation holds on all |G|^2 pairs (_relation_holds). That finds
+    every cocycle: Z_1 = Z_1 + Z_1 forces Z_1 = 0, so a cocycle is the table
+    propagated from its own generator values. A generating set that misses
+    part of the group yields no table at all, so a comparison against this
+    set fails rather than passes.
     """
     action = _action_for(group, action)
     n = action.ctx.modulus
     r = action.rank
     module = list(itertools.product(range(n), repeat=r))
-    size = len(module)
-    idx = {g: i for i, g in enumerate(group.elements)}
-    if size ** len(group) <= 300000:
-        return {
-            table
-            for table in itertools.product(module, repeat=len(group))
-            if _relation_holds(group, action, table, idx)
-        }
     gens = group.generating_set
-    if size ** len(gens) > 300000:
+    if len(module) ** len(gens) > 300000:
         raise BudgetExceeded("brute-force cocycle enumeration out of range")
+    elements = group.elements
+    idx = {g: i for i, g in enumerate(elements)}
+    # the position of s*h, for each generator s and element h
+    products = [[idx[s * h] for h in elements] for s in gens]
+    acts = [_oracle_rows(action, s) for s in gens]
+    start = idx[group.identity]
     out = set()
     for assign in itertools.product(module, repeat=len(gens)):
-        table = {group.identity: (0,) * r}
-        frontier = [group.identity]
+        table = [None] * len(elements)
+        table[start] = (0,) * r
+        frontier = [start]
         ok = True
         while frontier and ok:
             h = frontier.pop()
             zh = table[h]
-            for s, zs in zip(gens, assign):
-                g = s * h
-                rows = action.act_rows(s)
-                val = tuple((zs[i] + sum(rows[i][t] * zh[t] for t in range(r))) % n for i in range(r))
-                if g not in table:
+            for zs, rows, times in zip(assign, acts, products):
+                g = times[h]
+                val = tuple((a + b) % n for a, b in zip(zs, _moved(rows, zh, n)))
+                if table[g] is None:
                     table[g] = val
                     frontier.append(g)
                 elif table[g] != val:
                     ok = False
                     break
-        if not ok or len(table) != len(group):
-            continue
-        flat = tuple(table[g] for g in group.elements)
-        if _relation_holds(group, action, flat, idx):
-            out.add(flat)
+        if ok and None not in table and _relation_holds(group, action, table):
+            out.add(tuple(table))
     return out
 
 
 def _moved_minus(rows, v, n) -> tuple:
     """g.v - v, from the rows of the action of g."""
-    return tuple((sum(a * x for a, x in zip(row, v)) - v[i]) % n for i, row in enumerate(rows))
+    return tuple((w - x) % n for w, x in zip(_moved(rows, v, n), v))
 
 
 def brute_coboundary_tables(group: MatGroup, action: Optional[ModuleAction] = None) -> set:
     action = _action_for(group, action)
     n = action.ctx.modulus
-    acts = [action.act_rows(g) for g in group.elements]
+    acts = [_oracle_rows(action, g) for g in group.elements]
     return {
         tuple(_moved_minus(rows, v, n) for rows in acts)
         for v in itertools.product(range(n), repeat=action.rank)
@@ -246,7 +260,7 @@ def brute_locally_trivial_tables(group, action, z1_tables) -> set:
     action = _action_for(group, action)
     n = action.ctx.modulus
     module = list(itertools.product(range(n), repeat=action.rank))
-    images = [{_moved_minus(action.act_rows(g), v, n) for v in module} for g in group.elements]
+    images = [{_moved_minus(_oracle_rows(action, g), v, n) for v in module} for g in group.elements]
     return {t for t in z1_tables if all(t[i] in images[i] for i in range(len(group)))}
 
 

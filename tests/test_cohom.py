@@ -1,15 +1,17 @@
 """Tests for the cohomology core.
 
 The anti-regression oracle is the brute-force one in cohomlab.experiments:
-it enumerates value tables literally, either every table in M^|G| (tiny
-cases) or every assignment of generator values propagated through the
-group, with the cocycle relation then checked over all pairs, and it reads
-the action only through act_rows. Expected cardinalities below were frozen
-from those runs.
+it enumerates value tables literally, every assignment of generator values
+propagated through the group, with the cocycle relation then checked over
+all pairs, and it forms the action from the matrix entries itself, never
+through ModuleAction. Expected cardinalities below were frozen from those
+runs.
 """
 
 import functools
+import gc
 import itertools
+import weakref
 from operator import mul
 
 import pytest
@@ -241,6 +243,23 @@ def test_early_stop_oracle_agrees(monkeypatch):
     assert any(done < order for order, done in walks)
 
 
+def test_oracle_catches_a_wrong_module(monkeypatch):
+    # the contragredient (g^-1)^T is an action too, so the engine stays
+    # consistent under it; only an oracle that forms g.v from the entries
+    # itself can tell that the engine computes the wrong module
+    def contragredient(self, entries):
+        a, b, c, d = entries
+        N = self.ctx.modulus
+        u = zmod.unit_inverse((a * d - b * c) % N, self.ctx)
+        return ((d * u % N, -c * u % N), (-b * u % N, a * u % N))
+
+    monkeypatch.setattr(ModuleAction, "_act_entries", contragredient)
+    verdict = verify_oracle_equivalence()
+    assert not verdict.passed
+    failed = {c.description for c in verdict.checks if not c.ok}
+    assert "cocycle tables agree on every group" in failed
+
+
 def large_h1_zero_groups():
     gens = [Mat2(1, 1, 0, 1, Z9), Mat2(1, 0, 1, 1, Z9), Mat2(2, 0, 0, 1, Z9)]
     order5000 = [Mat2(6, 20, 15, 16, Z25), Mat2(0, 19, 13, 0, Z25), Mat2(16, 5, 20, 21, Z25)]
@@ -417,6 +436,24 @@ def test_h1_loc_builds_witnesses_on_first_read(monkeypatch):
     assert (len(checks), len(decompositions)) == (1, 1)
     # a zero L/B^1 has no witnesses to build
     assert h1_loc(SIGMA3).h1loc_witnesses == () and (len(checks), len(decompositions)) == (1, 1)
+
+
+def test_report_holds_only_what_its_witnesses_need():
+    grp = make_example_group(3).group
+    eng = cohomology_engine(grp)
+    rep = h1_loc(grp, engine=eng)
+    coeff = weakref.ref(eng.coeff)
+    # h1_loc read the coefficient matrices, which drops the walk's state
+    assert len(eng.coeff.packed) == eng.coeff.done == len(grp)
+    assert not any(hasattr(eng.coeff, name) for name in ("_coeff", "_order", "_times"))
+    del eng
+    gc.collect()
+    # the unread witnesses still need the engine; once read, it goes
+    assert coeff() is not None
+    assert len(rep.h1loc_witnesses) == 1
+    gc.collect()
+    assert coeff() is None
+    assert rep.to_json_dict()["h1loc"] == [3] and len(rep.to_json_dict()["witnesses"]) == 1
 
 
 def test_witnesses_check_the_table_invariants(monkeypatch):

@@ -5,11 +5,12 @@ import json
 
 import pytest
 
-from cohomlab.cohom import ModuleAction
+from cohomlab.cohom import ModuleAction, h1_loc
 from cohomlab.errors import BudgetExceeded
 from cohomlab.experiments import (
     _Run,
     _curated_mod4_groups,
+    _qualifying_diagonals,
     ExperimentVerdict,
     Check,
     brute_coboundary_tables,
@@ -24,7 +25,7 @@ from cohomlab.experiments import (
     verify_shape_lemma,
     verify_structure_props,
 )
-from cohomlab.matgrp import Mat2, close_group, cyclic_subgroups
+from cohomlab.matgrp import Mat2, close_group, cyclic_subgroups, find_triangularizing_conjugator, reduce_mod
 from cohomlab.zmod import ModulusContext
 
 
@@ -237,6 +238,21 @@ def test_structure_props_candidates_are_pinned(structure_props, seed):
     assert v.passed
     keys = ("candidates", "local_vanishing_instances", "triangular_instances", "word_instances")
     assert tuple(v.parameters[k] for k in keys) == STRUCTURE_PARAMETERS[seed]
+
+
+def test_structure_props_triangular_check_has_a_counterexample():
+    # <diag(1,4), [[1,3],[3,1]]> over Z/9 meets the hypotheses of the check
+    # "nontrivial quotients with a qualifying diagonal are triangularizable"
+    # and is not triangularizable: the check passes only because its sampled
+    # candidates miss such groups. Mod 3 the group is trivial, so triangular.
+    Z9 = ModulusContext(3, 2)
+    grp = close_group([Mat2.diagonal(1, 4, Z9), Mat2(1, 3, 3, 1, Z9)], Z9)
+    rep = h1_loc(grp)
+    assert (len(grp), rep.h1_invariants, rep.h1loc_invariants) == (9, (3, 3), (3,))
+    assert _qualifying_diagonals(grp) == [Mat2.diagonal(1, 4, Z9), Mat2.diagonal(1, 7, Z9)]
+    assert find_triangularizing_conjugator(grp) is None
+    level1 = reduce_mod(grp, 1)
+    assert find_triangularizing_conjugator(level1) == Mat2.identity(level1.ctx)
 
 
 def test_curated_mod4_groups_are_pinned():
