@@ -104,11 +104,11 @@ def cmd_compute(args) -> int:
         raise ValueError(f"closure cap must be at least 1, got {args.cap}")
     group = load_group_spec(args.spec, args.cap)
     engine = cohomology_engine(group)
-    report = h1_loc(group, engine=engine)
+    report = h1_loc(engine)
     doc = report.to_json_dict()
     violation = False
     if args.local:
-        via = h1_loc_via_restrictions(group, engine=engine)
+        via = h1_loc_via_restrictions(engine)
         doc["h1locViaRestrictions"] = via
         doc["localAgreement"] = via == list(report.h1loc_invariants)
         if not doc["localAgreement"]:

@@ -19,10 +19,11 @@ B1 comes first, from the generators alone, and the walk stops early once
 the kernel K_t of the constraints of its first t nodes lies in B1, K_t <=
 B1: every cocycle meets every constraint, so B1 <= Z1 <= K_t, and K_t <=
 B1 forces B1 = Z1 = K_t. The coefficients then finish the walk on first
-read. cohomology_engine builds all this once per group and action, and
-h1_loc and h1_loc_via_restrictions accept it to share the work. They and
-h1 read every invariant factor off a quotient of submodules of M^k, from
-the orders of Howell spans (zmod.quotient_invariants).
+read. cohomology_engine builds all this once per group and action, the
+one place the two are given: h1, h1_loc, h1_loc_via_restrictions,
+cocycle_space and locally_trivial_subspace each take its Engine alone.
+The first three read every invariant factor off a quotient of submodules
+of M^k, from the orders of Howell spans (zmod.quotient_invariants).
 
 The locally trivial subspace is computed in two independent ways, each a
 kernel of more rows on M^k stacked onto the annihilator of Z1. Both visit
@@ -55,11 +56,12 @@ exactly coboundary-ness on <g>, so the two agree; the cross-check is that
 they are computed independently.
 
 Value tables, one module element per group element in canonical order, are
-built only for the public cocycle_space, coboundary_space and
-locally_trivial_subspace, and for the witnesses of a nonzero L/B1, as
-combinations of the packed columns of coeff (_tables). Only they, L and the
-restriction path read coeff, which stays packed until then. The report of
-h1_loc builds its witnesses when they are first read: the Smith reduction
+built only for the public cocycle_space and locally_trivial_subspace, and
+for the witnesses of a nonzero L/B1, as combinations of the packed columns
+of coeff (_tables); coboundary_space spans its tables from every element,
+apart from the engine. Only _tables, L and the restriction path read
+coeff, which stays packed until then. The report of h1_loc builds its
+witnesses when they are first read: the Smith reduction
 of the table form of L/B1 (zmod.quotient_decomposition), whose invariants
 must equal those found in M^k, and the self-checks. A witness is
 checked by solves of generator size and walks through the maximal cyclic
@@ -441,11 +443,13 @@ class Engine(NamedTuple):
     coeff comes from propagating the cocycle relation, packed until read,
     with coeff[i] the matrix of group.elements[i]; when the walk stopped
     early because Z^1 = B^1, coeff finishes it on first read. z1 and b1
-    are Z^1 and B^1 as submodules of M^k. rows generate the annihilator of Z^1, at most kr of them: since
-    annihilators are reflexive, their kernel is Z^1, so a subspace of Z^1
-    is cut out by stacking further rows onto these. Build one with
-    cohomology_engine and pass it to h1_loc and h1_loc_via_restrictions to
-    share the work.
+    are Z^1 and B^1 as submodules of M^k. rows generate the annihilator of
+    Z^1, at most kr of them: since annihilators are reflexive, their kernel
+    is Z^1, so a subspace of Z^1 is cut out by stacking further rows onto
+    these. Build one per group and action with cohomology_engine; h1,
+    h1_loc, h1_loc_via_restrictions, cocycle_space and
+    locally_trivial_subspace each take it as their one argument, so every
+    answer about the pair shares one walk.
     """
 
     group: MatGroup
@@ -469,43 +473,35 @@ def cohomology_engine(group: MatGroup, action: Optional[ModuleAction] = None) ->
     return Engine(group, action, coeff, annihilator(z1).generators, z1, b1)
 
 
-def _engine(group: MatGroup, action: Optional[ModuleAction], engine: Optional[Engine]) -> Engine:
-    """The given engine, checked against the group and action, or a new one."""
-    if engine is None:
-        return cohomology_engine(group, action)
-    if engine.group != group or (action is not None and action != engine.action):
-        raise ValueError("engine was built for another group or action")
-    return engine
-
-
-def _locally_trivial(group: MatGroup, action: ModuleAction, coeff, rows) -> Submodule:
+def _locally_trivial(engine: Engine) -> Submodule:
     """L in generator coordinates: the cocycles with Z_g in Im(g - I) for all g.
 
     By the three facts of the module docstring, the least generator g of
     each class representative is enough. The rows a . coeff[g], for a in
     the annihilator of Im(g - I), cut L out of Z^1, whose annihilator is rows.
     """
-    r = action.rank
+    group, action = engine.group, engine.action
     N, G = action.ctx.modulus, group.ctx.modulus
     local = set()
     reps = [powers[0] for powers in group._class_representatives]
-    for g, m in zip(reps, coeff.at(reps)):
+    for g, m in zip(reps, engine.coeff.at(reps)):
         # Ann(Im(g - I)) is the left kernel of g - I
-        for a in _left_kernel(_minus_identity(action, _entries(group.codes[g], G)), r, action.ctx):
+        for a in _left_kernel(_minus_identity(action, _entries(group.codes[g], G)), action.rank, action.ctx):
             # the row a . coeff[g] on M^k
             row = tuple(sum(map(mul, a, col)) % N for col in zip(*m))
             if any(row):
                 local.add(row)
-    return kernel([*rows, *local], r * len(group.generating_set), action.ctx)
+    return kernel([*engine.rows, *local], engine.z1.ambient_rank, action.ctx)
 
 
-def _tables(group: MatGroup, action: ModuleAction, coeff: _Coefficients, sub: Submodule) -> Submodule:
+def _tables(engine: Engine, sub: Submodule) -> Submodule:
     """A submodule of M^k carried to value tables in M^|G|: the table of z
     is sum_j z_j col_j over the rk columns of the stacked coeff[h], each
     packed into one int of r|G| slots of zmod._layout. The Barrett
     reduction after each term is exact: every slot is below N + (N-1)^2 < N^2.
     """
-    N, count = action.ctx.modulus, action.rank * len(group)
+    coeff, ctx = engine.coeff, engine.action.ctx
+    N, count = ctx.modulus, coeff.r * len(engine.group)
     lay = _layout(N, count)
     _, size, s, m, qmask = lay[:5]
     words = _words(coeff.packed, coeff.r * coeff.rk, coeff.size)
@@ -518,17 +514,17 @@ def _tables(group: MatGroup, action: ModuleAction, coeff: _Coefficients, sub: Su
                 x += c * col
                 x -= ((x * m >> s) & qmask) * N
         tables.append(x)
-    return Submodule.span(_slots(tables, size, count), count, action.ctx)
+    return Submodule.span(_slots(tables, size, count), count, ctx)
 
 
-def cocycle_space(group: MatGroup, action: Optional[ModuleAction] = None) -> Submodule:
+def cocycle_space(engine: Engine) -> Submodule:
     """Z^1(G, M) as a submodule of M^|G| in canonical element order."""
-    eng = cohomology_engine(group, action)
-    return _tables(group, eng.action, eng.coeff, eng.z1)
+    return _tables(engine, engine.z1)
 
 
 def coboundary_space(group: MatGroup, action: Optional[ModuleAction] = None) -> Submodule:
-    """B^1(G, M): tables of g -> g.v - v as v runs over the module."""
+    """B^1(G, M): tables of g -> g.v - v as v runs over the module, spanned
+    from every element without the engine."""
     return _coboundary_span(_all_entries(group), _action_for(group, action))
 
 
@@ -544,59 +540,52 @@ def coboundary_of(group: MatGroup, v, action: Optional[ModuleAction] = None) -> 
     return Cocycle(group, action, tuple(vals))
 
 
-def locally_trivial_subspace(group: MatGroup, action: Optional[ModuleAction] = None) -> Submodule:
+def locally_trivial_subspace(engine: Engine) -> Submodule:
     """L = { Z in Z^1 : Z_g in Im(g - I) for every g }; B^1 <= L <= Z^1."""
-    eng = cohomology_engine(group, action)
-    return _tables(group, eng.action, eng.coeff, _locally_trivial(group, eng.action, eng.coeff, eng.rows))
+    return _tables(engine, _locally_trivial(engine))
 
 
-def h1(group: MatGroup, action: Optional[ModuleAction] = None) -> list:
+def h1(engine: Engine) -> list:
     """Invariant factors of Z^1 / B^1."""
-    eng = cohomology_engine(group, action)
-    return quotient_invariants(eng.z1, eng.b1)
+    return quotient_invariants(engine.z1, engine.b1)
 
 
-def h1_loc(
-    group: MatGroup, action: Optional[ModuleAction] = None, engine: Optional[Engine] = None
-) -> CohomologyReport:
+def h1_loc(engine: Engine) -> CohomologyReport:
     """Invariant factors of L / B^1, with witness cocycles built on first read.
 
     All four invariant lists come from quotients of submodules of M^k. The
     witnesses need value tables, so they are left to the report, which
     builds and checks them (_checked_witnesses) only when h1loc_witnesses
-    is read. An engine from cohomology_engine(group, action) may be passed
-    to reuse its work.
+    is read.
     """
-    eng = _engine(group, action, engine)
-    _, action, coeff, rows, z1, b1 = eng
-    zero = Submodule.zero(z1.ambient_rank, action.ctx)
+    z1, b1 = engine.z1, engine.b1
+    zero = Submodule.zero(z1.ambient_rank, engine.action.ctx)
     z1_inv = tuple(quotient_invariants(z1, zero))
     b1_inv = tuple(quotient_invariants(b1, zero))
     h1_inv = tuple(quotient_invariants(z1, b1))
     # B^1 <= L <= Z^1 collapses when H^1 vanishes, no need to compute L;
     # Howell generators are canonical, so L/B^1 vanishes exactly when L == B^1
-    loc = _locally_trivial(group, action, coeff, rows) if h1_inv else None
+    loc = _locally_trivial(engine) if h1_inv else None
     if loc is None or loc == b1:
         return CohomologyReport(z1_inv, b1_inv, h1_inv, ())
     loc_inv = tuple(quotient_invariants(loc, b1))
-    return CohomologyReport(z1_inv, b1_inv, h1_inv, loc_inv, functools.partial(_checked_witnesses, eng, loc, loc_inv))
+    return CohomologyReport(z1_inv, b1_inv, h1_inv, loc_inv, functools.partial(_checked_witnesses, engine, loc, loc_inv))
 
 
-def _checked_witnesses(eng: Engine, loc: Submodule, loc_inv: tuple) -> tuple:
+def _checked_witnesses(engine: Engine, loc: Submodule, loc_inv: tuple) -> tuple:
     """Witness cocycles of L / B^1, from value tables: the quotient of the
     table form of L by the table form of the engine's B^1, which spans the
     same submodule as coboundary_space, each generator reduced modulo B^1.
     Raises unless the table side finds the invariants loc_inv of the
     generator side, and unless every witness is locally trivial and no
     coboundary."""
-    group, action, coeff = eng.group, eng.action, eng.coeff
-    b1_full = _tables(group, action, coeff, eng.b1)
-    table_inv, raw_wits = quotient_decomposition(_tables(group, action, coeff, loc), b1_full)
+    b1_full = _tables(engine, engine.b1)
+    table_inv, raw_wits = quotient_decomposition(_tables(engine, loc), b1_full)
     if tuple(table_inv) != loc_inv:
         raise AssertionError(f"value tables give L/B^1 invariants {table_inv}, generator coordinates {list(loc_inv)}")
     witnesses = []
     for w in raw_wits:
-        zc = Cocycle.from_flat(group, action, b1_full.coset_reduce(w))
+        zc = Cocycle.from_flat(engine.group, engine.action, b1_full.coset_reduce(w))
         if not is_locally_trivial(zc):
             raise AssertionError("witness lost local triviality under reduction")
         if is_coboundary(zc) is not None:
@@ -605,9 +594,7 @@ def _checked_witnesses(eng: Engine, loc: Submodule, loc_inv: tuple) -> tuple:
     return tuple(witnesses)
 
 
-def h1_loc_via_restrictions(
-    group: MatGroup, action: Optional[ModuleAction] = None, engine: Optional[Engine] = None
-) -> list:
+def h1_loc_via_restrictions(engine: Engine) -> list:
     """H^1_loc computed literally as the intersection of restriction kernels.
 
     A cocycle with generator values x restricts to a coboundary on a cyclic
@@ -623,10 +610,9 @@ def h1_loc_via_restrictions(
     of the restriction kernels, reduced modulo B^1(G). The whole table on C
     is tested against the whole coboundary definition, never one value at a
     time, so this path stays independent of the elementwise membership
-    test. An engine from cohomology_engine(group, action) may be passed to
-    reuse its work.
+    test.
     """
-    _, action, coeff, rows, z1, b1 = _engine(group, action, engine)
+    group, action, coeff, rows, z1, b1 = engine
     # B^1 <= L <= Z^1 collapses when H^1 vanishes, as in h1_loc
     if z1 == b1:
         return []

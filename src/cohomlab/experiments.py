@@ -53,7 +53,7 @@ from .matgrp import (
     smallest_nonsquare,
     special_subgroups,
 )
-from .zmod import ModulusContext, _is_prime, unit_inverse
+from .zmod import ModulusContext, unit_inverse
 
 DEFAULT_BUDGET_MS = 600000
 
@@ -181,15 +181,21 @@ def _moved(rows, v, n) -> tuple:
     return tuple(sum(a * x for a, x in zip(row, v)) % n for row in rows)
 
 
-def _relation_holds(group, action, table):
-    """Whether the table satisfies Z_gh = Z_g + g.Z_h on all |G|^2 pairs."""
-    n = action.ctx.modulus
+def _products(group: MatGroup) -> list:
+    """The position of g*h, by the positions of g and h: the oracle's own
+    multiplication table, formed once per group from the matrices."""
     idx = {g: i for i, g in enumerate(group.elements)}
-    for g, zg in zip(group.elements, table):
+    return [[idx[g * h] for h in group.elements] for g in group.elements]
+
+
+def _relation_holds(group, action, table, products):
+    """Whether the table satisfies Z_gh = Z_g + g.Z_h on all |G|^2 pairs,
+    with products the multiplication table of _products."""
+    n = action.ctx.modulus
+    for g, zg, times in zip(group.elements, table, products):
         rows = _oracle_rows(action, g)
-        for h, zh in zip(group.elements, table):
-            want = tuple((a + b) % n for a, b in zip(zg, _moved(rows, zh, n)))
-            if table[idx[g * h]] != want:
+        for zh, gh in zip(table, times):
+            if table[gh] != tuple((a + b) % n for a, b in zip(zg, _moved(rows, zh, n))):
                 return False
     return True
 
@@ -212,22 +218,20 @@ def brute_cocycle_tables(group: MatGroup, action: Optional[ModuleAction] = None)
     gens = group.generating_set
     if len(module) ** len(gens) > 300000:
         raise BudgetExceeded("brute-force cocycle enumeration out of range")
-    elements = group.elements
-    idx = {g: i for i, g in enumerate(elements)}
-    # the position of s*h, for each generator s and element h
-    products = [[idx[s * h] for h in elements] for s in gens]
+    products = _products(group)
+    gen_rows = [products[group.position(s)] for s in gens]
     acts = [_oracle_rows(action, s) for s in gens]
-    start = idx[group.identity]
+    start = group.position(group.identity)
     out = set()
     for assign in itertools.product(module, repeat=len(gens)):
-        table = [None] * len(elements)
+        table = [None] * len(group)
         table[start] = (0,) * r
         frontier = [start]
         ok = True
         while frontier and ok:
             h = frontier.pop()
             zh = table[h]
-            for zs, rows, times in zip(assign, acts, products):
+            for zs, rows, times in zip(assign, acts, gen_rows):
                 g = times[h]
                 val = tuple((a + b) % n for a, b in zip(zs, _moved(rows, zh, n)))
                 if table[g] is None:
@@ -236,7 +240,7 @@ def brute_cocycle_tables(group: MatGroup, action: Optional[ModuleAction] = None)
                 elif table[g] != val:
                     ok = False
                     break
-        if ok and None not in table and _relation_holds(group, action, table):
+        if ok and None not in table and _relation_holds(group, action, table, products):
             out.add(tuple(table))
     return out
 
@@ -428,7 +432,9 @@ def run_example6(
     budget_ms: int = DEFAULT_BUDGET_MS,
 ) -> ExperimentVerdict:
     """Reproduce the order-2p^2 family and its nontrivial locally trivial class."""
-    if p < 3 or not _is_prime(p):
+    # ModulusContext bounds p before its trial division, so a huge p fails at once
+    ModulusContext(p, 2)
+    if p == 2:
         raise ValueError(f"the family needs an odd prime, got {p}")
     if p > 13:
         raise BudgetExceeded(f"family reproduction is budgeted for p <= 13, got {p}")
@@ -511,17 +517,17 @@ def run_example6(
     )
 
     engine = cohomology_engine(grp)
-    rep = h1_loc(grp, engine=engine)
+    rep = h1_loc(engine)
     run.check("locally trivial classes are nontrivial", True, rep.h1loc_invariants != ())
     run.check(
         "both definitions of the locally trivial quotient agree",
         list(rep.h1loc_invariants),
-        h1_loc_via_restrictions(grp, engine=engine),
+        h1_loc_via_restrictions(engine),
     )
     run.check(
         "class of the displayed cocycle has order p",
         True,
-        zc.scale(p).is_zero() and locally_trivial_subspace(grp).contains(zc.flatten()),
+        zc.scale(p).is_zero() and locally_trivial_subspace(engine).contains(zc.flatten()),
     )
 
     cond = evaluate_main_theorem_conditions(grp)
@@ -559,9 +565,10 @@ def verify_diagonal_triviality(p: int, n: int = 2, budget_ms: int = DEFAULT_BUDG
     line factor is unchanged when the kernel of the line action is divided
     out.
     """
-    if p**n > 25:
-        raise ValueError(f"diagonal sweep is restricted to moduli <= 25, got {p}^{n}")
+    # ModulusContext bounds n and p before it forms p^n
     ctx = ModulusContext(p, n)
+    if ctx.modulus > 25:
+        raise ValueError(f"diagonal sweep is restricted to moduli <= 25, got {p}^{n}")
     full = full_diagonal_group(ctx)
     subs = enumerate_subgroups(full)
     run = _Run("diagonal", {"p": p, "n": n, "subgroups": len(subs)}, budget_ms)
@@ -575,14 +582,14 @@ def verify_diagonal_triviality(p: int, n: int = 2, budget_ms: int = DEFAULT_BUDG
     for sub in subs:
         run.tick()
         engine = cohomology_engine(sub)
-        rep = h1_loc(sub, engine=engine)
+        rep = h1_loc(engine)
         if rep.h1loc_invariants != ():
             bad_loc += 1
             run.counterexample(sub, "diagonal subgroup with nontrivial locally trivial quotient")
-        if list(rep.h1loc_invariants) != h1_loc_via_restrictions(sub, engine=engine):
+        if list(rep.h1loc_invariants) != h1_loc_via_restrictions(engine):
             bad_restr += 1
             run.counterexample(sub, "the two locally trivial quotient definitions disagree")
-        line_reps = [h1_loc(sub, line) for line in lines]
+        line_reps = [h1_loc(cohomology_engine(sub, line)) for line in lines]
         plane_h1 = math.prod(rep.h1_invariants)
         lines_h1 = math.prod(line_reps[0].h1_invariants) * math.prod(line_reps[1].h1_invariants)
         plane_loc = math.prod(rep.h1loc_invariants)
@@ -592,7 +599,7 @@ def verify_diagonal_triviality(p: int, n: int = 2, budget_ms: int = DEFAULT_BUDG
             run.counterexample(sub, "class count does not split over the coordinate lines")
         for line, line_rep in zip(lines, line_reps):
             quotient, image_act, _ = action_image(sub, line)
-            if h1_loc(quotient, image_act).h1loc_invariants != line_rep.h1loc_invariants:
+            if h1_loc(cohomology_engine(quotient, image_act)).h1loc_invariants != line_rep.h1loc_invariants:
                 bad_inflation += 1
                 run.counterexample(sub, "line quotient changed after dividing out the acting kernel")
 
@@ -657,7 +664,7 @@ def verify_shape_lemma(p: int, budget_ms: int = DEFAULT_BUDGET_MS) -> Experiment
     violations = 0
     for grp in candidates:
         run.tick()
-        if h1(grp) == []:
+        if h1(cohomology_engine(grp)) == []:
             continue
         nontrivial += 1
         if not _matches_shape(grp, full, targets):
@@ -755,7 +762,7 @@ def verify_structure_props(
         rhos = _qualifying_diagonals(grp)
         if not rhos:
             continue
-        rep = h1_loc(grp)
+        rep = h1_loc(cohomology_engine(grp))
         if rep.h1_invariants == ():
             continue
         diag_part, upper_part, lower_part = special_subgroups(grp)
@@ -774,7 +781,7 @@ def verify_structure_props(
                 run.counterexample(grp, "nontrivial locally trivial quotient but not triangularizable")
 
     ex = make_example_group(p)
-    ex_rep = h1_loc(ex.group)
+    ex_rep = h1_loc(cohomology_engine(ex.group))
     run.check(
         "the order-2p^2 family escapes the hypotheses through its order-2 diagonal part",
         True,
@@ -826,7 +833,7 @@ def falsify_main_theorem(
             run.tick,
             lambda: f"candidate {index} of {len(candidates)}: {json.dumps(grp.to_spec_dict())}",
         )
-        if h1_loc(grp).h1loc_invariants == ():
+        if h1_loc(cohomology_engine(grp)).h1loc_invariants == ():
             continue
         nontrivial += 1
         cond = evaluate_main_theorem_conditions(grp)
@@ -861,9 +868,10 @@ def _compare_paths(run: _Run, grp: MatGroup, counters: dict) -> None:
     def flatten_all(tables):
         return {tuple(itertools.chain.from_iterable(t)) for t in tables}
 
-    z_lin = set(cocycle_space(grp).vectors())
+    engine = cohomology_engine(grp)
+    z_lin = set(cocycle_space(engine).vectors())
     b_lin = set(coboundary_space(grp).vectors())
-    l_lin = set(locally_trivial_subspace(grp).vectors())
+    l_lin = set(locally_trivial_subspace(engine).vectors())
     if flatten_all(z_brute) != z_lin:
         counters["z"] += 1
         run.counterexample(grp, "cocycle tables differ between the two paths")
@@ -876,7 +884,7 @@ def _compare_paths(run: _Run, grp: MatGroup, counters: dict) -> None:
     if not (b_brute <= l_brute <= z_brute):
         counters["incl"] += 1
         run.counterexample(grp, "brute-force containments fail")
-    rep = h1_loc(grp)
+    rep = h1_loc(engine)
     if list(rep.h1_invariants) != brute_quotient_invariants(z_brute, b_brute, ctx):
         counters["h1"] += 1
         run.counterexample(grp, "class group invariants differ between the two paths")

@@ -12,6 +12,7 @@ import time
 from cohomlab.cohom import (
     ModuleAction,
     action_image,
+    cohomology_engine,
     h1_loc,
     h1_loc_via_restrictions,
     pointwise_stabilizer,
@@ -118,9 +119,9 @@ def test_criterion_4_product_and_inflation_laws():
     inflation_instances = 0
     for sub in diagonals:
         ctx = sub.ctx
-        rep = h1_loc(sub)
+        rep = h1_loc(cohomology_engine(sub))
         lines = [ModuleAction.line_of(ctx, 0), ModuleAction.line_of(ctx, 1)]
-        line_reps = [h1_loc(sub, line) for line in lines]
+        line_reps = [h1_loc(cohomology_engine(sub, line)) for line in lines]
         assert math.prod(rep.h1loc_invariants) == math.prod(
             line_reps[0].h1loc_invariants
         ) * math.prod(line_reps[1].h1loc_invariants)
@@ -128,17 +129,16 @@ def test_criterion_4_product_and_inflation_laws():
         for line, line_rep in zip(lines, line_reps):
             if len(pointwise_stabilizer(sub, line)) > 1:
                 quotient, image_action, _ = action_image(sub, line)
-                assert (
-                    h1_loc(quotient, image_action).h1loc_invariants == line_rep.h1loc_invariants
-                )
+                quotient_rep = h1_loc(cohomology_engine(quotient, image_action))
+                assert quotient_rep.h1loc_invariants == line_rep.h1loc_invariants
                 inflation_instances += 1
     reduced = ModuleAction.standard(ModulusContext(3, 1))
     for grp in _sampled_inflation_groups():
         assert len(pointwise_stabilizer(grp, reduced)) > 1
         quotient, image_action, _ = action_image(grp, reduced)
         assert (
-            h1_loc(quotient, image_action).h1loc_invariants
-            == h1_loc(grp, reduced).h1loc_invariants
+            h1_loc(cohomology_engine(quotient, image_action)).h1loc_invariants
+            == h1_loc(cohomology_engine(grp, reduced)).h1loc_invariants
         )
         inflation_instances += 1
     assert product_groups >= 20
@@ -171,7 +171,8 @@ def test_criterion_6_restriction_definition_agreement():
     groups.extend(_curated_mod4_groups())
     assert len(groups) >= 100
     for grp in groups:
-        assert list(h1_loc(grp).h1loc_invariants) == h1_loc_via_restrictions(grp), grp.to_spec_dict()
+        engine = cohomology_engine(grp)
+        assert list(h1_loc(engine).h1loc_invariants) == h1_loc_via_restrictions(engine), grp.to_spec_dict()
     _finish(6, f"both quotient definitions agree on all {len(groups)} exercised groups", t0, 120.0)
 
 
@@ -183,9 +184,9 @@ def test_criterion_7_random_cyclic_groups_trivial():
         ctx = ModulusContext(p, n)
         for _ in range(50):
             grp = close_group([_random_matrix(rng, ctx)], ctx)
-            rep = h1_loc(grp)
-            assert rep.h1loc_invariants == (), grp.to_spec_dict()
-            assert h1_loc_via_restrictions(grp) == []
+            engine = cohomology_engine(grp)
+            assert h1_loc(engine).h1loc_invariants == (), grp.to_spec_dict()
+            assert h1_loc_via_restrictions(engine) == []
             checked += 1
     assert checked == 200
     _finish(7, "200 random cyclic subgroups all have trivial quotient", t0, 120.0)

@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import cohomlab
 from cohomlab import cli, cohom, zmod
 from cohomlab.cli import main
-from cohomlab.matgrp import Mat2
+from cohomlab.cohom import ModuleAction
+from cohomlab.matgrp import Mat2, make_example_group
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -292,6 +297,35 @@ def test_experiment_rejects_bad_inputs(capsys):
     assert run_cli(capsys, "experiment", "example6", "--p", "3", "--cap", "5")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "flags", [["example6", "--p", "1000000000000000003"], ["diagonal", "--p", "3", "--n", "100000000"]]
+)
+def test_oversized_experiment_parameters_exit_at_once(flags):
+    # ModulusContext refuses both before a trial division up to 10^9 or the
+    # 3^(10^8) that an unbounded check would form; a separate process lets
+    # the timeout stop a run that hangs
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cohomlab.__file__)))
+    argv = [sys.executable, "-m", "cohomlab.cli", "experiment", *flags]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode in (2, 3) and proc.stdout == "" and proc.stderr.startswith("error: "), proc.stderr
+
+
+def test_one_engine_per_group_and_action(tmp_path, capsys, monkeypatch):
+    # every answer about a group and action reads the one Engine built for
+    # the pair, so each pair is walked once
+    walks, propagate = [], cohom._propagate
+    monkeypatch.setattr(cohom, "_propagate", lambda group, action, b1: walks.append((group, action)) or propagate(group, action, b1))
+    assert run_cli(capsys, "compute", example_family_spec(tmp_path), "--local")[0] == 0
+    assert len(walks) == 1
+    walks.clear()
+    assert run_cli(capsys, "experiment", "oracle")[0] == 0
+    assert len(walks) == len(set(walks)) == 6 + 50 + 14
+    walks.clear()
+    assert run_cli(capsys, "experiment", "example6", "--p", "3")[0] == 0
+    family = make_example_group(3).group
+    assert [pair for pair in walks if pair[0] == family] == [(family, ModuleAction.standard(family.ctx))]
+
+
 # every experiment with each flag it does not read (besides --budget-ms, --out
 # and --format, which all of them read)
 UNREAD_FLAGS = [
@@ -383,7 +417,7 @@ def test_compute_rejects_generators_that_are_not_a_list(tmp_path, capsys):
 
 def test_compute_local_disagreement_exits_one_with_the_report(tmp_path, capsys, monkeypatch):
     # the two L/B1 definitions disagree: a property violation, reported in full
-    monkeypatch.setattr(cli, "h1_loc_via_restrictions", lambda group, engine: [9])
+    monkeypatch.setattr(cli, "h1_loc_via_restrictions", lambda engine: [9])
     code, out, _ = run_cli(capsys, "compute", example_family_spec(tmp_path), "--local")
     doc = json.loads(out)
     assert code == 1

@@ -46,6 +46,7 @@ from cohomlab.errors import (
     StabilizerMismatch,
 )
 from cohomlab.experiments import (
+    _products,
     _relation_holds,
     brute_coboundary_tables,
     brute_cocycle_tables,
@@ -103,21 +104,23 @@ TRIVIAL9 = MatGroup((Mat2.identity(Z9),), Z9)
 
 
 def test_trivial_group_spaces():
-    assert cocycle_space(TRIVIAL9).is_zero()
+    engine = cohomology_engine(TRIVIAL9)
+    assert cocycle_space(engine).is_zero()
     assert coboundary_space(TRIVIAL9).is_zero()
-    assert h1(TRIVIAL9) == []
-    assert locally_trivial_subspace(TRIVIAL9).is_zero()
-    assert h1_loc_via_restrictions(TRIVIAL9) == []
+    assert h1(engine) == []
+    assert locally_trivial_subspace(engine).is_zero()
+    assert h1_loc_via_restrictions(engine) == []
 
 
 def test_sigma_mod3_cardinalities():
-    z1 = cocycle_space(SIGMA3)
+    engine = cohomology_engine(SIGMA3)
+    z1 = cocycle_space(engine)
     b1 = coboundary_space(SIGMA3)
-    loc = locally_trivial_subspace(SIGMA3)
+    loc = locally_trivial_subspace(engine)
     assert z1.cardinality() == 9
     assert b1.cardinality() == 3
     assert loc.cardinality() == 3
-    assert h1(SIGMA3) == [3]
+    assert h1(engine) == [3]
     assert b1.le(loc) and loc.le(z1)
     assert loc == b1
 
@@ -128,7 +131,7 @@ def test_sigma_mod3_matches_brute():
     assert len(tables) == 9
     assert brute_coboundary_tables(SIGMA3, action) <= tables
     assert len(brute_coboundary_tables(SIGMA3, action)) == 3
-    got = {tuple(v[i * 2 : i * 2 + 2] for i in range(len(SIGMA3))) for v in cocycle_space(SIGMA3).vectors()}
+    got = {tuple(v[i * 2 : i * 2 + 2] for i in range(len(SIGMA3))) for v in cocycle_space(cohomology_engine(SIGMA3)).vectors()}
     assert got == tables
 
 
@@ -141,9 +144,10 @@ def test_gl2f2_all_subgroups_match_brute():
         tables = brute_cocycle_tables(sub, action)
         cobs = brute_coboundary_tables(sub, action)
         loc_tables = brute_locally_trivial_tables(sub, action, tables)
-        assert cocycle_space(sub).cardinality() == len(tables)
+        engine = cohomology_engine(sub)
+        assert cocycle_space(engine).cardinality() == len(tables)
         assert coboundary_space(sub).cardinality() == len(cobs)
-        assert locally_trivial_subspace(sub).cardinality() == len(loc_tables)
+        assert locally_trivial_subspace(engine).cardinality() == len(loc_tables)
 
 
 def draw_small_group(data):
@@ -170,18 +174,19 @@ def assert_small_group_matches_brute(grp):
     tables = brute_cocycle_tables(grp, action)
     cobs = brute_coboundary_tables(grp, action)
     loc_tables = brute_locally_trivial_tables(grp, action, tables)
-    z1 = cocycle_space(grp, action)
+    engine = cohomology_engine(grp, action)
+    z1 = cocycle_space(engine)
     b1 = coboundary_space(grp, action)
-    loc = locally_trivial_subspace(grp, action)
+    loc = locally_trivial_subspace(engine)
     assert z1.cardinality() == len(tables)
     assert b1.cardinality() == len(cobs)
     assert loc.cardinality() == len(loc_tables)
     assert b1.le(loc) and loc.le(z1)
-    rep = h1_loc(grp, action)
+    rep = h1_loc(engine)
     assert list(rep.h1_invariants) == brute_quotient_invariants(tables, cobs, ctx)
     assert list(rep.h1loc_invariants) == brute_quotient_invariants(loc_tables, cobs, ctx)
-    assert h1_loc_via_restrictions(grp, action) == list(rep.h1loc_invariants)
-    assert h1(grp, action) == list(rep.h1_invariants)
+    assert h1_loc_via_restrictions(engine) == list(rep.h1loc_invariants)
+    assert h1(engine) == list(rep.h1_invariants)
     # representative independence: locally trivial + coboundary stays locally trivial
     if loc.generators and b1.generators:
         zc = Cocycle.from_flat(grp, action, loc.generators[0])
@@ -287,9 +292,10 @@ def test_early_stop_spaces_and_lazy_completion(monkeypatch):
     eng = cohomology_engine(gl2)
     assert eng.z1 == eng.b1 and eng.coeff.done < len(gl2)
     # the restriction path answers from z1 == b1 and leaves the walk unfinished
-    assert h1_loc_via_restrictions(gl2, engine=eng) == [] and eng.coeff.done < len(gl2)
+    assert h1_loc_via_restrictions(eng) == [] and eng.coeff.done < len(gl2)
     b1 = coboundary_space(gl2)
-    assert cocycle_space(gl2) == locally_trivial_subspace(gl2) == b1 and b1.cardinality() == 81
+    # the value tables read coeff, which finishes the walk
+    assert cocycle_space(eng) == locally_trivial_subspace(eng) == b1 and b1.cardinality() == 81
     assert len(eng.coeff.packed) == eng.coeff.done == len(gl2)
     never_stop_early(monkeypatch)
     assert eng.coeff.packed == cohomology_engine(gl2).coeff.packed
@@ -352,27 +358,23 @@ def test_restriction_path_matches_literal_oracle(data):
     if grp is None:
         return
     action = ModuleAction.standard(grp.ctx)
-    assert h1_loc_via_restrictions(grp, action) == literal_restriction_quotient(grp, action)
+    assert h1_loc_via_restrictions(cohomology_engine(grp, action)) == literal_restriction_quotient(grp, action)
 
 
 def test_restriction_path_matches_literal_oracle_on_a_line():
     # diag(1, 2) acts trivially on the first line and diag(4, 1) fixes 3 there, so H^1 is nonzero
     diag = close_group([Mat2.diagonal(4, 1, Z9), Mat2.diagonal(1, 2, Z9)], Z9)
     line = ModuleAction.line_of(Z9, 0)
-    assert h1(diag, line) != []
-    assert h1_loc_via_restrictions(diag, line) == literal_restriction_quotient(diag, line) == []
+    engine = cohomology_engine(diag, line)
+    assert h1(engine) != []
+    assert h1_loc_via_restrictions(engine) == literal_restriction_quotient(diag, line) == []
 
 
 def test_shared_engine_gives_the_same_answers():
     grp = make_example_group(3).group
     engine = cohomology_engine(grp)
-    assert h1_loc(grp, engine=engine) == h1_loc(grp)
-    assert h1_loc_via_restrictions(grp, engine=engine) == h1_loc_via_restrictions(grp) == [3]
-    line = ModuleAction.line_of(Z9, 0)
-    with pytest.raises(ValueError, match="another group or action"):
-        h1_loc(grp, line, engine=engine)
-    with pytest.raises(ValueError, match="another group or action"):
-        h1_loc_via_restrictions(SIGMA3, engine=engine)
+    assert h1_loc(engine) == h1_loc(cohomology_engine(grp))
+    assert h1_loc_via_restrictions(engine) == h1_loc_via_restrictions(cohomology_engine(grp)) == [3]
 
 
 @functools.cache
@@ -394,7 +396,7 @@ def test_engine_b1_tables_are_the_coboundary_space():
     # the tables of every g - I directly. Both are canonical Howell spans.
     for g in small_census():
         eng = cohomology_engine(g)
-        assert _tables(g, eng.action, eng.coeff, eng.b1) == coboundary_space(g)
+        assert _tables(eng, eng.b1) == coboundary_space(g)
 
 
 def test_census_quotient_invariants_match_the_smith_route():
@@ -404,7 +406,7 @@ def test_census_quotient_invariants_match_the_smith_route():
     for g in small_census():
         eng = cohomology_engine(g)
         zero = Submodule.zero(eng.z1.ambient_rank, eng.action.ctx)
-        loc = cohom._locally_trivial(g, eng.action, eng.coeff, eng.rows) if eng.z1 != eng.b1 else eng.b1
+        loc = cohom._locally_trivial(eng) if eng.z1 != eng.b1 else eng.b1
         nonzero += loc != eng.b1
         for s, t in ((eng.z1, zero), (eng.b1, zero), (eng.z1, eng.b1), (loc, eng.b1)):
             assert quotient_invariants(s, t) == zmod.quotient_decomposition(s, t)[0], g.to_spec_dict()
@@ -427,7 +429,7 @@ def test_h1_loc_builds_witnesses_on_first_read(monkeypatch):
     grp = make_example_group(3).group
     checks = counting(monkeypatch, cohom, "is_locally_trivial")
     decompositions = counting(monkeypatch, cohom, "quotient_decomposition")
-    rep = h1_loc(grp)
+    rep = h1_loc(cohomology_engine(grp))
     assert rep.h1loc_invariants == (3,)
     assert (len(checks), len(decompositions)) == (0, 0)
     witnesses = rep.h1loc_witnesses
@@ -435,13 +437,13 @@ def test_h1_loc_builds_witnesses_on_first_read(monkeypatch):
     assert rep.h1loc_witnesses is witnesses and rep.to_json_dict()["witnesses"]
     assert (len(checks), len(decompositions)) == (1, 1)
     # a zero L/B^1 has no witnesses to build
-    assert h1_loc(SIGMA3).h1loc_witnesses == () and (len(checks), len(decompositions)) == (1, 1)
+    assert h1_loc(cohomology_engine(SIGMA3)).h1loc_witnesses == () and (len(checks), len(decompositions)) == (1, 1)
 
 
 def test_report_holds_only_what_its_witnesses_need():
     grp = make_example_group(3).group
     eng = cohomology_engine(grp)
-    rep = h1_loc(grp, engine=eng)
+    rep = h1_loc(eng)
     coeff = weakref.ref(eng.coeff)
     # h1_loc read the coefficient matrices, which drops the walk's state
     assert len(eng.coeff.packed) == eng.coeff.done == len(grp)
@@ -459,7 +461,7 @@ def test_report_holds_only_what_its_witnesses_need():
 def test_witnesses_check_the_table_invariants(monkeypatch):
     decompose = zmod.quotient_decomposition
     monkeypatch.setattr(cohom, "quotient_decomposition", lambda s, t: ([9], decompose(s, t)[1]))
-    rep = h1_loc(make_example_group(3).group)
+    rep = h1_loc(cohomology_engine(make_example_group(3).group))
     assert rep.h1loc_invariants == (3,)
     with pytest.raises(AssertionError, match=r"invariants \[9\], generator coordinates \[3\]"):
         rep.h1loc_witnesses
@@ -479,7 +481,7 @@ def test_action_must_fit_the_group(module, match):
     with pytest.raises(ValueError, match=match):
         cohomology_engine(grp, action)
     with pytest.raises(ValueError, match=match):
-        h1_loc(grp, action)
+        h1_loc(cohomology_engine(grp, action))
     with pytest.raises(ValueError, match=match):
         is_cocycle(Cocycle(grp, action, ((0, 0),) * len(grp)))
     # the brute-force oracles refuse it too
@@ -520,14 +522,14 @@ def test_restriction_path_eliminates_twice_per_conjugacy_class(monkeypatch):
         reps = grp._class_representatives
         assert len(reps) < len(maximal)
         calls.clear()
-        h1_loc_via_restrictions(grp, engine=engine)
+        h1_loc_via_restrictions(engine)
         # two per class representative, then the cut-out (two) and the quotient (one)
         assert len(calls) == 2 * len(reps) + 3 == want
     # H^1(GL2(Z/9)) = 0, so Z^1 = B^1 = L and no elimination is needed
     gl2 = large_h1_zero_groups()[0]
     engine = cohomology_engine(gl2)
     calls.clear()
-    assert h1_loc_via_restrictions(gl2, engine=engine) == [] and not calls
+    assert h1_loc_via_restrictions(engine) == [] and not calls
 
 
 def test_engine_forms_no_matrix_products(monkeypatch):
@@ -619,9 +621,9 @@ def assert_tables_match_reference(group, action, eng, coeff):
     """The packed tables of Z1, B1 and L equal the per-entry reference read
     from coeff, whose matrices may come from another walk: the value of a
     cocycle at an element does not depend on the walk."""
-    loc = cohom._locally_trivial(group, action, eng.coeff, eng.rows)
+    loc = cohom._locally_trivial(eng)
     for sub in (eng.z1, eng.b1, loc):
-        assert _tables(group, action, eng.coeff, sub) == per_entry_tables(group, action, coeff, sub)
+        assert _tables(eng, sub) == per_entry_tables(group, action, coeff, sub)
 
 
 @settings(max_examples=25, deadline=None)
@@ -669,7 +671,7 @@ def test_packed_propagation_on_both_sides_of_each_slot_width(p, n, width):
     spread = conjugate(signed, Mat2(1, a, b, 1 + a * b, ctx))
     for grp in (signed, spread):
         assert_engine_matches_reference(grp, ModuleAction.standard(ctx))
-    assert h1(signed) == ([] if p % 2 else h1(spread))
+    assert h1(cohomology_engine(signed)) == ([] if p % 2 else h1(cohomology_engine(spread)))
     assert_engine_matches_reference(special_subgroups(signed)[0], ModuleAction.line_of(ctx, 1))
 
 
@@ -692,11 +694,11 @@ def test_packed_tables_at_each_layout_slot_width(p, n, size):
         # over Z/N sums terms near N^2, past 64 bits in 128-bit slots
         rk = eng.z1.ambient_rank
         dense = Submodule.span([[1, *range(N - 1, N - rk, -1)][:rk]], rk, ctx)
-        assert _tables(grp, eng.action, eng.coeff, dense) == per_entry_tables(grp, eng.action, matrices, dense)
-        assert _tables(grp, eng.action, eng.coeff, eng.b1) == coboundary_space(grp)
+        assert _tables(eng, dense) == per_entry_tables(grp, eng.action, matrices, dense)
+        assert _tables(eng, eng.b1) == coboundary_space(grp)
     # the signed permutation group has Z^1 = (Z/N)^2, with one more Z/2 at p = 2
     for grp in (signed, spread):
-        z1 = quotient_invariants(cocycle_space(grp), Submodule.zero(2 * len(grp), ctx))
+        z1 = quotient_invariants(cocycle_space(cohomology_engine(grp)), Submodule.zero(2 * len(grp), ctx))
         assert z1 == ([2, N, N] if p == 2 else [N, N])
 
 
@@ -719,8 +721,9 @@ def test_example_cocycle_in_computed_spaces():
     ex = make_example_group(3)
     zc = example_cocycle(ex)
     flat = zc.flatten()
-    assert cocycle_space(ex.group).contains(flat)
-    assert locally_trivial_subspace(ex.group).contains(flat)
+    engine = cohomology_engine(ex.group)
+    assert cocycle_space(engine).contains(flat)
+    assert locally_trivial_subspace(engine).contains(flat)
     assert not coboundary_space(ex.group).contains(flat)
 
 
@@ -737,16 +740,17 @@ def test_is_cocycle_matches_all_pairs_relation():
     cocycles = [example_cocycle(make_example_group(3))]
     action = ModuleAction.standard(Z3)
     for sub in firsts.values():
-        flats = cocycle_space(sub, action).generators or [(0, 0) * len(sub)]
+        flats = cocycle_space(cohomology_engine(sub, action)).generators or [(0, 0) * len(sub)]
         cocycles += [Cocycle.from_flat(sub, action, flat) for flat in flats]
     rejected = 0
     for z in cocycles:
-        assert is_cocycle(z) and _relation_holds(z.group, z.action, z.values)
+        products = _products(z.group)
+        assert is_cocycle(z) and _relation_holds(z.group, z.action, z.values, products)
         for i in (0, len(z.values) // 2, len(z.values) - 1):
             values = list(z.values)
             values[i] = (values[i][0] + 1, values[i][1])
             moved = Cocycle(z.group, z.action, tuple(values))
-            literal = _relation_holds(z.group, z.action, moved.values)
+            literal = _relation_holds(z.group, z.action, moved.values, products)
             assert is_cocycle(moved) == literal
             rejected += not literal
     assert rejected >= 2 * len(cocycles)
@@ -780,9 +784,9 @@ def witness_check_cases():
         ex = make_example_group(p)
         groups.append((f"family-p{p}", ex.group, ModuleAction.standard(ex.group.ctx)))
         cases.append((f"family-p{p}-example", example_cocycle(ex)))
-        cases += [(f"family-p{p}-witness", w) for w in h1_loc(ex.group).h1loc_witnesses]
+        cases += [(f"family-p{p}-witness", w) for w in h1_loc(cohomology_engine(ex.group)).h1loc_witnesses]
     for label, grp, action in groups:
-        cases += [(label, Cocycle.from_flat(grp, action, flat)) for flat in cocycle_space(grp, action).generators]
+        cases += [(label, Cocycle.from_flat(grp, action, flat)) for flat in cocycle_space(cohomology_engine(grp, action)).generators]
     return cases
 
 
@@ -903,9 +907,10 @@ def test_locally_trivial_falls_back_on_a_moved_value(monkeypatch):
 @pytest.mark.parametrize("p", [3, 5])
 def test_example_family_h1loc_nonempty(p):
     ex = make_example_group(p)
-    rep = h1_loc(ex.group)
+    engine = cohomology_engine(ex.group)
+    rep = h1_loc(engine)
     assert rep.h1loc_invariants != ()
-    assert list(rep.h1loc_invariants) == h1_loc_via_restrictions(ex.group)
+    assert list(rep.h1loc_invariants) == h1_loc_via_restrictions(engine)
     for w in rep.h1loc_witnesses:
         assert is_cocycle(w)
         assert is_locally_trivial(w)
@@ -913,7 +918,7 @@ def test_example_family_h1loc_nonempty(p):
     prod = 1
     for d in rep.h1_invariants:
         prod *= d
-    assert prod * coboundary_space(ex.group).cardinality() == cocycle_space(ex.group).cardinality()
+    assert prod * coboundary_space(ex.group).cardinality() == cocycle_space(engine).cardinality()
 
 
 def test_restriction_of_example_cocycle():
@@ -953,9 +958,9 @@ def test_restriction_of_coboundary_is_coboundary():
 def test_cyclic_groups_have_trivial_h1loc():
     ex = make_example_group(3)
     for cyc in cyclic_subgroups(ex.group)[:8]:
-        rep = h1_loc(cyc)
-        assert rep.h1loc_invariants == ()
-        assert h1_loc_via_restrictions(cyc) == []
+        engine = cohomology_engine(cyc)
+        assert h1_loc(engine).h1loc_invariants == ()
+        assert h1_loc_via_restrictions(engine) == []
 
 
 def test_full_diagonal_mod9_trivial_h1loc():
@@ -963,15 +968,15 @@ def test_full_diagonal_mod9_trivial_h1loc():
     elems = tuple(Mat2.diagonal(u, v, Z9) for u in units for v in units)
     diag = MatGroup(elems, Z9)
     assert len(diag) == 36
-    rep = h1_loc(diag)
-    assert rep.h1loc_invariants == ()
-    assert h1_loc_via_restrictions(diag) == []
+    engine = cohomology_engine(diag)
+    assert h1_loc(engine).h1loc_invariants == ()
+    assert h1_loc_via_restrictions(engine) == []
 
 
 def test_h1_gl2_f3_trivial():
     g = close_group([Mat2(1, 1, 0, 1, Z3), Mat2(2, 0, 0, 1, Z3), Mat2(0, 2, 1, 0, Z3)], Z3, cap=60)
     assert len(g) == 48
-    assert h1(g) == []
+    assert h1(cohomology_engine(g)) == []
 
 
 def test_h1loc_conjugation_invariant():
@@ -979,7 +984,14 @@ def test_h1loc_conjugation_invariant():
     t = Mat2(1, 2, 1, 0, Z9)
     assert t.is_invertible()
     conj = conjugate(ex.group, t)
-    assert list(h1_loc(conj).h1loc_invariants) == list(h1_loc(ex.group).h1loc_invariants)
+    assert list(h1_loc(cohomology_engine(conj)).h1loc_invariants) == list(h1_loc(cohomology_engine(ex.group)).h1loc_invariants)
+
+
+def all_invariants(grp):
+    """(z1, b1, h1, h1loc, via restrictions) of a group, from one engine."""
+    engine = cohomology_engine(grp)
+    rep = h1_loc(engine)
+    return (rep.z1_invariants, rep.b1_invariants, rep.h1_invariants, rep.h1loc_invariants, h1_loc_via_restrictions(engine))
 
 
 @settings(max_examples=25, deadline=None)
@@ -997,14 +1009,23 @@ def test_invariants_ignore_generator_order_and_conjugation(data):
         grp = close_group(mats, ctx, cap=60)
     except CapExceeded:
         return
+    want = all_invariants(grp)
+    assert all_invariants(close_group(mats[::-1], ctx, cap=60)) == want
+    assert all_invariants(conjugate(grp, invertible())) == want
 
-    def invariants(g):
-        rep = h1_loc(g)
-        return (rep.z1_invariants, rep.b1_invariants, rep.h1_invariants, rep.h1loc_invariants, h1_loc_via_restrictions(g))
 
-    want = invariants(grp)
-    assert invariants(close_group(mats[::-1], ctx, cap=60)) == want
-    assert invariants(conjugate(grp, invertible())) == want
+def test_conjugation_identity_on_the_census():
+    # H and tHt^-1 have the same invariants, for one fixed t of each ambient
+    # group. The conjugate has another generating set and another walk, so
+    # this also tests the early stop.
+    Z4 = ModulusContext(2, 2)
+    by_level = {Z4: Mat2(1, 1, 1, 2, Z4), Z9: Mat2(0, 1, 1, 0, Z9)}
+    moved = 0
+    for grp in small_census():
+        conj = conjugate(grp, by_level[grp.ctx])
+        moved += conj != grp
+        assert all_invariants(conj) == all_invariants(grp), grp.to_spec_dict()
+    assert moved == 510
 
 
 def test_two_h1loc_paths_agree_on_samples():
@@ -1016,8 +1037,8 @@ def test_two_h1loc_paths_agree_on_samples():
         make_example_group(3).group,
     ]
     for grp in groups:
-        rep = h1_loc(grp)
-        assert list(rep.h1loc_invariants) == h1_loc_via_restrictions(grp)
+        engine = cohomology_engine(grp)
+        assert list(h1_loc(engine).h1loc_invariants) == h1_loc_via_restrictions(engine)
 
 
 # ---------------------------------------------------------------------------
@@ -1037,9 +1058,9 @@ def test_product_law_on_diagonal_group():
     units = [1, 2, 4, 5, 7, 8]
     elems = tuple(Mat2.diagonal(u, v, Z9) for u in units for v in units)
     diag = MatGroup(elems, Z9)
-    full = h1_loc(diag).h1loc_invariants
-    line0 = h1_loc(diag, ModuleAction.line_of(Z9, 0)).h1loc_invariants
-    line1 = h1_loc(diag, ModuleAction.line_of(Z9, 1)).h1loc_invariants
+    full = h1_loc(cohomology_engine(diag)).h1loc_invariants
+    line0 = h1_loc(cohomology_engine(diag, ModuleAction.line_of(Z9, 0))).h1loc_invariants
+    line1 = h1_loc(cohomology_engine(diag, ModuleAction.line_of(Z9, 1))).h1loc_invariants
     prod = 1
     for d in itertools.chain(line0, line1):
         prod *= d
@@ -1063,7 +1084,7 @@ def test_pointwise_stabilizer_and_action_image():
 def test_inflation_identity_reindex():
     grp = SIGMA3
     action = ModuleAction.standard(Z3)
-    zc = Cocycle.from_flat(grp, action, cocycle_space(grp).generators[0])
+    zc = Cocycle.from_flat(grp, action, cocycle_space(cohomology_engine(grp)).generators[0])
     infl = inflation(zc, grp)
     assert infl.values == zc.values
 
@@ -1075,7 +1096,7 @@ def test_inflation_through_reduction():
     y = Cocycle.zero(q, qact)
     z = inflation(y, ex.group, coarse)
     assert z.is_zero()
-    ygens = cocycle_space(q, qact).generators
+    ygens = cocycle_space(cohomology_engine(q, qact)).generators
     if ygens:
         y2 = Cocycle.from_flat(q, qact, ygens[0])
         z2 = inflation(y2, ex.group, coarse)
@@ -1103,7 +1124,7 @@ def test_inflation_h1loc_equality_lemma():
     ex = make_example_group(3)
     coarse = ModuleAction.standard(Z3)
     q, qact, _ = action_image(ex.group, coarse)
-    assert list(h1_loc(ex.group, coarse).h1loc_invariants) == list(h1_loc(q, qact).h1loc_invariants)
+    assert list(h1_loc(cohomology_engine(ex.group, coarse)).h1loc_invariants) == list(h1_loc(cohomology_engine(q, qact)).h1loc_invariants)
 
 
 # ---------------------------------------------------------------------------
@@ -1146,7 +1167,7 @@ def test_normalize_rejects_small_order_rho():
 
 def test_normalize_rejects_non_locally_trivial():
     grp = SIGMA3
-    gens = cocycle_space(grp).generators
+    gens = cocycle_space(cohomology_engine(grp)).generators
     noncob = None
     b1 = coboundary_space(grp)
     for g in gens:
@@ -1162,7 +1183,7 @@ def test_normalize_rejects_non_locally_trivial():
 
 def test_report_serialization_shape():
     ex = make_example_group(3)
-    rep = h1_loc(ex.group)
+    rep = h1_loc(cohomology_engine(ex.group))
     d = rep.to_json_dict()
     assert set(d) == {"z1", "b1", "h1", "h1loc", "witnesses"}
     assert d["h1loc"] and all(isinstance(x, int) for x in d["h1loc"])

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cohomlab.cohom import ModuleAction, h1_loc
+from cohomlab.cohom import ModuleAction, cohomology_engine, h1_loc
 from cohomlab.errors import BudgetExceeded
 from cohomlab.experiments import (
     _Run,
@@ -247,7 +247,7 @@ def test_structure_props_triangular_check_has_a_counterexample():
     # candidates miss such groups. Mod 3 the group is trivial, so triangular.
     Z9 = ModulusContext(3, 2)
     grp = close_group([Mat2.diagonal(1, 4, Z9), Mat2(1, 3, 3, 1, Z9)], Z9)
-    rep = h1_loc(grp)
+    rep = h1_loc(cohomology_engine(grp))
     assert (len(grp), rep.h1_invariants, rep.h1loc_invariants) == (9, (3, 3), (3,))
     assert _qualifying_diagonals(grp) == [Mat2.diagonal(1, 4, Z9), Mat2.diagonal(1, 7, Z9)]
     assert find_triangularizing_conjugator(grp) is None
