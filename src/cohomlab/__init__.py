@@ -18,6 +18,7 @@ from .cohom import (
     h1,
     h1_loc,
     h1_loc_via_restrictions,
+    h1loc_witnesses,
     inflation,
     is_coboundary,
     is_cocycle,

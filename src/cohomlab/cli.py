@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Optional
 
-from .cohom import cohomology_engine, h1_loc, h1_loc_via_restrictions
+from .cohom import cohomology_engine, h1_loc, h1_loc_via_restrictions, h1loc_witnesses
 from .errors import BudgetExceeded, CapExceeded, CohomLabError, WrongLevel
 from .experiments import (
     DEFAULT_BUDGET_MS,
@@ -106,6 +106,7 @@ def cmd_compute(args) -> int:
     engine = cohomology_engine(group)
     report = h1_loc(engine)
     doc = report.to_json_dict()
+    doc["witnesses"] = [[list(v) for v in w.values] for w in h1loc_witnesses(engine)]
     violation = False
     if args.local:
         via = h1_loc_via_restrictions(engine)

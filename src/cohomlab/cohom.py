@@ -19,11 +19,13 @@ B1 comes first, from the generators alone, and the walk stops early once
 the kernel K_t of the constraints of its first t nodes lies in B1, K_t <=
 B1: every cocycle meets every constraint, so B1 <= Z1 <= K_t, and K_t <=
 B1 forces B1 = Z1 = K_t. The coefficients then finish the walk on first
-read. cohomology_engine builds all this once per group and action, the
-one place the two are given: h1, h1_loc, h1_loc_via_restrictions,
+read. cohomology_engine builds all this, and the locally trivial
+subspace L below, once per group and action, the one place the two are
+given: h1, h1_loc, h1loc_witnesses, h1_loc_via_restrictions,
 cocycle_space and locally_trivial_subspace each take its Engine alone.
-The first three read every invariant factor off a quotient of submodules
-of M^k, from the orders of Howell spans (zmod.quotient_invariants).
+h1, h1_loc and h1_loc_via_restrictions read every invariant factor off a
+quotient of submodules of M^k, from the orders of Howell spans
+(zmod.quotient_invariants).
 
 The locally trivial subspace is computed in two independent ways, each a
 kernel of more rows on M^k stacked onto the annihilator of Z1. Both visit
@@ -60,25 +62,26 @@ built only for the public cocycle_space and locally_trivial_subspace, and
 for the witnesses of a nonzero L/B1, as combinations of the packed columns
 of coeff (_tables); coboundary_space spans its tables from every element,
 apart from the engine. Only _tables, L and the restriction path read
-coeff, which stays packed until then. The report of h1_loc builds its
-witnesses when they are first read: the Smith reduction
-of the table form of L/B1 (zmod.quotient_decomposition), whose invariants
-must equal those found in M^k, and the self-checks. A witness is
-checked by solves of generator size and walks through the maximal cyclic
-subgroups <g>, which cover G: is_coboundary solves on the generating set
-and compares Z with the coboundary, which coboundary_of forms by w <- g.w;
-is_locally_trivial solves Z_g = (g - I)v once per <g> and runs
-w <- g.w + Z_g through (g^u - I)v, which Z_{g^u} equals for a cocycle by
-the first fact. Values left unproven, only in a non-cocycle, are tested alone.
+coeff, which stays packed until then. The report of h1_loc holds the four
+invariant lists alone; h1loc_witnesses builds the witnesses on request:
+the Smith reduction of the table form of L/B1 (zmod.quotient_decomposition),
+whose invariants must equal those found in M^k, and the self-checks. A
+witness is checked by solves of generator size and walks through the
+maximal cyclic subgroups <g>, which cover G: is_coboundary solves on the
+generating set and compares Z with the coboundary, which coboundary_of
+forms by w <- g.w; is_locally_trivial solves Z_g = (g - I)v once per <g>
+and runs w <- g.w + Z_g through (g^u - I)v, which Z_{g^u} equals for a
+cocycle by the first fact. Values left unproven, only in a non-cocycle,
+are tested alone.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import lshift, mul
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import HypothesisViolated, NotASubgroup, StabilizerMismatch
 from .matgrp import Mat2, MatGroup, _code, _entries, _key, _Right, close_group, special_subgroups
@@ -218,31 +221,13 @@ class Cocycle:
 
 @dataclass(frozen=True)
 class CohomologyReport:
-    """Invariant factors of the four spaces plus explicit witnesses.
-
-    The witnesses are built, and self-checked, on the first read of
-    h1loc_witnesses (so also by to_json_dict and ==): _witnesses is the
-    function of no arguments that builds them, and a report of a zero L/B^1
-    has none. Once they are built the report lets that function go, and
-    with it the engine it holds. Reports compare by everything they report.
-    """
+    """Invariant factors of Z^1, B^1, H^1 and L/B^1; h1loc_witnesses
+    builds the cocycles behind the last on request."""
 
     z1_invariants: tuple
     b1_invariants: tuple
     h1_invariants: tuple
     h1loc_invariants: tuple
-    _witnesses: Callable[[], tuple] = field(default=tuple, repr=False, compare=False)
-
-    @functools.cached_property
-    def h1loc_witnesses(self) -> tuple:
-        witnesses = self._witnesses()
-        object.__setattr__(self, "_witnesses", tuple)
-        return witnesses
-
-    def __eq__(self, other):
-        if not isinstance(other, CohomologyReport):
-            return NotImplemented
-        return self.to_json_dict() == other.to_json_dict()
 
     def to_json_dict(self) -> dict:
         return {
@@ -250,7 +235,6 @@ class CohomologyReport:
             "b1": list(self.b1_invariants),
             "h1": list(self.h1_invariants),
             "h1loc": list(self.h1loc_invariants),
-            "witnesses": [[list(v) for v in w.values] for w in self.h1loc_witnesses],
         }
 
 
@@ -446,10 +430,12 @@ class Engine(NamedTuple):
     are Z^1 and B^1 as submodules of M^k. rows generate the annihilator of
     Z^1, at most kr of them: since annihilators are reflexive, their kernel
     is Z^1, so a subspace of Z^1 is cut out by stacking further rows onto
-    these. Build one per group and action with cohomology_engine; h1,
-    h1_loc, h1_loc_via_restrictions, cocycle_space and
-    locally_trivial_subspace each take it as their one argument, so every
-    answer about the pair shares one walk.
+    these. loc is the locally trivial subspace L, B^1 <= L <= Z^1, cut out
+    once (_locally_trivial), and b1 itself when Z^1 = B^1. Build one per
+    group and action with cohomology_engine; h1, h1_loc, h1loc_witnesses,
+    h1_loc_via_restrictions, cocycle_space and locally_trivial_subspace
+    each take it as their one argument, so every answer about the pair
+    shares one walk and one L.
     """
 
     group: MatGroup
@@ -458,19 +444,23 @@ class Engine(NamedTuple):
     rows: tuple
     z1: Submodule
     b1: Submodule
+    loc: Submodule
 
 
 def cohomology_engine(group: MatGroup, action: Optional[ModuleAction] = None) -> Engine:
-    """Cut out B^1, then propagate to cut out Z^1, in generator coordinates.
+    """Cut out B^1, then propagate to cut out Z^1, then L, in generator
+    coordinates.
 
     B^1 is spanned by the coboundaries of the basis vectors e_j, whose
     values at the generators s are (s - I) e_j. Its order is what lets
-    the walk stop early (_propagate).
+    the walk stop early (_propagate). B^1 <= L <= Z^1 collapses when
+    Z^1 = B^1, and then L is not cut out.
     """
     action = _action_for(group, action)
     b1 = _coboundary_span(map(_key, group.generating_set), action)
     coeff, z1 = _propagate(group, action, b1)
-    return Engine(group, action, coeff, annihilator(z1).generators, z1, b1)
+    engine = Engine(group, action, coeff, annihilator(z1).generators, z1, b1, b1)
+    return engine if z1 == b1 else engine._replace(loc=_locally_trivial(engine))
 
 
 def _locally_trivial(engine: Engine) -> Submodule:
@@ -542,7 +532,7 @@ def coboundary_of(group: MatGroup, v, action: Optional[ModuleAction] = None) -> 
 
 def locally_trivial_subspace(engine: Engine) -> Submodule:
     """L = { Z in Z^1 : Z_g in Im(g - I) for every g }; B^1 <= L <= Z^1."""
-    return _tables(engine, _locally_trivial(engine))
+    return _tables(engine, engine.loc)
 
 
 def h1(engine: Engine) -> list:
@@ -551,38 +541,28 @@ def h1(engine: Engine) -> list:
 
 
 def h1_loc(engine: Engine) -> CohomologyReport:
-    """Invariant factors of L / B^1, with witness cocycles built on first read.
-
-    All four invariant lists come from quotients of submodules of M^k. The
-    witnesses need value tables, so they are left to the report, which
-    builds and checks them (_checked_witnesses) only when h1loc_witnesses
-    is read.
-    """
+    """Invariant factors of Z^1, B^1, H^1 = Z^1 / B^1 and L / B^1, each from
+    a quotient of submodules of M^k."""
     z1, b1 = engine.z1, engine.b1
     zero = Submodule.zero(z1.ambient_rank, engine.action.ctx)
-    z1_inv = tuple(quotient_invariants(z1, zero))
-    b1_inv = tuple(quotient_invariants(b1, zero))
-    h1_inv = tuple(quotient_invariants(z1, b1))
-    # B^1 <= L <= Z^1 collapses when H^1 vanishes, no need to compute L;
-    # Howell generators are canonical, so L/B^1 vanishes exactly when L == B^1
-    loc = _locally_trivial(engine) if h1_inv else None
-    if loc is None or loc == b1:
-        return CohomologyReport(z1_inv, b1_inv, h1_inv, ())
-    loc_inv = tuple(quotient_invariants(loc, b1))
-    return CohomologyReport(z1_inv, b1_inv, h1_inv, loc_inv, functools.partial(_checked_witnesses, engine, loc, loc_inv))
+    pairs = ((z1, zero), (b1, zero), (z1, b1), (engine.loc, b1))
+    return CohomologyReport(*(tuple(quotient_invariants(s, t)) for s, t in pairs))
 
 
-def _checked_witnesses(engine: Engine, loc: Submodule, loc_inv: tuple) -> tuple:
-    """Witness cocycles of L / B^1, from value tables: the quotient of the
-    table form of L by the table form of the engine's B^1, which spans the
-    same submodule as coboundary_space, each generator reduced modulo B^1.
-    Raises unless the table side finds the invariants loc_inv of the
-    generator side, and unless every witness is locally trivial and no
-    coboundary."""
+def h1loc_witnesses(engine: Engine) -> tuple:
+    """Witness cocycles of L / B^1, none when L = B^1, from value tables:
+    the quotient of the table form of L by the table form of the engine's
+    B^1, which spans the same submodule as coboundary_space, each generator
+    reduced modulo B^1. Raises unless the table side finds the invariants
+    of the generator side (h1_loc), and unless every witness is locally
+    trivial and no coboundary."""
+    if engine.loc == engine.b1:
+        return ()
     b1_full = _tables(engine, engine.b1)
-    table_inv, raw_wits = quotient_decomposition(_tables(engine, loc), b1_full)
-    if tuple(table_inv) != loc_inv:
-        raise AssertionError(f"value tables give L/B^1 invariants {table_inv}, generator coordinates {list(loc_inv)}")
+    table_inv, raw_wits = quotient_decomposition(_tables(engine, engine.loc), b1_full)
+    loc_inv = quotient_invariants(engine.loc, engine.b1)
+    if table_inv != loc_inv:
+        raise AssertionError(f"value tables give L/B^1 invariants {table_inv}, generator coordinates {loc_inv}")
     witnesses = []
     for w in raw_wits:
         zc = Cocycle.from_flat(engine.group, engine.action, b1_full.coset_reduce(w))
@@ -612,8 +592,8 @@ def h1_loc_via_restrictions(engine: Engine) -> list:
     time, so this path stays independent of the elementwise membership
     test.
     """
-    group, action, coeff, rows, z1, b1 = engine
-    # B^1 <= L <= Z^1 collapses when H^1 vanishes, as in h1_loc
+    group, action, coeff, rows, z1, b1, _ = engine
+    # B^1 <= L <= Z^1 collapses when H^1 vanishes, as in cohomology_engine
     if z1 == b1:
         return []
     dim = b1.ambient_rank

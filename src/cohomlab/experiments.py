@@ -269,7 +269,11 @@ def brute_locally_trivial_tables(group, action, z1_tables) -> set:
 
 
 def brute_quotient_invariants(s_set: set, t_set: set, ctx: ModulusContext) -> list:
-    """Invariant factors of the quotient of two sets of flattened tables."""
+    """Invariant factors of the quotient of two sets of flattened tables.
+
+    |p^j S + T| / |T| is |p^j S| / |p^j S & T|, since both are subgroups
+    and |A + B| = |A| |B| / |A & B|.
+    """
     p, n = ctx.p, ctx.n
     modulus = ctx.modulus
 
@@ -281,8 +285,7 @@ def brute_quotient_invariants(s_set: set, t_set: set, ctx: ModulusContext) -> li
     sizes = []
     cur = s_flat
     for _ in range(n + 1):
-        summed = {tuple((a + b) % modulus for a, b in zip(x, y)) for x in cur for y in t_flat}
-        sizes.append(len(summed) // len(t_flat))
+        sizes.append(len(cur) // len(cur & t_flat))
         cur = {tuple((p * a) % modulus for a in x) for x in cur}
     logs = []
     for q in sizes:

@@ -326,6 +326,28 @@ def test_one_engine_per_group_and_action(tmp_path, capsys, monkeypatch):
     assert [pair for pair in walks if pair[0] == family] == [(family, ModuleAction.standard(family.ctx))]
 
 
+def test_one_locally_trivial_cut_out_per_engine(tmp_path, capsys, monkeypatch):
+    # cohomology_engine cuts L out once, and only when Z1 != B1; every answer
+    # about L reads engine.loc after that
+    cuts, cut = [], cohom._locally_trivial
+    monkeypatch.setattr(cohom, "_locally_trivial", lambda engine: cuts.append(engine) or cut(engine))
+    spec = example_family_spec(tmp_path)
+    runs = [
+        lambda: run_cli(capsys, "compute", spec, "--local", "--conditions")[0] == 0,
+        lambda: run_cli(capsys, "experiment", "oracle")[0] == 0,
+        lambda: run_cli(capsys, "experiment", "example6", "--p", "3")[0] == 0,
+        lambda: cohomlab.falsify_main_theorem(3).passed,
+    ]
+    counts = []
+    for run in runs:
+        cuts.clear()
+        assert run()
+        counts.append(len(cuts))
+        assert len({id(engine) for engine in cuts}) == len(cuts)
+        assert all(engine.z1 != engine.b1 for engine in cuts)
+    assert counts == [1, 20, 1, 35]
+
+
 # every experiment with each flag it does not read (besides --budget-ms, --out
 # and --format, which all of them read)
 UNREAD_FLAGS = [

@@ -8,10 +8,9 @@ through ModuleAction. Expected cardinalities below were frozen from those
 runs.
 """
 
+import dataclasses
 import functools
-import gc
 import itertools
-import weakref
 from operator import mul
 
 import pytest
@@ -29,6 +28,7 @@ from cohomlab.cohom import (
     h1,
     h1_loc,
     h1_loc_via_restrictions,
+    h1loc_witnesses,
     inflation,
     is_coboundary,
     is_cocycle,
@@ -321,18 +321,22 @@ def test_z1_eliminations_per_engine(monkeypatch):
     # GL2(Z/9) checks at 16, 32, 64 and 128 nodes and stops there, the
     # order-5000 group stops at its first check, and the p = 11 and 13
     # family groups (orders 242 and 338, H^1 != 0) check once and twice
-    # before the walk runs to the end. _propagate is the only caller of
-    # cohom._left_kernel while an engine is built.
+    # before the walk runs to the end. While an engine is built, the other
+    # caller of cohom._left_kernel is _locally_trivial, after the walk and
+    # only when Z^1 != B^1: one elimination of the r rows of g - I per
+    # class representative.
     calls, left_kernel = [], cohom._left_kernel
     monkeypatch.setattr(cohom, "_left_kernel", lambda *args: calls.append(len(args[0])) or left_kernel(*args))
     groups = [*large_h1_zero_groups(), make_example_group(11).group, make_example_group(13).group]
     for grp, eliminations, done in zip(groups, (4, 1, 2, 3), (128, 16, 242, 338)):
         calls.clear()
         eng = cohomology_engine(grp)
-        assert (len(calls), eng.coeff.done) == (eliminations, done)
+        assert eng.coeff.done == done
         assert (eng.z1 == eng.b1) == (done < len(grp))
         # one elimination of the rk constraint columns each
-        assert calls == [eng.z1.ambient_rank] * eliminations
+        assert calls[:eliminations] == [eng.z1.ambient_rank] * eliminations
+        local = [] if eng.z1 == eng.b1 else [eng.action.rank] * len(grp._class_representatives)
+        assert calls[eliminations:] == local
 
 
 def literal_restriction_quotient(grp, action):
@@ -406,9 +410,8 @@ def test_census_quotient_invariants_match_the_smith_route():
     for g in small_census():
         eng = cohomology_engine(g)
         zero = Submodule.zero(eng.z1.ambient_rank, eng.action.ctx)
-        loc = cohom._locally_trivial(eng) if eng.z1 != eng.b1 else eng.b1
-        nonzero += loc != eng.b1
-        for s, t in ((eng.z1, zero), (eng.b1, zero), (eng.z1, eng.b1), (loc, eng.b1)):
+        nonzero += eng.loc != eng.b1
+        for s, t in ((eng.z1, zero), (eng.b1, zero), (eng.z1, eng.b1), (eng.loc, eng.b1)):
             assert quotient_invariants(s, t) == zmod.quotient_decomposition(s, t)[0], g.to_spec_dict()
     assert nonzero == 57 + 109
 
@@ -425,48 +428,55 @@ def counting(monkeypatch, module, name: str) -> list:
     return calls
 
 
-def test_h1_loc_builds_witnesses_on_first_read(monkeypatch):
+def test_witnesses_are_built_only_on_request(monkeypatch):
     grp = make_example_group(3).group
     checks = counting(monkeypatch, cohom, "is_locally_trivial")
     decompositions = counting(monkeypatch, cohom, "quotient_decomposition")
-    rep = h1_loc(cohomology_engine(grp))
-    assert rep.h1loc_invariants == (3,)
+    eng = cohomology_engine(grp)
+    assert h1_loc(eng).h1loc_invariants == (3,)
     assert (len(checks), len(decompositions)) == (0, 0)
-    witnesses = rep.h1loc_witnesses
-    assert len(witnesses) == 1 and (len(checks), len(decompositions)) == (1, 1)
-    assert rep.h1loc_witnesses is witnesses and rep.to_json_dict()["witnesses"]
-    assert (len(checks), len(decompositions)) == (1, 1)
+    assert len(h1loc_witnesses(eng)) == 1 and (len(checks), len(decompositions)) == (1, 1)
     # a zero L/B^1 has no witnesses to build
-    assert h1_loc(cohomology_engine(SIGMA3)).h1loc_witnesses == () and (len(checks), len(decompositions)) == (1, 1)
+    assert h1loc_witnesses(cohomology_engine(SIGMA3)) == () and (len(checks), len(decompositions)) == (1, 1)
 
 
 def test_report_holds_only_what_its_witnesses_need():
     grp = make_example_group(3).group
     eng = cohomology_engine(grp)
     rep = h1_loc(eng)
-    coeff = weakref.ref(eng.coeff)
-    # h1_loc read the coefficient matrices, which drops the walk's state
+    # cutting out L read the coefficient matrices, which drops the walk's state
     assert len(eng.coeff.packed) == eng.coeff.done == len(grp)
     assert not any(hasattr(eng.coeff, name) for name in ("_coeff", "_order", "_times"))
-    del eng
-    gc.collect()
-    # the unread witnesses still need the engine; once read, it goes
-    assert coeff() is not None
-    assert len(rep.h1loc_witnesses) == 1
-    gc.collect()
-    assert coeff() is None
-    assert rep.to_json_dict()["h1loc"] == [3] and len(rep.to_json_dict()["witnesses"]) == 1
+    # a report is its four invariant lists and nothing else
+    assert [f.name for f in dataclasses.fields(CohomologyReport)] == ["z1_invariants", "b1_invariants", "h1_invariants", "h1loc_invariants"]
+    assert rep.to_json_dict() == {"z1": [3, 3, 9], "b1": [3, 9], "h1": [3], "h1loc": [3]}
+    assert len(h1loc_witnesses(eng)) == 1
+
+
+def test_reports_compare_and_serialize_without_value_tables(monkeypatch):
+    # == and to_json_dict read the four invariant lists alone: no value
+    # table and no Smith reduction, even where L/B^1 is nonzero
+    grp = make_example_group(3).group
+    conj = conjugate(grp, Mat2(0, 1, 1, 0, Z9))
+    assert conj != grp
+
+    def refuse(*args):
+        raise AssertionError("a report read value tables")
+
+    monkeypatch.setattr(cohom, "quotient_decomposition", refuse)
+    monkeypatch.setattr(cohom, "_tables", refuse)
+    rep, conj_rep = h1_loc(cohomology_engine(grp)), h1_loc(cohomology_engine(conj))
+    assert rep == conj_rep and rep.h1loc_invariants == (3,)
+    assert rep.to_json_dict() == conj_rep.to_json_dict() == {"z1": [3, 3, 9], "b1": [3, 9], "h1": [3], "h1loc": [3]}
 
 
 def test_witnesses_check_the_table_invariants(monkeypatch):
     decompose = zmod.quotient_decomposition
     monkeypatch.setattr(cohom, "quotient_decomposition", lambda s, t: ([9], decompose(s, t)[1]))
-    rep = h1_loc(cohomology_engine(make_example_group(3).group))
-    assert rep.h1loc_invariants == (3,)
+    eng = cohomology_engine(make_example_group(3).group)
+    assert h1_loc(eng).h1loc_invariants == (3,)
     with pytest.raises(AssertionError, match=r"invariants \[9\], generator coordinates \[3\]"):
-        rep.h1loc_witnesses
-    with pytest.raises(AssertionError):
-        rep.to_json_dict()
+        h1loc_witnesses(eng)
 
 
 @pytest.mark.parametrize(
@@ -621,8 +631,7 @@ def assert_tables_match_reference(group, action, eng, coeff):
     """The packed tables of Z1, B1 and L equal the per-entry reference read
     from coeff, whose matrices may come from another walk: the value of a
     cocycle at an element does not depend on the walk."""
-    loc = cohom._locally_trivial(eng)
-    for sub in (eng.z1, eng.b1, loc):
+    for sub in (eng.z1, eng.b1, eng.loc):
         assert _tables(eng, sub) == per_entry_tables(group, action, coeff, sub)
 
 
@@ -784,7 +793,7 @@ def witness_check_cases():
         ex = make_example_group(p)
         groups.append((f"family-p{p}", ex.group, ModuleAction.standard(ex.group.ctx)))
         cases.append((f"family-p{p}-example", example_cocycle(ex)))
-        cases += [(f"family-p{p}-witness", w) for w in h1_loc(cohomology_engine(ex.group)).h1loc_witnesses]
+        cases += [(f"family-p{p}-witness", w) for w in h1loc_witnesses(cohomology_engine(ex.group))]
     for label, grp, action in groups:
         cases += [(label, Cocycle.from_flat(grp, action, flat)) for flat in cocycle_space(cohomology_engine(grp, action)).generators]
     return cases
@@ -911,7 +920,7 @@ def test_example_family_h1loc_nonempty(p):
     rep = h1_loc(engine)
     assert rep.h1loc_invariants != ()
     assert list(rep.h1loc_invariants) == h1_loc_via_restrictions(engine)
-    for w in rep.h1loc_witnesses:
+    for w in h1loc_witnesses(engine):
         assert is_cocycle(w)
         assert is_locally_trivial(w)
         assert is_coboundary(w) is None
@@ -988,10 +997,9 @@ def test_h1loc_conjugation_invariant():
 
 
 def all_invariants(grp):
-    """(z1, b1, h1, h1loc, via restrictions) of a group, from one engine."""
+    """The report of h1_loc and the restriction path of a group, from one engine."""
     engine = cohomology_engine(grp)
-    rep = h1_loc(engine)
-    return (rep.z1_invariants, rep.b1_invariants, rep.h1_invariants, rep.h1loc_invariants, h1_loc_via_restrictions(engine))
+    return h1_loc(engine), h1_loc_via_restrictions(engine)
 
 
 @settings(max_examples=25, deadline=None)
@@ -1026,6 +1034,23 @@ def test_conjugation_identity_on_the_census():
         moved += conj != grp
         assert all_invariants(conj) == all_invariants(grp), grp.to_spec_dict()
     assert moved == 510
+
+
+def test_sah_lemma_on_the_census():
+    # Sah's lemma: a central z with z - I invertible on M kills H^1. A scalar
+    # lambda*I is central, and lambda*I - I is invertible on (Z/p^n)^2
+    # exactly when lambda - 1 is a unit mod p.
+    gl2_f3 = close_group([Mat2(1, 1, 0, 1, Z3), Mat2(2, 0, 0, 1, Z3), Mat2(0, 2, 1, 0, Z3)], Z3)
+    ambients = [full_diagonal_group(Z9), full_diagonal_group(ModulusContext(5, 2)), gl2_f3]
+    counts = []
+    for ambient in ambients:
+        p, instances = ambient.ctx.p, 0
+        for grp in enumerate_subgroups(ambient):
+            if any(g.b == g.c == 0 and g.a == g.d and (g.a - 1) % p for g in grp):
+                instances += 1
+                assert h1(cohomology_engine(grp)) == [], grp.to_spec_dict()
+        counts.append(instances)
+    assert counts == [12, 64, 30]
 
 
 def test_two_h1loc_paths_agree_on_samples():
@@ -1183,11 +1208,11 @@ def test_normalize_rejects_non_locally_trivial():
 
 def test_report_serialization_shape():
     ex = make_example_group(3)
-    rep = h1_loc(cohomology_engine(ex.group))
-    d = rep.to_json_dict()
-    assert set(d) == {"z1", "b1", "h1", "h1loc", "witnesses"}
+    engine = cohomology_engine(ex.group)
+    d = h1_loc(engine).to_json_dict()
+    assert set(d) == {"z1", "b1", "h1", "h1loc"}
     assert d["h1loc"] and all(isinstance(x, int) for x in d["h1loc"])
-    assert all(len(v) == 2 for w in d["witnesses"] for v in w)
+    assert all(len(v) == 2 for w in h1loc_witnesses(engine) for v in w.values)
 
 
 @pytest.mark.parametrize("rank, coord, message", [(3, 0, "rank must be 1 or 2"), (1, 2, "coord must be 0 or 1")])
