@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from operator import lshift, mul
 from typing import NamedTuple, Optional
 
@@ -91,6 +90,7 @@ from .zmod import (
     _layout,
     _left_kernel,
     _pack,
+    _read_only,
     _slots,
     _words,
     annihilator,
@@ -102,7 +102,6 @@ from .zmod import (
 )
 
 
-@dataclass(frozen=True)
 class ModuleAction:
     """How a matrix group acts on a finite module.
 
@@ -112,15 +111,31 @@ class ModuleAction:
     acts by its corresponding diagonal entry.
     """
 
-    ctx: ModulusContext
-    rank: int
-    coord: int = 0
+    __slots__ = ("ctx", "rank", "coord")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        if self.rank not in (1, 2):
+    def __init__(self, ctx: ModulusContext, rank: int, coord: int = 0) -> None:
+        if rank not in (1, 2):
             raise ValueError("rank must be 1 or 2")
-        if self.coord not in (0, 1):
+        if coord not in (0, 1):
             raise ValueError("coord must be 0 or 1")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "coord", coord)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ModuleAction:
+            return NotImplemented
+        return (self.ctx, self.rank, self.coord) == (other.ctx, other.rank, other.coord)
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.rank, self.coord))
+
+    def __repr__(self) -> str:
+        return f"ModuleAction(ctx={self.ctx!r}, rank={self.rank!r}, coord={self.coord!r})"
+
+    def __reduce__(self):
+        return ModuleAction, (self.ctx, self.rank, self.coord)
 
     @classmethod
     def standard(cls, ctx: ModulusContext) -> "ModuleAction":
@@ -162,25 +177,37 @@ def _action_for(group: MatGroup, action: Optional[ModuleAction]) -> ModuleAction
     return action
 
 
-@dataclass(frozen=True)
 class Cocycle:
     """A 1-cocycle: a module value per group element, in canonical order."""
 
-    group: MatGroup
-    action: ModuleAction
-    values: tuple
+    __slots__ = ("group", "action", "values")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        if len(self.values) != len(self.group):
+    def __init__(self, group: MatGroup, action: ModuleAction, values: tuple) -> None:
+        if len(values) != len(group):
             raise ValueError("need one value per group element")
-        self.action._check_group(self.group)
-        N = self.action.ctx.modulus
-        object.__setattr__(
-            self, "values", tuple(tuple(e % N for e in v) for v in self.values)
-        )
-        for v in self.values:
-            if len(v) != self.action.rank:
-                raise ValueError("value rank does not match the module rank")
+        action._check_group(group)
+        N = action.ctx.modulus
+        values = tuple(tuple(e % N for e in v) for v in values)
+        if any(len(v) != action.rank for v in values):
+            raise ValueError("value rank does not match the module rank")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Cocycle:
+            return NotImplemented
+        return (self.group, self.action, self.values) == (other.group, other.action, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.action, self.values))
+
+    def __repr__(self) -> str:
+        return f"Cocycle(group={self.group!r}, action={self.action!r}, values={self.values!r})"
+
+    def __reduce__(self):
+        return Cocycle, (self.group, self.action, self.values)
 
     @classmethod
     def zero(cls, group: MatGroup, action: Optional[ModuleAction] = None) -> "Cocycle":
@@ -219,8 +246,7 @@ class Cocycle:
         return all(all(e == 0 for e in v) for v in self.values)
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     """Invariant factors of Z^1, B^1, H^1 and L/B^1; h1loc_witnesses
     builds the cocycles behind the last on request."""
 

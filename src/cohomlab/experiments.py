@@ -16,8 +16,7 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cohom import (
     Cocycle,
@@ -67,8 +66,7 @@ def _jsonable(value):
     return value
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     description: str
     expected: object
     actual: object
@@ -83,8 +81,7 @@ class Check:
         }
 
 
-@dataclass
-class ExperimentVerdict:
+class ExperimentVerdict(NamedTuple):
     name: str
     parameters: dict
     checks: list

@@ -8,15 +8,14 @@ values consumed by the falsification experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import WrongLevel
 from .matgrp import MatGroup, reduce_mod, stable_lines
 from .zmod import Submodule, kernel
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Group-level answers to the hypotheses of the triviality criterion."""
 
     has_fixed_point_of_exact_order_p: bool

@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
@@ -47,7 +46,7 @@ from .errors import (
     NonInvertibleGenerator,
     NotAUnit,
 )
-from .zmod import ModulusContext, _is_prime, unit_inverse
+from .zmod import ModulusContext, _is_prime, _read_only, unit_inverse
 
 DEFAULT_CAP = 5000
 # The most free lines a stable-line search scans (stable_lines); the p = 13
@@ -55,23 +54,21 @@ DEFAULT_CAP = 5000
 LINE_BUDGET = 100000
 
 
-@dataclass(frozen=True, order=True, slots=True)
 class Mat2:
     """2x2 matrix over Z/p^nZ, entries reduced on construction. Equal when
     the entries and the modulus agree; ordered by the entries alone."""
 
-    a: int
-    b: int
-    c: int
-    d: int
-    ctx: ModulusContext = field(compare=False)
+    __slots__ = ("a", "b", "c", "d", "ctx")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        N = self.ctx.modulus
-        object.__setattr__(self, "a", self.a % N)
-        object.__setattr__(self, "b", self.b % N)
-        object.__setattr__(self, "c", self.c % N)
-        object.__setattr__(self, "d", self.d % N)
+    def __init__(self, a: int, b: int, c: int, d: int, ctx: ModulusContext) -> None:
+        N = ctx.modulus
+        put = object.__setattr__
+        put(self, "a", a % N)
+        put(self, "b", b % N)
+        put(self, "c", c % N)
+        put(self, "d", d % N)
+        put(self, "ctx", ctx)
 
     @classmethod
     def identity(cls, ctx: ModulusContext) -> "Mat2":
@@ -102,6 +99,24 @@ class Mat2:
 
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.c, self.d, self.ctx.modulus))
+
+    def __lt__(self, other) -> bool:
+        return _key(self) < _key(other) if other.__class__ is Mat2 else NotImplemented
+
+    def __le__(self, other) -> bool:
+        return _key(self) <= _key(other) if other.__class__ is Mat2 else NotImplemented
+
+    def __gt__(self, other) -> bool:
+        return _key(self) > _key(other) if other.__class__ is Mat2 else NotImplemented
+
+    def __ge__(self, other) -> bool:
+        return _key(self) >= _key(other) if other.__class__ is Mat2 else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Mat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r}, ctx={self.ctx!r})"
+
+    def __reduce__(self):
+        return Mat2, (self.a, self.b, self.c, self.d, self.ctx)
 
     def row_list(self):
         return [[self.a, self.b], [self.c, self.d]]
@@ -552,8 +567,7 @@ class TripleParam(NamedTuple):
     c: int
 
 
-@dataclass(frozen=True)
-class ExampleGroup:
+class ExampleGroup(NamedTuple):
     """The order-2p^2 group generated by diag(1,-1), diag(1+p,1+p),
     and [[1, m*p],[p, 1]] over Z/p^2, with its three-parameter labeling."""
 

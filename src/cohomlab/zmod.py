@@ -30,10 +30,9 @@ import itertools
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, NotASubmodule, NotAUnit
 
@@ -57,16 +56,18 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+def _read_only(self, name: str, *value) -> None:
+    """__setattr__ and __delattr__ of the slotted records: fields are set once, in __init__."""
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 class ModulusContext:
     """The pair (p, n) fixing the ring Z/p^nZ."""
 
-    p: int
-    n: int
-    modulus: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("p", "n", "modulus")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        p, n = self.p, self.n
+    def __init__(self, p: int, n: int) -> None:
         if not isinstance(p, int) or isinstance(p, bool) or p < 2:
             raise ValueError(f"p must be prime, got {p!r}")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -77,7 +78,23 @@ class ModulusContext:
             raise ValueError(f"p^n must be at most 2^32, got {p}^{n}")
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p!r}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "modulus", p**n)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ModulusContext:
+            return NotImplemented
+        return self.p == other.p and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.n))
+
+    def __repr__(self) -> str:
+        return f"ModulusContext(p={self.p!r}, n={self.n!r})"
+
+    def __reduce__(self):
+        return ModulusContext, (self.p, self.n)
 
     def valuation(self, a: int) -> int:
         """p-adic valuation of the canonical representative (n for 0)."""
@@ -274,8 +291,7 @@ def _reduce_against(hrows: Sequence[Sequence[int]], vec: Sequence[int], ctx: Mod
     return res
 
 
-@dataclass(frozen=True)
-class Submodule:
+class Submodule(NamedTuple):
     """Submodule of (Z/p^nZ)^ambient_rank held by canonical generators.
 
     Generators are the Howell normal form of any spanning set, as tuples of

@@ -222,12 +222,12 @@ LARGE_COMPUTES = {
 
 @pytest.mark.parametrize("name", sorted(LARGE_COMPUTES))
 def test_compute_builds_no_matrix_per_element(tmp_path, capsys, monkeypatch, name):
-    # Every Mat2 comes from __init__, which runs __post_init__, or from
-    # Mat2._reduced; both are counted while compute runs on the group.
+    # Every Mat2 comes from __init__ or from Mat2._reduced; both are
+    # counted while compute runs on the group.
     gens, p, order, flags = LARGE_COMPUTES[name]
     built, groups = [], []
-    post_init, reduced, load = Mat2.__post_init__, Mat2._reduced.__func__, cli.load_group_spec
-    monkeypatch.setattr(Mat2, "__post_init__", lambda self: built.append(1) or post_init(self))
+    init, reduced, load = Mat2.__init__, Mat2._reduced.__func__, cli.load_group_spec
+    monkeypatch.setattr(Mat2, "__init__", lambda self, *args: built.append(1) or init(self, *args))
     monkeypatch.setattr(Mat2, "_reduced", classmethod(lambda cls, *args: built.append(1) or reduced(cls, *args)))
     monkeypatch.setattr(cli, "load_group_spec", lambda *args: groups.append(load(*args)) or groups[-1])
     spec = write_spec(tmp_path, {"p": p, "n": 2, "generators": gens})
@@ -308,6 +308,17 @@ def test_oversized_experiment_parameters_exit_at_once(flags):
     argv = [sys.executable, "-m", "cohomlab.cli", "experiment", *flags]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode in (2, 3) and proc.stdout == "" and proc.stderr.startswith("error: "), proc.stderr
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every cohomlab process pays its import; the records are NamedTuples
+    # and slotted classes, so nothing pulls in dataclasses and, through it,
+    # inspect, ast, dis and tokenize. -S leaves out the site hooks, which on
+    # some installations import inspect on their own.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cohomlab.__file__)))
+    code = "import sys, cohomlab.cli, cohomlab.experiments; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stdout + proc.stderr
 
 
 def test_one_engine_per_group_and_action(tmp_path, capsys, monkeypatch):

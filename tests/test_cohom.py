@@ -8,9 +8,10 @@ through ModuleAction. Expected cardinalities below were frozen from those
 runs.
 """
 
-import dataclasses
+import copy
 import functools
 import itertools
+import pickle
 from operator import mul
 
 import pytest
@@ -448,9 +449,31 @@ def test_report_holds_only_what_its_witnesses_need():
     assert len(eng.coeff.packed) == eng.coeff.done == len(grp)
     assert not any(hasattr(eng.coeff, name) for name in ("_coeff", "_order", "_times"))
     # a report is its four invariant lists and nothing else
-    assert [f.name for f in dataclasses.fields(CohomologyReport)] == ["z1_invariants", "b1_invariants", "h1_invariants", "h1loc_invariants"]
+    assert CohomologyReport._fields == ("z1_invariants", "b1_invariants", "h1_invariants", "h1loc_invariants")
     assert rep.to_json_dict() == {"z1": [3, 3, 9], "b1": [3, 9], "h1": [3], "h1loc": [3]}
     assert len(h1loc_witnesses(eng)) == 1
+
+
+def test_records_keep_their_value_semantics():
+    ctx = ModulusContext(3, 2)
+    assert ctx == ModulusContext(3, 2) and hash(ctx) == hash(ModulusContext(3, 2))
+    assert ctx.modulus == 9 and repr(ctx) == "ModulusContext(p=3, n=2)"
+    grp = close_group([Mat2.diagonal(2, 1, Z3)], Z3)
+    action = ModuleAction.standard(Z3)
+    cocycle = Cocycle(grp, action, ((0, 0), (4, -1)))
+    assert cocycle.values == ((0, 0), (1, 2)) and cocycle == Cocycle(grp, action, ((3, 0), (1, 2)))
+    for record in (ctx, Mat2(1, 2, 0, 4, Z9), action, cocycle):
+        assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+    report = h1_loc(cohomology_engine(grp))
+    for record, name in [
+        (ctx, "p"),
+        (action, "rank"),
+        (cocycle, "values"),
+        (Submodule.zero(2, Z3), "generators"),
+        (report, "h1_invariants"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
 
 
 def test_reports_compare_and_serialize_without_value_tables(monkeypatch):

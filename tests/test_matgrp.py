@@ -471,6 +471,7 @@ def test_mat2_equality_and_hash_see_the_modulus():
     assert len({mod3, mod9}) == 2 and {mod3: 3, mod9: 9}[mod3] == 3
     # the order stays on the entries alone
     assert not mod3 < mod9 and not mod9 < mod3 and Mat2(0, 1, 1, 0, Z9) < mod3
+    assert mod3 <= mod9 and mod3 >= mod9
 
 
 def _digest(groups):
