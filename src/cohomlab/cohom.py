@@ -229,6 +229,8 @@ class Cocycle:
         return tuple(itertools.chain.from_iterable(self.values))
 
     def add(self, other: "Cocycle") -> "Cocycle":
+        if (other.group, other.action) != (self.group, self.action):
+            raise ValueError("the cocycles are on different groups or actions")
         N = self.action.ctx.modulus
         vals = tuple(
             tuple((a + b) % N for a, b in zip(v, w)) for v, w in zip(self.values, other.values)

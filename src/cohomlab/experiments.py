@@ -304,13 +304,27 @@ def brute_quotient_invariants(s_set: set, t_set: set, ctx: ModulusContext) -> li
 # ---------------------------------------------------------------------------
 
 
-def _group_fingerprint(group: MatGroup) -> tuple:
-    """Conjugation-invariant signature used to spread search effort."""
+def _group_fingerprint(group: MatGroup, classes: dict) -> tuple:
+    """Conjugation-invariant signature used to spread search effort: the
+    order and the count of elements per (trace, det, order). classes maps
+    each element code one sampling has met to its key, and each key to
+    itself, so equal keys share one tuple; a code missing from it is walked
+    through its powers g^u up to g^m = 1, each entering with order m / gcd(u, m)."""
     N = group.ctx.modulus
     counts = {}
-    for code, order in zip(group.codes, group._power_walk.orders):
-        a, b, c, d = _entries(code, N)
-        key = ((a + d) % N, (a * d - b * c) % N, order)
+    for code in group.codes:
+        key = classes.get(code)
+        if key is None:
+            a, b, c, d = x, y, z, w = _entries(code, N)
+            powers = [(x, y, z, w)]
+            while powers[-1] != (1, 0, 0, 1):
+                x, y, z, w = (x * a + y * c) % N, (x * b + y * d) % N, (z * a + w * c) % N, (z * b + w * d) % N
+                powers.append((x, y, z, w))
+            m = len(powers)
+            for u, (x, y, z, w) in enumerate(powers, 1):
+                key = ((x + w) % N, (x * w - y * z) % N, m // math.gcd(u, m))
+                classes[((x * N + y) * N + z) * N + w] = classes.setdefault(key, key)
+            key = classes[code]
         counts[key] = counts.get(key, 0) + 1
     return (len(group), tuple(sorted(counts.items())))
 
@@ -381,6 +395,15 @@ def _curated_level2_generators(ctx: ModulusContext) -> list:
     return sets
 
 
+def _level2_generator_sets(ctx: ModulusContext, seed: int, count: int) -> list:
+    """The sampler's generator sets: the curated ones, then seeded random ones, count * 4 in all."""
+    rng = random.Random(seed)
+    gen_sets = _curated_level2_generators(ctx)
+    while len(gen_sets) < count * 4:
+        gen_sets.append([_random_matrix(rng, ctx) for _ in range(rng.randrange(1, 4))])
+    return gen_sets
+
+
 def sample_level2_groups(
     p: int,
     seed: int,
@@ -392,16 +415,14 @@ def sample_level2_groups(
     The first count of the distinct closures of the generator sets
     (matgrp.distinct_closures), at most four per conjugation-invariant
     fingerprint, so the budget spreads over genuinely different groups.
+    One table of element classes serves every fingerprint of the call.
     tick is called before each generator set is closed; when it finds the
     budget spent, the error names the generator set reached.
     """
     if count <= 0:
         return []
     ctx = ModulusContext(p, 2)
-    rng = random.Random(seed)
-    gen_sets = list(_curated_level2_generators(ctx))
-    while len(gen_sets) < count * 4:
-        gen_sets.append([_random_matrix(rng, ctx) for _ in range(rng.randrange(1, 4))])
+    gen_sets = _level2_generator_sets(ctx, seed, count)
 
     def ticked():
         for index, gens in enumerate(gen_sets):
@@ -410,9 +431,10 @@ def sample_level2_groups(
             yield gens
 
     fingerprints = Counter()
+    classes = {}
     out = []
     for grp in distinct_closures(ticked(), ctx):
-        fp = _group_fingerprint(grp)
+        fp = _group_fingerprint(grp, classes)
         fingerprints[fp] += 1
         if fingerprints[fp] <= 4:
             out.append(grp)

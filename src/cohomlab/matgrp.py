@@ -12,8 +12,8 @@ two lookups per code in the generator's row tables. It picks the
 generating set, of close_group and of a group built from an element list
 alike. No group stores its products: the cocycle walk in cohom multiplies
 its own frontier of codes through _Right, a batch per generator.
-distinct_closures closes a run of generator sets and drops a repeated
-group before it is built.
+distinct_closures closes a run of generator sets and stops the walk of a
+repeated group at half its order, by Lagrange, before it is built.
 
 A second lazy walk on codes, the power walk, visits every cyclic subgroup
 once from its least generator. It gives cyclic_subgroups,
@@ -272,7 +272,7 @@ class _Right:
         return [hi[top] + lo[bottom] for top, bottom in map(divmod, block, itertools.repeat(NN))]
 
 
-def _grow_span(candidates: Iterable[int], N: int, cap: float) -> tuple:
+def _grow_span(candidates: Iterable[int], N: int, cap: float, within: float = math.inf) -> Optional[tuple]:
     """Greedy generating set of the candidates and the group it generates,
     by Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
     Groups, LNCS 559, 1991), on codes.
@@ -283,6 +283,11 @@ def _grow_span(candidates: Iterable[int], N: int, cap: float) -> tuple:
     multiplied in one batch (_Right). The cosets are closed under the
     generators, so in a finite group they make up the group generated.
     CapExceeded is raised before a coset would take the span past cap.
+
+    within is the order of a group known to hold every candidate; by
+    Lagrange a span of more than within/2 elements is that group, so the
+    walk returns None once it gets there: after each coset, and at the end
+    for a span of one element.
 
     Returns (the kept candidates, the codes of the span, each once).
     """
@@ -310,18 +315,23 @@ def _grow_span(candidates: Iterable[int], N: int, cap: float) -> tuple:
                 block = [rt, *times(found[start + 1 : start + size])]
                 members.update(zip(block, itertools.repeat(None)))
                 found += block
-    return kept, found
+                if 2 * len(found) > within:
+                    return None
+    return None if 2 * len(found) > within else (kept, found)
 
 
-def _close_walk(gens: Iterable[Mat2], ctx: ModulusContext, cap: float) -> tuple:
-    """Check the generators and return _grow_span of them."""
+def _close_walk(gens: Iterable[Mat2], ctx: ModulusContext, cap: float, groups=()) -> Optional[tuple]:
+    """Check the generators and return _grow_span of them, within the
+    smallest of groups that holds every generator (by code), if any."""
     gens = list(gens)
     for g in gens:
         if g.ctx != ctx:
             raise ValueError("generator modulus mismatch")
         if not g.is_invertible():
             raise NonInvertibleGenerator(f"generator {g.row_list()} has determinant divisible by {ctx.p}")
-    return _grow_span([_code(_key(g), ctx.modulus) for g in gens], ctx.modulus, cap)
+    codes = [_code(_key(g), ctx.modulus) for g in gens]
+    within = min((len(h) for h in groups if all(c in h._position for c in codes)), default=math.inf)
+    return _grow_span(codes, ctx.modulus, cap, within)
 
 
 def _build(kept: list, codes: tuple, ctx: ModulusContext) -> "MatGroup":
@@ -343,22 +353,20 @@ def close_group(gens: Iterable[Mat2], ctx: ModulusContext, cap: int = DEFAULT_CA
 def distinct_closures(gen_sets: Iterable[Iterable[Mat2]], ctx: ModulusContext):
     """The groups the generator sets generate, in order, each group once.
 
-    A set whose closure passes DEFAULT_CAP elements is skipped. A closure
-    whose sorted codes, the key of MatGroup equality, belong to a group
-    already yielded is dropped before its group is built. The next set is
-    drawn only when the next group is asked for, so a caller may stop early.
+    A set whose closure passes DEFAULT_CAP elements is skipped. A walk that
+    generates a group already yielded stops at half its order (_close_walk)
+    and builds nothing. The next set is drawn only when the next group is
+    asked for, so a caller may stop early.
     """
-    seen = set()  # the codes of the groups yielded
+    yielded = []
     for gens in gen_sets:
         try:
-            kept, found = _close_walk(gens, ctx, DEFAULT_CAP)
+            walk = _close_walk(gens, ctx, DEFAULT_CAP, yielded)
         except CapExceeded:
             continue
-        codes = tuple(sorted(found))
-        if codes in seen:
-            continue
-        seen.add(codes)
-        yield _build(kept, codes, ctx)
+        if walk is not None:
+            yielded.append(_build(walk[0], tuple(sorted(walk[1])), ctx))
+            yield yielded[-1]
 
 
 class _PowerWalk(NamedTuple):

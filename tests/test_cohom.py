@@ -1076,6 +1076,44 @@ def test_sah_lemma_on_the_census():
     assert counts == [12, 64, 30]
 
 
+def embeds(small, large) -> bool:
+    """Whether a finite abelian p-group with the invariant factors small
+    embeds in one with the invariant factors large: sorted from the largest,
+    each factor of small divides the factor of large at its place."""
+    small, large = sorted(small, reverse=True), sorted(large, reverse=True)
+    return len(small) <= len(large) and all(b % a == 0 for a, b in zip(small, large))
+
+
+def test_restriction_identity_on_the_census():
+    # Restriction to a Sylow p-subgroup P of G is injective on H^1, since
+    # corestriction after it is multiplication by the index, a unit on the
+    # p-group H^1 (Brown, Cohomology of Groups, III.10). A locally trivial
+    # cocycle restricts to one, so L/B^1(G) maps injectively into L/B^1(P).
+    Z4 = ModulusContext(2, 2)
+    gl2_z4 = close_group([Mat2(1, 1, 0, 1, Z4), Mat2(0, 1, 1, 0, Z4), Mat2(3, 0, 0, 1, Z4)], Z4)
+    gl2_f3 = close_group([Mat2(1, 1, 0, 1, Z3), Mat2(2, 0, 0, 1, Z3), Mat2(0, 2, 1, 0, Z3)], Z3)
+    counts = []
+    for ambient in (gl2_z4, gl2_f3, full_diagonal_group(Z9)):
+        p, subs = ambient.ctx.p, enumerate_subgroups(ambient)
+        reports = [h1_loc(cohomology_engine(grp)) for grp in subs]
+        checked = h1_nonzero = loc_nonzero = h1_moved = 0
+        for grp, rep in zip(subs, reports):
+            sylow_order = p ** next(k for k in itertools.count() if len(grp) // p**k % p)
+            if sylow_order == len(grp):
+                continue
+            inside = set(grp.codes)
+            sylow = next(i for i, h in enumerate(subs) if len(h) == sylow_order and inside.issuperset(h.codes))
+            low = reports[sylow]
+            assert embeds(rep.h1_invariants, low.h1_invariants), grp.to_spec_dict()
+            assert embeds(rep.h1loc_invariants, low.h1loc_invariants), grp.to_spec_dict()
+            checked += 1
+            h1_nonzero += rep.h1_invariants != ()
+            loc_nonzero += rep.h1loc_invariants != ()
+            h1_moved += rep.h1_invariants != low.h1_invariants
+        counts.append((checked, h1_nonzero, loc_nonzero, h1_moved))
+    assert counts == [(50, 10, 7, 27), (50, 4, 0, 14), (24, 4, 0, 10)]
+
+
 def test_two_h1loc_paths_agree_on_samples():
     groups = [
         SIGMA3,
@@ -1251,3 +1289,20 @@ def test_module_action_rejects_bad_rank_and_coord(rank, coord, message):
 def test_cocycle_rejects_bad_values(values, message):
     with pytest.raises(ValueError, match=message):
         Cocycle(TRIVIAL9, ModuleAction.standard(Z9), values)
+
+
+def test_cocycle_sum_needs_one_group_and_action():
+    # two groups of order 2 mod 3: zipping their value tuples would mix them
+    left = close_group([Mat2.diagonal(1, 2, Z3)], Z3)
+    right = close_group([Mat2.diagonal(2, 1, Z3)], Z3)
+    std = ModuleAction.standard(Z3)
+    z = Cocycle(left, std, ((0, 0), (0, 1)))
+    with pytest.raises(ValueError, match="different groups or actions"):
+        z.add(Cocycle(right, std, ((0, 0), (1, 0))))
+    with pytest.raises(ValueError, match="different groups or actions"):
+        z.sub(Cocycle(right, std, ((0, 0), (1, 0))))
+    line = ModuleAction.line_of(Z3, 1)
+    with pytest.raises(ValueError, match="different groups or actions"):
+        Cocycle(left, line, ((0,), (1,))).add(Cocycle(left, ModuleAction.line_of(Z3, 0), ((0,), (0,))))
+    assert z.add(z) == Cocycle(left, std, ((0, 0), (0, 2)))
+    assert z.sub(z).is_zero()

@@ -6,10 +6,13 @@ import json
 import pytest
 
 from cohomlab.cohom import ModuleAction, cohomology_engine, h1_loc
-from cohomlab.errors import BudgetExceeded
+from cohomlab import matgrp
+from cohomlab.errors import BudgetExceeded, CapExceeded
 from cohomlab.experiments import (
     _Run,
     _curated_mod4_groups,
+    _group_fingerprint,
+    _level2_generator_sets,
     _qualifying_diagonals,
     ExperimentVerdict,
     Check,
@@ -25,7 +28,15 @@ from cohomlab.experiments import (
     verify_shape_lemma,
     verify_structure_props,
 )
-from cohomlab.matgrp import Mat2, close_group, cyclic_subgroups, find_triangularizing_conjugator, reduce_mod
+from cohomlab.matgrp import (
+    DEFAULT_CAP,
+    Mat2,
+    close_group,
+    cyclic_subgroups,
+    distinct_closures,
+    find_triangularizing_conjugator,
+    reduce_mod,
+)
 from cohomlab.zmod import ModulusContext
 
 
@@ -223,6 +234,54 @@ def test_sampling_is_pinned(p, seed):
     rows = [[g.row_list() for g in grp.elements] for grp in groups]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert (len(groups), sum(map(len, groups)), digest) == SAMPLE_DIGESTS[p, seed]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_fingerprint_matches_the_power_walk_definition(p):
+    # the element-class table shared by one sampling gives every group the
+    # fingerprint read off its own power walk: (trace, det, order) counts
+    classes = {}
+    for grp in sample_level2_groups(p, 0, 80):
+        counts = {}
+        for g, order in zip(grp.elements, grp._power_walk.orders):
+            key = (g.trace(), g.det(), order)
+            counts[key] = counts.get(key, 0) + 1
+        assert _group_fingerprint(grp, classes) == (len(grp), tuple(sorted(counts.items())))
+    # one key tuple per class, shared by every element code of that class
+    keys = [key for code, key in classes.items() if isinstance(code, int)]
+    assert len({id(key) for key in keys}) == len(set(keys)) == len(classes) - len(keys)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distinct_closures_match_closing_every_set(seed):
+    ctx = ModulusContext(3, 2)
+    gen_sets = _level2_generator_sets(ctx, seed, 80)
+    want, seen = [], set()
+    for gens in gen_sets:
+        try:
+            grp = close_group(gens, ctx, DEFAULT_CAP)
+        except CapExceeded:
+            continue
+        if grp not in seen:
+            seen.add(grp)
+            want.append(grp)
+    got = list(distinct_closures(gen_sets, ctx))
+    assert [(g.codes, g.generating_set) for g in got] == [(g.codes, g.generating_set) for g in want]
+
+
+def test_sampling_skips_repeated_walks_and_power_walks(monkeypatch):
+    # at p = 3, seed 0, the sampler closes 123 generator sets; 43 generate a
+    # group already yielded and stop at half its order. Only the groups whose
+    # locally trivial quotient needs class representatives build a power
+    # walk: 35 of the search's 81 groups.
+    walks, power_walks = [], []
+    close_walk, power_walk = matgrp._close_walk, matgrp._PowerWalk
+    monkeypatch.setattr(matgrp, "_close_walk", lambda *args: walks.append(close_walk(*args)) or walks[-1])
+    sample_level2_groups(3, 0, 80)
+    assert (len(walks), walks.count(None)) == (123, 43)
+    monkeypatch.setattr(matgrp, "_PowerWalk", lambda *args: power_walks.append(args) or power_walk(*args))
+    falsify_main_theorem(3, seed=0)
+    assert len(power_walks) == 35
 
 
 # verify_structure_props(3, seed) parameters (candidates, local-vanishing,

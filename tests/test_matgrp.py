@@ -410,6 +410,29 @@ def test_walk_at_a_large_modulus_builds_no_row_table(monkeypatch):
     assert built == []
 
 
+def test_close_walk_stops_at_half_of_a_known_group():
+    # a span of more than half of a group H that holds the generators is H
+    # (Lagrange), so the walk returns None there; a proper subgroup of H has
+    # at most half its order and is walked to the end
+    upper, lower, scale = Mat2(1, 1, 0, 1, Z3), Mat2(1, 0, 1, 1, Z3), Mat2.diagonal(2, 1, Z3)
+    sl2 = close_group([upper, lower], Z3)
+    gl2 = close_group([upper, lower, scale], Z3)
+    trivial = close_group([], Z3)
+    assert (len(trivial), len(sl2), len(gl2)) == (1, 24, 48)
+    walk = matgrp._close_walk
+    assert walk([upper, lower, scale], Z3, 100, [gl2]) is None
+    assert walk([scale, upper, lower], Z3, 100, [trivial, sl2, gl2]) is None
+    assert walk([upper, lower], Z3, 100, [gl2, sl2]) is None
+    kept, found = walk([upper, lower], Z3, 100, [gl2])
+    assert (kept, sorted(found)) == ([matgrp._code(matgrp._key(g), 3) for g in (upper, lower)], list(sl2.codes))
+    assert walk([], Z3, 100, [gl2, trivial]) is None
+    assert walk([Mat2.identity(Z3)], Z3, 100, [trivial]) is None
+    assert walk([], Z3, 100, [sl2]) == ([], [trivial.codes[0]])
+    # a generator outside every group given: a plain walk
+    kept, found = walk([scale], Z3, 100, [trivial, sl2])
+    assert len(found) == 2
+
+
 @pytest.mark.parametrize("N", [2, 9, 25, 65521**2, 2**32])
 def test_codes_sort_as_entry_tuples(N):
     # at N = 2^32 the codes pass 2^64 (2^128 at the top), so Python ints are needed
