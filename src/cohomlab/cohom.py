@@ -51,7 +51,9 @@ cyclic subgroup is conjugate to a representative
   h in C: the pairs (x, v) whose restricted table is the coboundary of -v
   on all of C. The annihilator of its projection onto x gives the rows.
   Its size is r|C| x (kr + r), linear in |C|, and each C costs two
-  eliminations.
+  eliminations. The matrix goes to the first one by columns: the kr
+  columns of the coeff[h] as word slices of their packed ints, and the r
+  columns of the h - I read off the element codes.
 
 For a cyclic group, a value in the image of g - I at its generator g is
 exactly coboundary-ness on <g>, so the two agree; the cross-check is that
@@ -60,19 +62,23 @@ they are computed independently.
 Value tables, one module element per group element in canonical order, are
 built only for the public cocycle_space and locally_trivial_subspace, and
 for the witnesses of a nonzero L/B1, as combinations of the packed columns
-of coeff (_tables); coboundary_space spans its tables from every element,
-apart from the engine. Only _tables, L and the restriction path read
-coeff, which stays packed until then. The report of h1_loc holds the four
-invariant lists alone; h1loc_witnesses builds the witnesses on request:
-the Smith reduction of the table form of L/B1 (zmod.quotient_decomposition),
-whose invariants must equal those found in M^k, and the self-checks. A
-witness is checked by solves of generator size and walks through the
-maximal cyclic subgroups <g>, which cover G: is_coboundary solves on the
-generating set and compares Z with the coboundary, which coboundary_of
-forms by w <- g.w; is_locally_trivial solves Z_g = (g - I)v once per <g>
-and runs w <- g.w + Z_g through (g^u - I)v, which Z_{g^u} equals for a
-cocycle by the first fact. Values left unproven, only in a non-cocycle,
-are tested alone.
+of coeff (_tables), spanned as packed rows; coboundary_space spans its
+tables from every element, apart from the engine. Only _tables, L and the
+restriction path read coeff, which stays packed until then. The report of
+h1_loc holds the four invariant lists alone; h1loc_witnesses builds the
+witnesses on request: the Smith reduction of the table form of L/B1
+(zmod.quotient_decomposition), whose invariants must equal those found in
+M^k, and the self-checks. Its table-sized steps, the containment check,
+the witness combination and the reduction modulo B1, run on rows packed
+as in zmod, and each witness Cocycle is built from the slots of its
+reduced row. A witness is checked by solves of generator size and walks
+through the maximal cyclic subgroups <g>, which cover G: is_coboundary
+solves on the generating set and compares Z with the coboundary, which
+coboundary_of forms by w <- g.w; is_locally_trivial solves
+Z_g = (g - I)v once per <g> and runs w <- g.w + Z_g through (g^u - I)v,
+which Z_{g^u} equals for a cocycle by the first fact, on the two
+coordinates of w. Values left unproven, only in a non-cocycle, are tested
+alone.
 """
 
 from __future__ import annotations
@@ -87,11 +93,12 @@ from .matgrp import Mat2, MatGroup, _code, _entries, _key, _Right, close_group, 
 from .zmod import (
     ModulusContext,
     Submodule,
+    _combine,
     _layout,
     _left_kernel,
     _pack,
     _read_only,
-    _slots,
+    _span_packed,
     _words,
     annihilator,
     kernel,
@@ -187,10 +194,10 @@ class Cocycle:
         if len(values) != len(group):
             raise ValueError("need one value per group element")
         action._check_group(group)
-        N = action.ctx.modulus
-        values = tuple(tuple(e % N for e in v) for v in values)
-        if any(len(v) != action.rank for v in values):
+        N, r = action.ctx.modulus, action.rank
+        if set(map(len, values)) - {r}:
             raise ValueError("value rank does not match the module rank")
+        values = tuple(zip(*[iter([e % N for v in values for e in v])] * r))
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "values", values)
@@ -219,8 +226,7 @@ class Cocycle:
         r = action.rank
         if len(flat) != r * len(group):
             raise ValueError(f"need {r * len(group)} flat values, rank times the group order, got {len(flat)}")
-        vals = tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(len(group)))
-        return cls(group, action, vals)
+        return cls(group, action, tuple(zip(*[iter(flat)] * r)))
 
     def value_of(self, g: Mat2) -> tuple:
         return self.values[self.group.position(g)]
@@ -327,7 +333,7 @@ def _propagate(group: MatGroup, action: ModuleAction, b1: Submodule):
         raw = _left_kernel([words[j::rk] for j in range(rk)], len(rows), ctx)
         if last:
             return coeff, Submodule.span(raw, rk, ctx)
-        if all(map(b1.contains, raw)):
+        if b1._contains_all(raw):
             return coeff, b1
         done *= 2
 
@@ -441,12 +447,23 @@ def _all_entries(group: MatGroup) -> list:
     return [_entries(c, N) for c in group.codes]
 
 
+def _minus_identity_columns(action: ModuleAction, entries) -> list:
+    """The r columns, as lists, of the matrix that stacks the r x r blocks
+    g - I over the listed entries (a, b, c, d): column j holds column j of
+    each block in turn."""
+    r, N = action.rank, action.ctx.modulus
+    flat = [e for x in entries for row in action._act_entries(x) for e in row]
+    columns = [flat[b::r] for b in range(r)]
+    for b, col in enumerate(columns):
+        col[b::r] = [(e - 1) % N for e in col[b::r]]
+    return columns
+
+
 def _coboundary_span(entries, action: ModuleAction) -> Submodule:
     """Span of the tables g -> (g - I)e_j over the listed entries: table j
-    lists column j of every g - I."""
-    diffs = [_minus_identity(action, x) for x in entries]
-    tables = [[row[j] for d in diffs for row in d] for j in range(action.rank)]
-    return Submodule.span(tables, action.rank * len(diffs), action.ctx)
+    is column j of the stacked g - I."""
+    tables = _minus_identity_columns(action, entries)
+    return Submodule.span(tables, len(tables[0]), action.ctx)
 
 
 class Engine(NamedTuple):
@@ -515,24 +532,15 @@ def _locally_trivial(engine: Engine) -> Submodule:
 def _tables(engine: Engine, sub: Submodule) -> Submodule:
     """A submodule of M^k carried to value tables in M^|G|: the table of z
     is sum_j z_j col_j over the rk columns of the stacked coeff[h], each
-    packed into one int of r|G| slots of zmod._layout. The Barrett
-    reduction after each term is exact: every slot is below N + (N-1)^2 < N^2.
+    packed into one int of r|G| slots of zmod._layout, combined and
+    spanned as packed rows (zmod._combine, zmod._span_packed).
     """
     coeff, ctx = engine.coeff, engine.action.ctx
     N, count = ctx.modulus, coeff.r * len(engine.group)
     lay = _layout(N, count)
-    _, size, s, m, qmask = lay[:5]
     words = _words(coeff.packed, coeff.r * coeff.rk, coeff.size)
     columns = [_pack(words[j :: coeff.rk], lay) for j in range(coeff.rk)]
-    tables = []
-    for z in sub.generators:
-        x = 0
-        for c, col in zip(z, columns):
-            if c:
-                x += c * col
-                x -= ((x * m >> s) & qmask) * N
-        tables.append(x)
-    return Submodule.span(_slots(tables, size, count), count, ctx)
+    return _span_packed([_combine(z, columns, lay, N) for z in sub.generators], count, ctx)
 
 
 def cocycle_space(engine: Engine) -> Submodule:
@@ -611,9 +619,12 @@ def h1_loc_via_restrictions(engine: Engine) -> list:
     class of G suffices (MatGroup._class_representatives). Per C
     the pairs (x, -v) doing so form the kernel of the (r|C|) x (kr + r)
     matrix B with a block [coeff[h] | h - I] per h, found as the left
-    kernel of B^T, which is built by columns; its projection P_C onto x is
-    cut out by the annihilator of P_C, the left kernel of P_C^T, since
-    annihilators are reflexive over Z/p^n. That is two eliminations per C.
+    kernel of B^T, which is built by columns: the kr columns of the
+    coeff[h] are word slices of their packed ints, as in _propagate, and
+    the r columns of the h - I come from the element codes. The projection
+    P_C of that kernel onto x is cut out by the annihilator of P_C, the
+    left kernel of P_C^T, since annihilators are reflexive over Z/p^n.
+    That is two eliminations per C.
     Those rows, stacked onto the annihilator of Z^1, give the intersection
     of the restriction kernels, reduced modulo B^1(G). The whole table on C
     is tested against the whole coboundary definition, never one value at a
@@ -626,14 +637,14 @@ def h1_loc_via_restrictions(engine: Engine) -> list:
         return []
     dim = b1.ambient_rank
     ctx = action.ctx
-    codes, G = group.codes, group.ctx.modulus
+    codes, G, packed = group.codes, group.ctx.modulus, coeff.packed
     restricted = set()
     for powers in group._class_representatives:
-        xs = [crow for m in coeff.at(powers) for crow in m]
-        vs = [vrow for h in powers for vrow in _minus_identity(action, _entries(codes[h], G))]
-        pairs = _left_kernel([*zip(*xs), *zip(*vs)], len(xs), ctx)
-        projection = [y[:dim] for y in pairs]
-        ann = _left_kernel(list(zip(*projection)), len(projection), ctx)
+        words = _words([packed[h] for h in powers], coeff.r * dim, coeff.size)
+        xcols = [words[j::dim] for j in range(dim)]
+        vcols = _minus_identity_columns(action, [_entries(codes[h], G) for h in powers])
+        pairs = _left_kernel([*xcols, *vcols], coeff.r * len(powers), ctx)
+        ann = _left_kernel([*zip(*pairs)][:dim], len(pairs), ctx)
         restricted.update(tuple(a) for a in ann if any(a))
     return quotient_invariants(kernel([*rows, *restricted], dim, ctx), b1)
 
@@ -682,7 +693,9 @@ def is_locally_trivial(z: Cocycle) -> bool:
     """Whether each single value Z_g lies in the image of g - I: one solve
     Z_g = (g - I)v per maximal cyclic subgroup <g>, then w <- g.w + Z_g runs
     through (g^u - I)v and proves each power with Z_{g^u} = w. An element no
-    power proves, only possible in a table not a cocycle, is tested alone."""
+    power proves, only possible in a table not a cocycle, is tested alone.
+    The step runs on the two coordinates of w, the action of a line module
+    padded to 2 x 2 so that its second coordinate stays 0."""
     group, action, values = z.group, z.action, z.values
     N, G, r, codes = action.ctx.modulus, group.ctx.modulus, action.rank, group.codes
     proven = bytearray(len(values))
@@ -690,10 +703,13 @@ def is_locally_trivial(z: Cocycle) -> bool:
         g, zg = _entries(codes[powers[0]], G), values[powers[0]]
         if solve_linear(_minus_identity(action, g), r, zg, action.ctx) is None:
             return False
-        rows, w = action._act_entries(g), (0,) * r
+        act = action._act_entries(g)
+        (a, b), (c, d) = act if r == 2 else ((act[0][0], 0), (0, 0))
+        z0, z1 = zg if r == 2 else (zg[0], 0)
+        w0 = w1 = 0
         for h in powers:
-            w = tuple((sum(map(mul, row, w)) + e) % N for row, e in zip(rows, zg))
-            proven[h] |= values[h] == w
+            w0, w1 = (a * w0 + b * w1 + z0) % N, (c * w0 + d * w1 + z1) % N
+            proven[h] |= values[h] == (w0, w1)[:r]
     return all(proven) or all(
         proven[i] or solve_linear(_minus_identity(action, _entries(code, G)), r, values[i], action.ctx) is not None
         for i, code in enumerate(codes)

@@ -101,7 +101,7 @@ def _disjoint_pair(big, small) -> bool:
 
     For c2 of prime order that is a trivial intersection of c1 and c2.
     """
-    return any(not all(c1.contains(w) for w in c2.generators) for c1 in big for c2 in small)
+    return any(not c2.le(c1) for c1 in big for c2 in small)
 
 
 def isogeny_condition_p3(group: MatGroup) -> bool:

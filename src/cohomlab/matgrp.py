@@ -49,9 +49,10 @@ from .errors import (
 from .zmod import ModulusContext, _is_prime, _read_only, unit_inverse
 
 DEFAULT_CAP = 5000
-# The most free lines a stable-line search scans (stable_lines); the p = 13
-# family at level 2 has 182, and a scan of this many takes about 0.1 s.
-LINE_BUDGET = 100000
+# The most free lines one level of a stable-line search checks
+# (stable_lines): the two stable lines of <diag(-1, 1)> mod 65521 have
+# 131042 lifts mod 65521^2, and a scan of this many takes about 0.2 s.
+LINE_BUDGET = 1 << 18
 
 
 class Mat2:
@@ -805,20 +806,33 @@ def stable_lines(group: MatGroup, k: int) -> list:
     1 <= k <= n, as their representatives w in _projective_line_reps order.
 
     Two primitive vectors span the same line iff they differ by a unit
-    factor, so scaling the first unit coordinate to 1 picks one w per line,
-    and there are p^(k-1)(p+1) of them. A line stable under a generating
-    set is stable under the group. The scan raises BudgetExceeded before it
-    starts when the line count exceeds LINE_BUDGET.
+    factor, so scaling the first unit coordinate to 1 picks one w per line.
+    A line stable under a generating set is stable under the group. A line
+    stable mod p^j reduces to a line stable mod p^(j-1), so the scan goes
+    level by level: the p + 1 lines mod p, then at each level the p lifts
+    (1, y + t p^(j-1)) or (x + t p^(j-1), 1) of each stable line (1, y) or
+    (x, 1) one level down. Its cost follows the number of stable lines,
+    not the p^(k-1)(p+1) lines of level k. Each level raises BudgetExceeded
+    before its scan starts when it would check more than LINE_BUDGET lines.
     """
     p, n = group.ctx.p, group.ctx.n
     if not 1 <= k <= n:
         raise ValueError(f"line level must lie in 1..{n}, got {k}")
-    N = p**k
-    count = N // p * (p + 1)
-    if count > LINE_BUDGET:
-        raise BudgetExceeded(f"stable-line search over the {count} free lines of (Z/{N})^2 exceeds budget {LINE_BUDGET}")
     gens = group.generating_set
-    return [w for w in _projective_line_reps(p, N) if all(_fixes_line(g, w, N) for g in gens)]
+    N, lines = 1, None
+    while N < p**k:
+        count = p + 1 if lines is None else p * len(lines)
+        if count > LINE_BUDGET:
+            raise BudgetExceeded(
+                f"stable-line search over the {count} free lines of (Z/{N * p})^2 exceeds budget {LINE_BUDGET}"
+            )
+        if lines is None:
+            candidates = _projective_line_reps(p, p)
+        else:
+            candidates = [(1, y + t * N) if x == 1 else (x + t * N, 1) for x, y in lines for t in range(p)]
+        N *= p
+        lines = [w for w in candidates if all(_fixes_line(g, w, N) for g in gens)]
+    return sorted(lines, key=lambda w: (w[0] != 1, w[1] if w[0] == 1 else w[0]))
 
 
 def find_triangularizing_conjugator(group: MatGroup) -> Optional[Mat2]:

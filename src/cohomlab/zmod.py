@@ -11,14 +11,19 @@ kernels and solutions come from the same elimination, run on the rows
 with an identity block appended.  The elimination packs each row into
 one int of fixed-width slots (Lamport, CACM 1975), so a row operation is
 a few big-int operations that reduce every entry at once (Barrett,
-CRYPTO '86); callers unpack only the rows and columns they read.
+CRYPTO '86); callers unpack only the rows and columns they read.  The
+greedy reduction behind membership, containment, coset representatives
+and solve_linear is the same row operation on packed rows (_reduce), and
+a caller that already holds packed rows, such as the value tables of
+cohom, spans them without unpacking (_span_packed).
 
 Quotients of finite modules are reported through their invariant factors.
 quotient_invariants reads them off the orders |p^j S + T| of Howell spans,
 n - 1 spans per quotient and no relation matrix; quotient_decomposition,
 which also returns a witness vector per factor, lifts the relation matrix
 to the integers (appending the p^n-multiple relations) and reduces it to
-diagonal Smith form, whose column basis gives the witnesses.
+diagonal Smith form, whose column basis gives the witnesses, each formed
+as a combination of the packed generators.
 
 Vectors are tuples of plain Python integers and matrices are sequences of
 such rows; p^n never leaves the exact range.
@@ -190,10 +195,33 @@ def _pack(row, lay: tuple) -> int:
     return x
 
 
+def _pack_rows(rows: Sequence[Sequence[int]], lay: tuple, N: int) -> list:
+    """Each row packed (_pack); when some entry lies outside [0, N), every
+    row is reduced mod N first."""
+    try:
+        return [_pack(row, lay) for row in rows]
+    except (TypeError, OverflowError):
+        return [_pack([int(e) % N for e in row], lay) for row in rows]
+
+
 def _howell(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext):
     """Howell elimination over Z/p^n, pivoting on the first ncols columns.
 
-    Returns (work, r, size), rows packed in slots of size bytes (_slots).
+    Returns (work, r, size): the rows packed in slots of size bytes
+    (_layout, _slots) and worked by _eliminate, whose first r rows carry
+    the Howell form of the leading block.
+    """
+    if not rows:
+        return [], 0, 1
+    lay = _layout(ctx.modulus, len(rows[0]))
+    work = _pack_rows(rows, lay, ctx.modulus)
+    return work, _eliminate(work, ncols, lay, ctx), lay[1]
+
+
+def _eliminate(work: list, ncols: int, lay: tuple, ctx: ModulusContext) -> int:
+    """Howell elimination of packed rows in place, pivoting on the first
+    ncols slots; returns the number r of pivot rows.
+
     Row operations act on whole rows, so columns past ncols ride along: the
     first r rows carry the Howell form of the leading block, the rest vanish on it.
     Appending p^(n-v) multiples of every pivot row of valuation v > 0 is
@@ -203,18 +231,10 @@ def _howell(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext):
     (a - q*b) mod N is a + q*(N*ones - b) and one reduction, and the next
     pivot column is the lowest nonzero slot of the OR of the rows from r.
     """
-    if not rows:
-        return [], 0, 1
     N, p, nexp = ctx.modulus, ctx.p, ctx.n
-    count = len(rows[0])
-    lay = _layout(N, count)
-    W, size, s, m, qmask, lift, _, _ = lay
+    W, _, s, m, qmask, lift, _, _ = lay
     slot = (1 << W) - 1
     leading = (1 << W * ncols) - 1
-    try:
-        work = [_pack(row, lay) for row in rows]
-    except (TypeError, OverflowError):
-        work = [_pack([int(e) % N for e in row], lay) for row in rows]
     r = 0
     while r < len(work):
         below = 0
@@ -255,7 +275,38 @@ def _howell(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext):
             x = p ** (nexp - bestv) * wr
             work.append(x - ((x * m >> s) & qmask) * N)
         r += 1
-    return work, r, size
+    return r
+
+
+def _reduce(rows: list, x: int, lay: tuple, N: int) -> int:
+    """Greedy reduction of the packed row x against packed Howell rows;
+    returns the packed residual. Each row's pivot is its lowest nonzero
+    slot, a power of p: floor-dividing by it leaves the canonical remainder
+    in [0, piv), and later rows are zero in that column, so one pass is
+    complete. Each step is one row operation of _eliminate."""
+    W, _, s, m, qmask, lift = lay[:6]
+    slot = (1 << W) - 1
+    for row in rows:
+        shift = (row & -row).bit_length() - 1
+        shift -= shift % W
+        q = ((x >> shift) & slot) // ((row >> shift) & slot)
+        if q:
+            x += q * (lift - row)
+            x -= ((x * m >> s) & qmask) * N
+    return x
+
+
+def _combine(coeffs: Sequence[int], rows: list, lay: tuple, N: int) -> int:
+    """sum_j coeffs[j] rows[j] of packed rows, for coefficients in [0, N).
+    The reduction after each term is exact: every slot is below
+    N + (N-1)^2 < N^2."""
+    _, _, s, m, qmask = lay[:5]
+    x = 0
+    for c, row in zip(coeffs, rows):
+        if c:
+            x += c * row
+            x -= ((x * m >> s) & qmask) * N
+    return x
 
 
 def _slots(packed: list, size: int, count: int, start: int = 0) -> list:
@@ -275,20 +326,6 @@ def _with_identity(rows: Sequence[Sequence[int]], ncols: int) -> list:
         row + array(row.typecode, e) if isinstance(row, array) else [*row, *e]
         for row, e in zip(rows, units)
     ]
-
-
-def _reduce_against(hrows: Sequence[Sequence[int]], vec: Sequence[int], ctx: ModulusContext) -> list[int]:
-    """Greedy reduction of vec against Howell rows; returns the residual."""
-    N = ctx.modulus
-    res = [int(e) % N for e in vec]
-    for row in hrows:
-        j = next(k for k, e in enumerate(row) if e)
-        # floor-dividing by the p-power pivot leaves the canonical remainder
-        # in [0, piv); later rows have zero in column j, so this is complete
-        q = res[j] // row[j]
-        if q:
-            res = [(a - q * b) % N for a, b in zip(res, row)]
-    return res
 
 
 class Submodule(NamedTuple):
@@ -313,14 +350,29 @@ class Submodule(NamedTuple):
     def zero(cls, ambient_rank: int, ctx: ModulusContext) -> "Submodule":
         return cls(ambient_rank, (), ctx)
 
+    def _residuals(self, rows: Sequence[Sequence[int]]) -> Iterator[int]:
+        """Each row reduced against the generators (_reduce), packed in the
+        slots of _layout(N, ambient_rank), one at a time: a caller that
+        stops at the first nonzero residual packs no row past it."""
+        if any(len(v) != self.ambient_rank for v in rows):
+            raise DimensionMismatch("vector length differs from ambient rank")
+        N = self.ctx.modulus
+        lay = _layout(N, self.ambient_rank)
+        gens = _pack_rows(self.generators, lay, N)
+        return (_reduce(gens, _pack_rows([v], lay, N)[0], lay, N) for v in rows)
+
     def contains(self, v: Sequence[int]) -> bool:
-        return not any(self.coset_reduce(v))
+        return self._contains_all([v])
+
+    def _contains_all(self, rows: Sequence[Sequence[int]]) -> bool:
+        """Whether every row lies in self."""
+        return not rows or not any(self._residuals(rows))
 
     def coset_reduce(self, v: Sequence[int]) -> tuple[int, ...]:
         """Canonical representative of v + self (greedy Howell reduction)."""
-        if len(v) != self.ambient_rank:
-            raise DimensionMismatch("vector length differs from ambient rank")
-        return tuple(_reduce_against(self.generators, v, self.ctx))
+        (x,) = self._residuals([v])
+        size = _layout(self.ctx.modulus, self.ambient_rank)[1]
+        return tuple(_slots([x], size, self.ambient_rank)[0])
 
     def cardinality(self) -> int:
         return math.prod(self.ctx.modulus // next(e for e in g if e) for g in self.generators)
@@ -338,7 +390,15 @@ class Submodule(NamedTuple):
 
     def le(self, other: "Submodule") -> bool:
         """Containment self <= other."""
-        return all(other.contains(g) for g in self.generators)
+        return other._contains_all(self.generators)
+
+
+def _span_packed(work: list, count: int, ctx: ModulusContext) -> Submodule:
+    """Submodule.span of rows already packed in the slots of
+    _layout(N, count), worked in place."""
+    lay = _layout(ctx.modulus, count)
+    r = _eliminate(work, count, lay, ctx)
+    return Submodule(count, tuple(map(tuple, _slots(work[:r], lay[1], count))), ctx)
 
 
 def _left_kernel(rows: Sequence[Sequence[int]], ncols: int, ctx: ModulusContext) -> list[list[int]]:
@@ -375,12 +435,13 @@ def solve_linear(
     m = len(rows)
     if len(b) != m:
         raise DimensionMismatch(f"matrix has {m} rows, vector has {len(b)}")
-    work, r, size = _howell(_with_identity(_columns(rows, ncols), m), m, ctx)
-    res = _reduce_against(_slots(work[:r], size, m + ncols), list(b) + [0] * ncols, ctx)
-    if any(res[:m]):
-        return None
+    work, r, _ = _howell(_with_identity(_columns(rows, ncols), m), m, ctx)
     N = ctx.modulus
-    return tuple(-e % N for e in res[m:])
+    lay = _layout(N, m + ncols)
+    x = _reduce(work[:r], _pack_rows([[*b, *[0] * ncols]], lay, N)[0], lay, N)
+    if x & (1 << lay[0] * m) - 1:
+        return None
+    return tuple(-e % N for e in _slots([x], lay[1], m + ncols, m)[0])
 
 
 def annihilator(s: Submodule) -> Submodule:
@@ -475,11 +536,12 @@ def quotient_decomposition(s: Submodule, t: Submodule):
     r = len(gens_s)
     if r == 0:
         return [], []
-    N = s.ctx.modulus
-    stacked = gens_s + t.generators
-    rel = [k[:r] for k in _left_kernel(stacked, s.ambient_rank, s.ctx)]
+    N, dim = s.ctx.modulus, s.ambient_rank
+    rel = [k[:r] for k in _left_kernel(gens_s + t.generators, dim, s.ctx)]
     rel += [[N if i == j else 0 for j in range(r)] for i in range(r)]
     diag, W = _smith_with_colbasis(rel, r)
+    lay = _layout(N, dim)
+    rows = _pack_rows(gens_s, lay, N)
     invariants = []
     witnesses = []
     for i, d in enumerate(diag):
@@ -487,7 +549,8 @@ def quotient_decomposition(s: Submodule, t: Submodule):
             raise AssertionError("relation lattice must have full rank dividing p^n")
         if d > 1:
             invariants.append(d)
-            witnesses.append(tuple(sum(map(mul, W[i], col)) % N for col in zip(*gens_s)))
+            x = _combine([c % N for c in W[i]], rows, lay, N)
+            witnesses.append(tuple(_slots([x], lay[1], dim)[0]))
     return invariants, witnesses
 
 

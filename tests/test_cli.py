@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -458,10 +459,24 @@ def test_compute_local_disagreement_exits_one_with_the_report(tmp_path, capsys, 
 
 
 def test_compute_conditions_beyond_the_line_budget_exits_three(tmp_path, capsys):
-    # at p = 65521 the free lines of (Z/p^2)^2 number p(p + 1), a scan of
-    # about 1.6 h, so it is refused before it starts
+    # <(1 + p) I> is scalar mod p, so each of the p + 1 lines mod p is
+    # stable, and at p = 65521 their lifts to (Z/p^2)^2 number p(p + 1), a
+    # scan of about 1.6 h, so it is refused before it starts
     p = 65521
-    spec = write_spec(tmp_path, {"p": p, "n": 2, "generators": [[[p * p - 1, 0], [0, 1]]]})
-    code, out, err = run_cli(capsys, "compute", spec, "--conditions")
+    spec = write_spec(tmp_path, {"p": p, "n": 2, "generators": [[[1 + p, 0], [0, 1 + p]]]})
+    code, out, err = run_cli(capsys, "compute", spec, "--conditions", "--cap", "70000")
     assert (code, out) == (3, "")
     assert f"the {p * (p + 1)} free lines" in err
+
+
+def test_compute_conditions_lifts_only_stable_lines(tmp_path, capsys):
+    # <diag(-1, 1)> fixes 2 of the p + 1 lines mod p, so the scan mod p^2
+    # checks their 2p lifts, not the p(p + 1) lines, and finds the 2 again
+    p = 65521
+    spec = write_spec(tmp_path, {"p": p, "n": 2, "generators": [[[p * p - 1, 0], [0, 1]]]})
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "compute", spec, "--conditions")
+    assert code == 0 and time.perf_counter() - start < 2.0
+    conditions = json.loads(out)["conditions"]
+    assert conditions["stableCyclicOrderP"] == [[[0, p]], [[p, 0]]]
+    assert conditions["stableCyclicOrderP2"] == [[[0, 1]], [[1, 0]]]

@@ -249,23 +249,6 @@ def test_early_stop_oracle_agrees(monkeypatch):
     assert any(done < order for order, done in walks)
 
 
-def test_oracle_catches_a_wrong_module(monkeypatch):
-    # the contragredient (g^-1)^T is an action too, so the engine stays
-    # consistent under it; only an oracle that forms g.v from the entries
-    # itself can tell that the engine computes the wrong module
-    def contragredient(self, entries):
-        a, b, c, d = entries
-        N = self.ctx.modulus
-        u = zmod.unit_inverse((a * d - b * c) % N, self.ctx)
-        return ((d * u % N, -c * u % N), (-b * u % N, a * u % N))
-
-    monkeypatch.setattr(ModuleAction, "_act_entries", contragredient)
-    verdict = verify_oracle_equivalence()
-    assert not verdict.passed
-    failed = {c.description for c in verdict.checks if not c.ok}
-    assert "cocycle tables agree on every group" in failed
-
-
 def large_h1_zero_groups():
     gens = [Mat2(1, 1, 0, 1, Z9), Mat2(1, 0, 1, 1, Z9), Mat2(2, 0, 0, 1, Z9)]
     order5000 = [Mat2(6, 20, 15, 16, Z25), Mat2(0, 19, 13, 0, Z25), Mat2(16, 5, 20, 21, Z25)]

@@ -844,6 +844,28 @@ def test_stable_lines_budget_counts_every_level(monkeypatch):
             matgrp.stable_lines(trivial, k)
 
 
+def test_stable_lines_lifted_scan_matches_the_full_scan():
+    # the level-by-level scan against a scan of every free line of each
+    # level, on all subgroups of GL2(Z/4) and of the Sylow 3-subgroup of GL2(Z/9)
+    def full_scan(group, k):
+        N = group.ctx.p**k
+        reps = matgrp._projective_line_reps(group.ctx.p, N)
+        return [w for w in reps if all(matgrp._fixes_line(g, w, N) for g in group.generating_set)]
+
+    gl2_z4 = close_group([Mat2(1, 1, 0, 1, Z4), Mat2(1, 0, 1, 1, Z4), Mat2(3, 0, 0, 1, Z4)], Z4)
+    sylow3 = close_group(
+        [Mat2(1, 1, 0, 1, Z9), Mat2(1, 0, 3, 1, Z9), Mat2.diagonal(4, 1, Z9), Mat2.diagonal(1, 4, Z9)], Z9
+    )
+    counts = []
+    for ambient in (gl2_z4, sylow3):
+        subgroups = enumerate_subgroups(ambient)
+        counts.append(len(subgroups))
+        for grp in subgroups:
+            for k in (1, 2):
+                assert matgrp.stable_lines(grp, k) == full_scan(grp, k), (grp.to_spec_dict(), k)
+    assert counts == [234, 342]
+
+
 def test_triangularizing_conjugator_none_for_gl2_f3():
     g = full_gl2(Z3)
     assert len(g) == 48

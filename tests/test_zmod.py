@@ -736,3 +736,81 @@ def test_quotient_decomposition_rejects_different_ambient_modules(other):
     for quotient in (quotient_decomposition, quotient_invariants):
         with pytest.raises(DimensionMismatch, match="different ambient modules"):
             quotient(Submodule.zero(2, Z9), other)
+
+
+# ---------------------------------------------------------------------------
+# table-sized steps on packed rows against list rows
+# ---------------------------------------------------------------------------
+
+
+def list_row_reduce(hrows, vec, ctx):
+    """Reference: the greedy reduction on lists of entries that the packed
+    rows replaced, one list rebuilt per row operation."""
+    N = ctx.modulus
+    res = [int(e) % N for e in vec]
+    for row in hrows:
+        j = next(k for k, e in enumerate(row) if e)
+        q = res[j] // row[j]
+        if q:
+            res = [(a - q * b) % N for a, b in zip(res, row)]
+    return res
+
+
+def list_row_quotient_decomposition(s, t):
+    """Reference: quotient_decomposition with the containment check and the
+    witness combination on lists of entries."""
+    if any(any(list_row_reduce(s.generators, g, s.ctx)) for g in t.generators):
+        raise NotASubmodule("second argument is not contained in the first")
+    gens_s, N = s.generators, s.ctx.modulus
+    r = len(gens_s)
+    if r == 0:
+        return [], []
+    rel = [k[:r] for k in _left_kernel(gens_s + t.generators, s.ambient_rank, s.ctx)]
+    rel += [[N if i == j else 0 for j in range(r)] for i in range(r)]
+    diag, W = zmod._smith_with_colbasis(rel, r)
+    factors = [i for i, d in enumerate(diag) if d > 1]
+    witnesses = [tuple(sum(c * e for c, e in zip(W[i], col)) % N for col in zip(*gens_s)) for i in factors]
+    return [diag[i] for i in factors], witnesses
+
+
+@pytest.mark.parametrize("ctx, width", SLOT_WIDTH_CONTEXTS)
+def test_table_sized_steps_match_list_rows(ctx, width):
+    # rows as wide as the value tables of the p = 13 family (2 * 338 = 676
+    # entries), at every slot width of _layout
+    assert _layout(ctx.modulus, 676)[0] == width
+    p, n, N = ctx.p, ctx.n, ctx.modulus
+    rng = random.Random(f"table-sized {p} {n}")
+
+    def entry():
+        t = rng.random()
+        if t < 0.3:
+            return 0
+        if t < 0.5:
+            return p ** rng.randrange(n) * rng.randrange(1, p) % N
+        return N - 1 if t < 0.6 else rng.randrange(N)
+
+    rows = [[entry() for _ in range(676)] for _ in range(4)]
+    s = Submodule.span(rows, 676, ctx)
+    t = Submodule.span([[p * e % N for e in rows[0]], [(a + b) % N for a, b in zip(rows[1], rows[2])]], 676, ctx)
+    zero = Submodule.zero(676, ctx)
+    for inner, outer in ((t, s), (s, t), (zero, t), (s, s), (t, zero)):
+        want = not any(any(list_row_reduce(outer.generators, g, ctx)) for g in inner.generators)
+        assert inner.le(outer) == want
+    assert t.le(s) and not s.le(t)
+    # coset_reduce and contains, entries outside [0, N) included
+    vectors = [[entry() for _ in range(676)] for _ in range(3)]
+    vectors += [rows[3], [e - N for e in rows[1]], [e + 3 * N for e in rows[0]]]
+    for v in vectors:
+        for sub in (s, t, zero):
+            want = tuple(list_row_reduce(sub.generators, v, ctx))
+            assert sub.coset_reduce(v) == want and sub.contains(v) == (not any(want))
+    assert s.contains(rows[3]) and s.contains([e - N for e in rows[1]])
+    for sub, by in ((s, t), (s, zero), (t, zero), (s, s)):
+        assert quotient_decomposition(sub, by) == list_row_quotient_decomposition(sub, by)
+    assert quotient_decomposition(s, t)[0]
+    # t is a proper submodule of s, so s is not one of t
+    for quotient in (quotient_decomposition, quotient_invariants):
+        with pytest.raises(NotASubmodule):
+            quotient(t, s)
+    with pytest.raises(NotASubmodule):
+        list_row_quotient_decomposition(t, s)
